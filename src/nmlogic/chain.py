@@ -16,9 +16,10 @@ formulas there using :class:`fractions.Fraction`, never floats.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class ChainValue:
     size: int
 
     def __post_init__(self) -> None:
+        if self.size < 2:
+            raise ValueError(f"chain size must be >= 2, got {self.size}")
         if not 0 <= self.index <= self.size - 1:
             raise ValueError(f"index {self.index} outside chain of size {self.size}")
 
@@ -114,6 +117,18 @@ class NMChain:
         if x.index <= y.index:
             return self.top
         return ChainValue(max(self.size - 1 - x.index, y.index), self.size)
+
+
+def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
+    """Every assignment of ``chain`` values to ``x1..xn``, in lexicographic order.
+
+    This is the one place the grid order is fixed: position ``i`` of a truth
+    vector, of an exported vector and of a model enumeration is the ``i``-th
+    assignment yielded here, with ``x1`` the most significant coordinate.
+    """
+    if n < 0:
+        raise ValueError(f"variable count must be >= 0, got {n}")
+    return (dict(enumerate(point, 1)) for point in itertools.product(chain.values(), repeat=n))
 
 
 def tnorm_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,30 +4,32 @@ An element of the free ``n``-generated algebra is represented by its truth
 vector: the tuple of values the corresponding term takes at every point of
 the assignment grid ``C^n``, where ``C`` is a finite chain large enough to
 be generic for ``n`` generators (size ``2n+3`` with a negation fixpoint,
-``2n+2`` without).  Two terms are logically equivalent exactly when their
-truth vectors coincide, so deduplicating vectors yields one canonical
-element per equivalence class.
+``2n+2`` without).  The grid is walked in the lexicographic order of
+:func:`nmlogic.chain.grid_assignments`.  Two terms are logically equivalent
+exactly when their truth vectors coincide, so deduplicating vectors yields
+one canonical element per equivalence class.
 
 The build is a breadth-first fixed-point closure of the seed set
-{bottom, top, projections} under the four binary operations.  Element ids
-are assigned in discovery order, which is deterministic: rounds combine
-the elements known at the start of the round, pairs are scanned in
-lexicographic id order, and for each pair the operations are tried as
-meet, join, fusion, implication.  Every element records the pair and
-operation that first produced it, so a defining formula can be
-reconstructed for any id.
+{bottom, top, projections}, whose vectors come from :func:`truth_vector`,
+under the four binary operations.  Element ids are assigned in discovery
+order, which is deterministic: rounds combine the elements known at the
+start of the round, pairs are scanned in lexicographic id order, and for
+each pair the operations are tried as meet, join, fusion, implication.
+The closure keeps a single element table, an insertion-ordered dict from
+vector bytes to provenance, so a key's position is its element id.  The
+provenance records the pair and operation that first produced the
+element, so a defining formula can be reconstructed for any id.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import formula as fm
-from .chain import ChainValue, NMChain, eval_chain, residuum_block, tnorm_block
+from .chain import NMChain, eval_chain, grid_assignments, residuum_block, tnorm_block
 
 DEFAULT_ELEMENT_CAP = 500_000
 
@@ -70,20 +72,12 @@ def truth_vector(n: int, variant: Variant, f: fm.Formula) -> tuple[int, ...]:
 
     This is the canonical representative of the equivalence class of ``f``
     and needs no closure, so it stays cheap even where the full free
-    algebra is far too large to build.
+    algebra is far too large to build.  A variable above ``x{n}`` has no
+    binding and raises :class:`nmlogic.chain.EvaluationError`, a
+    ``ValueError``.
     """
-    out_of_range = sorted(v for v in fm.variables(f) if v > n)
-    if out_of_range:
-        raise ValueError(
-            f"variable x{out_of_range[0]} out of range for {n} generator(s)"
-        )
-    k = generic_chain_size(n, variant)
-    chain = NMChain(k)
-    values = []
-    for point in itertools.product(range(k), repeat=n):
-        env = {i + 1: ChainValue(point[i], k) for i in range(n)}
-        values.append(eval_chain(f, chain, env).index)
-    return tuple(values)
+    chain = NMChain(generic_chain_size(n, variant))
+    return tuple(eval_chain(f, chain, env).index for env in grid_assignments(chain, n))
 
 
 def is_tautology(n: int, variant: Variant, f: fm.Formula) -> bool:
@@ -118,9 +112,6 @@ class FreeAlgebra:
         self.n = n
         self.variant = variant
         self.chain = NMChain(generic_chain_size(n, variant))
-        self.grid: tuple[tuple[int, ...], ...] = tuple(
-            itertools.product(range(self.chain.size), repeat=n)
-        )
         vectors = np.ascontiguousarray(vectors, dtype=np.uint8)
         vectors.flags.writeable = False
         self.vectors = vectors
@@ -136,6 +127,7 @@ class FreeAlgebra:
         self._heights: tuple[int, ...] | None = None
         self._ji: tuple[int, ...] | None = None
         self._idempotent: tuple[int, ...] | None = None
+        self._idem_flags: tuple[bool, ...] | None = None
         self._min_idem_ji: tuple[int, ...] | None = None
         self._formulas: list[fm.Formula | None] | None = None
 
@@ -163,25 +155,20 @@ class FreeAlgebra:
 
     # -- operations ----------------------------------------------------------
 
-    def _lookup(self, row: np.ndarray) -> int:
-        return self._index[row.astype(np.uint8).tobytes()]
-
     def meet(self, x: int, y: int) -> int:
-        return self._lookup(np.minimum(self.vectors[x], self.vectors[y]))
+        return self.id_of_vector(np.minimum(self.vectors[x], self.vectors[y]))
 
     def join(self, x: int, y: int) -> int:
-        return self._lookup(np.maximum(self.vectors[x], self.vectors[y]))
+        return self.id_of_vector(np.maximum(self.vectors[x], self.vectors[y]))
 
     def tnorm(self, x: int, y: int) -> int:
-        return self._lookup(tnorm_block(self._top_index, self.vectors[x], self.vectors[y]))
+        return self.id_of_vector(tnorm_block(self._top_index, self.vectors[x], self.vectors[y]))
 
     def residuum(self, x: int, y: int) -> int:
-        return self._lookup(
-            residuum_block(self._top_index, self.vectors[x], self.vectors[y])
-        )
+        return self.id_of_vector(residuum_block(self._top_index, self.vectors[x], self.vectors[y]))
 
     def neg(self, x: int) -> int:
-        return self._lookup(self._top_index - self.vectors[x])
+        return self.id_of_vector(self._top_index - self.vectors[x])
 
     def iff(self, x: int, y: int) -> int:
         return self.tnorm(self.residuum(x, y), self.residuum(y, x))
@@ -249,32 +236,28 @@ class FreeAlgebra:
         return list(self.join_irreducible_ids)
 
     def is_idempotent(self, x: int) -> bool:
-        return self._idem_row(x)
-
-    def _idem_row(self, x: int) -> bool:
-        row = self.vectors[x]
-        return bool(np.array_equal(tnorm_block(self._top_index, row, row), row))
+        return self.idempotent_flags[x]
 
     @property
     def idempotent_ids(self) -> tuple[int, ...]:
         """Elements fixed by fusion with themselves."""
         if self._idempotent is None:
-            v = self.vectors
-            fused = tnorm_block(self._top_index, v, v)
-            flags = (fused == v).all(axis=1)
-            self._idempotent = tuple(int(x) for x in np.nonzero(flags)[0])
+            self._idempotent = tuple(x for x, flag in enumerate(self.idempotent_flags) if flag)
         return self._idempotent
 
     @property
     def idempotent_flags(self) -> tuple[bool, ...]:
-        idem = set(self.idempotent_ids)
-        return tuple(x in idem for x in self.element_ids())
+        if self._idem_flags is None:
+            v = self.vectors
+            fused = tnorm_block(self._top_index, v, v)
+            self._idem_flags = tuple((fused == v).all(axis=1).tolist())
+        return self._idem_flags
 
     @property
     def minimal_idempotent_ji_ids(self) -> tuple[int, ...]:
         """Idempotent join-irreducibles with no smaller idempotent join-irreducible."""
         if self._min_idem_ji is None:
-            idem_ji = [x for x in self.join_irreducible_ids if self._idem_row(x)]
+            idem_ji = [x for x in self.join_irreducible_ids if self.is_idempotent(x)]
             leq = self.leq_matrix
             self._min_idem_ji = tuple(
                 g for g in idem_ji
@@ -360,20 +343,27 @@ class FreeAlgebra:
     def from_export(cls, data: Mapping, validate: bool = True) -> "FreeAlgebra":
         """Rebuild an algebra from :meth:`export` output.
 
-        With ``validate`` the stored annotations are recomputed and
-        compared; a mismatch raises ``ValueError``.
+        The vectors are always checked: every entry must lie on the chain,
+        every row must span the grid, and elements 0 and 1 must be bottom
+        and top.  With ``validate`` the stored annotations are also
+        recomputed and compared.  Any mismatch raises ``ValueError``.
         """
         variant = Variant(data["variant"])
         n = int(data["n"])
+        k = generic_chain_size(n, variant)
+        if data["chain_size"] != k:
+            raise ValueError("chain size does not match generator count and variant")
         elements = sorted(data["elements"], key=lambda e: e["id"])
         if [e["id"] for e in elements] != list(range(len(elements))):
             raise ValueError("element ids must be 0..N-1")
-        vectors = np.array([e["vector"] for e in elements], dtype=np.uint8)
+        vectors = np.array([e["vector"] for e in elements])
+        if vectors.ndim != 2 or len(vectors) < 2 or vectors.shape[1] != k**n:
+            raise ValueError(f"expected at least two vectors of grid length {k**n}")
+        if vectors.dtype.kind not in "iu" or vectors.min() < 0 or vectors.max() > k - 1:
+            raise ValueError(f"vector entries must be integers in 0..{k - 1}")
+        if (vectors[0] != 0).any() or (vectors[1] != k - 1).any():
+            raise ValueError("elements 0 and 1 must be bottom and top")
         algebra = cls(n, variant, vectors, provenance=None)
-        if data["chain_size"] != algebra.chain.size:
-            raise ValueError("chain size does not match generator count and variant")
-        if vectors.shape[1] != len(algebra.grid):
-            raise ValueError("vector length does not match the grid")
         if validate:
             if (int(data["bottom"]), int(data["top"])) != (0, 1):
                 raise ValueError("bottom and top ids must be 0 and 1")
@@ -400,62 +390,51 @@ def build(
 ) -> FreeAlgebra:
     """Construct the free ``n``-generated algebra of the given variant.
 
-    Runs the breadth-first closure described in the module docstring.  The
-    result is identical across runs.  If the closure would exceed
-    ``element_cap`` elements, :class:`ElementCapExceeded` is raised naming
-    the size attained; growth for three or more generators is explosive,
-    so the cap is the intended way to probe it safely.
+    Runs the breadth-first closure described in the module docstring: the
+    truth vectors of bottom, top and ``x1..xn`` seed the element table, and
+    each slab of pairs is computed as four numpy blocks, packed into one
+    byte string and committed a vector-sized slice at a time, so only a
+    new vector costs a provenance record.  The result is identical across
+    runs.  If the closure would exceed ``element_cap`` elements,
+    :class:`ElementCapExceeded` is raised naming the size attained; growth
+    for three or more generators is explosive, so the cap is the intended
+    way to probe it safely.
     """
-    if n < 0:
-        raise ValueError(f"generator count must be >= 0, got {n}")
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
-    k = generic_chain_size(n, variant)
-    top = k - 1
-    grid = tuple(itertools.product(range(k), repeat=n))
-    width = len(grid)
-
-    rows: list[np.ndarray] = []
-    index: dict[bytes, int] = {}
-    provenance: list[tuple] = []
-
-    def commit(row: np.ndarray, record: tuple) -> None:
-        key = row.tobytes()
-        if key in index:
-            return
-        if len(rows) >= element_cap:
-            raise ElementCapExceeded(len(rows) + 1, element_cap)
-        index[key] = len(rows)
-        rows.append(row.copy())
-        provenance.append(record)
-
-    commit(np.zeros(width, dtype=np.uint8), ("bot",))
-    commit(np.full(width, top, dtype=np.uint8), ("top",))
-    for v in range(1, n + 1):
-        projection = np.fromiter((g[v - 1] for g in grid), dtype=np.uint8, count=width)
-        commit(projection, ("var", v))
+    top = generic_chain_size(n, variant) - 1
+    seeds = [(fm.BOT, ("bot",)), (fm.TOP, ("top",))]
+    seeds += [(fm.Var(v), ("var", v)) for v in range(1, n + 1)]
+    # The element table: vector bytes -> provenance; key order is id order.
+    table = {bytes(truth_vector(n, variant, f)): record for f, record in seeds}
+    if len(table) > element_cap:
+        raise ElementCapExceeded(element_cap + 1, element_cap)
+    width = (top + 1) ** n
 
     previous = 0
     while True:
-        current = len(rows)
-        snapshot = np.vstack(rows)
+        current = len(table)
+        snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(current, width)
         for i in range(current):
             a = snapshot[i]
             start = previous if i < previous else 0
             for lo in range(start, current, _SLAB):
-                hi = min(lo + _SLAB, current)
-                block = snapshot[lo:hi]
-                results = (
-                    np.minimum(a, block),
-                    np.maximum(a, block),
-                    tnorm_block(top, a, block),
-                    residuum_block(top, a, block),
-                )
-                for j in range(hi - lo):
-                    for op in range(4):
-                        commit(results[op][j], (_OP_TAGS[op], i, lo + j))
-        if len(rows) == current:
+                block = snapshot[lo:lo + _SLAB]
+                packed = np.stack((
+                    np.minimum(a, block), np.maximum(a, block),
+                    tnorm_block(top, a, block), residuum_block(top, a, block),
+                ), axis=1).tobytes()
+                # Slice s of the bytes is pair (i, lo + s // 4) under operation s % 4.
+                for offset in range(0, len(packed), width):
+                    key = packed[offset:offset + width]
+                    if key not in table:
+                        if len(table) >= element_cap:
+                            raise ElementCapExceeded(len(table) + 1, element_cap)
+                        j, op = divmod(offset // width, 4)
+                        table[key] = (_OP_TAGS[op], i, lo + j)
+        if len(table) == current:
             break
         previous = current
 
-    return FreeAlgebra(n, variant, np.vstack(rows), tuple(provenance))
+    vectors = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(len(table), width)
+    return FreeAlgebra(n, variant, vectors, tuple(table.values()))

@@ -8,11 +8,10 @@ valuation machinery it is used to cross-check.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
-from .chain import ChainValue, NMChain, eval_chain
-from .formula import Formula, variables
+from .chain import ChainValue, NMChain, eval_chain, grid_assignments
+from .formula import Formula
 
 
 class AssignmentSpace(Enum):
@@ -26,35 +25,15 @@ class AssignmentSpace(Enum):
         return NMChain(self.value)
 
 
-def _check_range(f: Formula, n: int) -> None:
-    if n < 0:
-        raise ValueError(f"variable count must be >= 0, got {n}")
-    out = sorted(v for v in variables(f) if v > n)
-    if out:
-        raise ValueError(f"variable x{out[0]} out of range for n={n}")
-
-
 def enumerate_models(
     f: Formula, n: int, space: AssignmentSpace
 ) -> list[dict[int, ChainValue]]:
     """Satisfying assignments over ``x1..xn``, in lexicographic order."""
-    _check_range(f, n)
     chain = space.chain
-    found = []
-    for point in itertools.product(range(chain.size), repeat=n):
-        env = {i + 1: ChainValue(point[i], chain.size) for i in range(n)}
-        if eval_chain(f, chain, env) == chain.top:
-            found.append(env)
-    return found
+    return [env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) == chain.top]
 
 
 def count_models(f: Formula, n: int, space: AssignmentSpace) -> int:
     """Number of assignments over ``x1..xn`` that evaluate ``f`` to 1."""
-    _check_range(f, n)
     chain = space.chain
-    count = 0
-    for point in itertools.product(range(chain.size), repeat=n):
-        env = {i + 1: ChainValue(point[i], chain.size) for i in range(n)}
-        if eval_chain(f, chain, env) == chain.top:
-            count += 1
-    return count
+    return sum(eval_chain(f, chain, env) == chain.top for env in grid_assignments(chain, n))

@@ -12,7 +12,7 @@ from nmlogic import (
     parse,
     random_formula,
 )
-from nmlogic.chain import EvaluationError, residuum_block, tnorm_block
+from nmlogic.chain import EvaluationError, grid_assignments, residuum_block, tnorm_block
 
 CHAIN_SIZES = range(2, 10)
 
@@ -212,4 +212,15 @@ def test_chain_value_fraction_view():
     with pytest.raises(ValueError):
         ChainValue(4, 4)
     with pytest.raises(ValueError):
+        ChainValue(0, 1)
+    with pytest.raises(ValueError):
         NMChain(1)
+
+
+def test_grid_assignments_order_and_edges():
+    chain = NMChain(3)
+    points = [(env[1].index, env[2].index) for env in grid_assignments(chain, 2)]
+    assert points == [(i, j) for i in range(3) for j in range(3)]
+    assert list(grid_assignments(chain, 0)) == [{}]
+    with pytest.raises(ValueError):
+        grid_assignments(chain, -1)

@@ -12,6 +12,7 @@ from nmlogic import (
     parse,
     truth_vector,
 )
+from nmlogic import free_algebra
 from nmlogic.formula import TOP, And, Implies, Not, Or, Var
 
 
@@ -76,10 +77,17 @@ def test_cardinalities(nm1, nmm1, nm0, nmm0):
     "n,variant",
     [(0, Variant.NM), (0, Variant.NM_MINUS), (1, Variant.NM), (1, Variant.NM_MINUS)],
 )
-def test_build_matches_reference_closure(n, variant):
-    algebra = build(n, variant)
+def test_build_matches_reference_closure(n, variant, monkeypatch):
     expected = reference_closure(n, generic_chain_size(n, variant))
-    assert [algebra.vector(x) for x in algebra.element_ids()] == expected
+    reference = build(n, variant)
+    assert [reference.vector(x) for x in reference.element_ids()] == expected
+    # Small slabs split every round into many blocks and start the
+    # incremental scan mid-slab, which the default size never does here.
+    for slab in (1, 3):
+        monkeypatch.setattr(free_algebra, "_SLAB", slab)
+        algebra = build(n, variant)
+        assert [algebra.vector(x) for x in algebra.element_ids()] == expected
+        assert algebra.provenance == reference.provenance
 
 
 def test_build_is_deterministic():
@@ -248,6 +256,12 @@ def test_truth_vector_examples():
         truth_vector(1, Variant.NM, Var(2))
 
 
+def test_truth_vector_grid_order_is_lexicographic():
+    # x1 is the most significant coordinate, x2 the least.
+    assert truth_vector(2, Variant.NM, Var(1)) == tuple(v for v in range(7) for _ in range(7))
+    assert truth_vector(2, Variant.NM, Var(2)) == tuple(range(7)) * 7
+
+
 def test_element_cap():
     with pytest.raises(ElementCapExceeded) as err:
         build(1, Variant.NM, element_cap=10)
@@ -270,11 +284,26 @@ def test_export_import_round_trip(nmm1):
         clone.representative_formula(0)
 
 
-def test_import_rejects_tampered_annotations(nmm1):
+def _with_vector(data, value):
+    """``data`` plus one extra element whose vector is all ``value``."""
+    width = len(data["elements"][0]["vector"])
+    extra = {"id": len(data["elements"]), "vector": [value] * width}
+    return {**data, "elements": data["elements"] + [extra]}
+
+
+def test_import_rejects_tampered_annotations(nmm1, nm0):
     data = nmm1.export()
     data["join_irreducible"] = data["join_irreducible"][:-1]
     with pytest.raises(ValueError):
         FreeAlgebra.from_export(data)
+    # Malformed vectors are rejected whether or not annotations are checked.
+    swapped = FreeAlgebra(0, Variant.NM, np.array([[2], [0]]), None).export()
+    truncated = {**nm0.export(), "elements": nm0.export()["elements"][:1]}
+    malformed = [_with_vector(nm0.export(), v) for v in (9, 300, -1)] + [swapped, truncated]
+    for data in malformed:
+        for validate in (True, False):
+            with pytest.raises(ValueError):
+                FreeAlgebra.from_export(data, validate=validate)
 
 
 def test_vector_access(nm1):
