@@ -20,9 +20,9 @@ print("top   :", one.vector(one.top_id))
 print("x1    :", one.vector(one.element_of(parse("x1"))))
 
 # Annotations: join-irreducible and idempotent elements.
-print("join-irreducibles :", one.join_irreducibles())
+print("join-irreducibles :", list(one.join_irreducible_ids))
 print("idempotents       :", list(one.idempotent_ids))
-print("minimal idempotent join-irreducibles:", one.minimal_idempotent_jis())
+print("minimal idempotent join-irreducibles:", list(one.minimal_idempotent_ji_ids))
 
 # The closure remembers how it found each element, so every id has a
 # defining formula.

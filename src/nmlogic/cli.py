@@ -10,6 +10,7 @@ Exit codes: 0 success or affirmative answer, 1 negative answer,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -168,6 +169,7 @@ def _add_algebra_options(sub) -> None:
                      help="abort if the closure exceeds this many elements")
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmlogic",

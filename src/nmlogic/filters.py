@@ -11,14 +11,18 @@ Ordered by reverse inclusion the prime filters form a forest whose roots
 are the inclusion-maximal filters, generated by the minimal idempotent
 join-irreducibles.  Quotienting by a root collapses the algebra to a chain
 with two or three elements; three happens exactly when the relevant
-subdirect factor has a negation fixpoint.
+subdirect factor has a negation fixpoint.  Quotients are array code over
+:attr:`FreeAlgebra.operation_table`; the two filter predicates stay
+definitional scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import NMChain
+import numpy as np
+
+from .chain import residuum_block, tnorm_block
 from .free_algebra import FreeAlgebra
 
 
@@ -141,54 +145,31 @@ def quotient_by_maximal(algebra: FreeAlgebra, filt: Filter) -> QuotientChain:
     if filt.generator not in algebra.minimal_idempotent_ji_ids:
         raise ValueError("filter is not maximal")
 
-    member = filt.elements
-
-    def same(x: int, y: int) -> bool:
-        return algebra.iff(x, y) in member
-
-    reps: list[int] = []
-    class_of = [0] * algebra.size
-    for x in algebra.element_ids():
-        for c, r in enumerate(reps):
-            if same(x, r):
-                class_of[x] = c
-                break
-        else:
-            class_of[x] = len(reps)
-            reps.append(x)
-
+    ops = algebra.operation_table
+    member = algebra.leq_matrix[filt.generator]
+    imp = ops[:, :, 3]
+    # x ~ y iff (x -> y) * (y -> x) lies in the filter; a class is named by
+    # its smallest element.
+    same = member[ops[imp, imp.T, 2]]
+    reps, class_of = np.unique(same.argmax(axis=1), return_inverse=True)
     m = len(reps)
     if m not in (2, 3):
         raise RuntimeError(f"quotient by a maximal filter has {m} classes")
 
-    # Class order: [x] <= [y] iff x -> y lands in the filter.
-    def cls_leq(c: int, d: int) -> bool:
-        return algebra.residuum(reps[c], reps[d]) in member
-
-    order = sorted(range(m), key=lambda c: sum(cls_leq(c, d) for d in range(m)), reverse=True)
-    rank = {c: i for i, c in enumerate(order)}
-    for c in range(m):
-        for d in range(m):
-            if cls_leq(c, d) != (rank[c] <= rank[d]):
-                raise RuntimeError("quotient classes are not totally ordered")
+    # Class order: [x] <= [y] iff x -> y lands in the filter.  Rank 0 goes to
+    # the class below the most classes, ties broken by class order.
+    leq = member[imp[np.ix_(reps, reps)]]
+    rank = np.argsort(np.argsort(-leq.sum(axis=1), kind="stable"), kind="stable")
+    if (leq != (rank[:, None] <= rank[None, :])).any():
+        raise RuntimeError("quotient classes are not totally ordered")
 
     # The congruence must respect all four operations, and the induced
     # operations must be the chain operations on {0..m-1}.
-    chain = NMChain(m)
-    ops = {
-        "meet": (algebra.meet, chain.meet),
-        "join": (algebra.join, chain.join),
-        "tnorm": (algebra.tnorm, chain.tnorm),
-        "imp": (algebra.residuum, chain.residuum),
-    }
-    for alg_op, chain_op in ops.values():
-        for x in algebra.element_ids():
-            for y in algebra.element_ids():
-                got = rank[class_of[alg_op(x, y)]]
-                want = chain_op(chain.value(rank[class_of[x]]), chain.value(rank[class_of[y]]))
-                if got != want.index:
-                    raise RuntimeError("quotient operations are not well defined")
+    r = rank[class_of]
+    x, y = r[:, None], r[None, :]
+    chain_ops = (np.minimum(x, y), np.maximum(x, y),
+                 tnorm_block(m - 1, x, y), residuum_block(m - 1, x, y))
+    if (r[ops] != np.stack(chain_ops, axis=2)).any():
+        raise RuntimeError("quotient operations are not well defined")
 
-    classes = [frozenset(x for x in algebra.element_ids() if rank[class_of[x]] == i)
-               for i in range(m)]
-    return QuotientChain(tuple(classes))
+    return QuotientChain(tuple(frozenset(np.flatnonzero(r == i).tolist()) for i in range(m)))

@@ -18,7 +18,9 @@ each pair the operations are tried as meet, join, fusion, implication.
 The closure keeps a single element table, an insertion-ordered dict from
 vector bytes to provenance, so a key's position is its element id.  The
 provenance records the pair and operation that first produced the
-element, so a defining formula can be reconstructed for any id.
+element, so a defining formula can be reconstructed for any id.  The
+closure and :attr:`FreeAlgebra.operation_table` share one kernel for the
+four operations on vectors, :func:`_combine`.
 """
 
 from __future__ import annotations
@@ -91,15 +93,26 @@ def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
     return is_tautology(n, variant, fm.Implies(fm.Square(phi), psi))
 
 
+def _combine(top: int, a: np.ndarray, block: np.ndarray) -> bytes:
+    """Meet, join, fusion and implication of row ``a`` with each row of ``block``.
+
+    Vector-sized slice ``s`` of the bytes is block row ``s // 4`` under ``_OP_TAGS[s % 4]``.
+    """
+    return np.stack((
+        np.minimum(a, block), np.maximum(a, block),
+        tnorm_block(top, a, block), residuum_block(top, a, block),
+    ), axis=1).tobytes()
+
+
 class FreeAlgebra:
     """A closed, deduplicated and annotated algebra of truth vectors.
 
     Elements are referred to by their integer id (position in discovery
     order).  The bottom element always has id 0 and the top id 1; the
     projections follow, then everything the closure discovered.  All
-    structure (order, covers, irreducibility and idempotency flags) is
-    derived from the vectors and cached lazily; instances are immutable
-    after construction and safe to share.
+    structure (order, covers, irreducibility and idempotency flags, and the
+    operation table filled by :func:`build`'s kernel) is derived from the
+    vectors and cached lazily; instances are immutable and safe to share.
     """
 
     def __init__(
@@ -130,15 +143,13 @@ class FreeAlgebra:
         self._idem_flags: tuple[bool, ...] | None = None
         self._min_idem_ji: tuple[int, ...] | None = None
         self._formulas: list[fm.Formula | None] | None = None
+        self._operations: np.ndarray | None = None
 
     # -- size and raw vectors ------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self.vectors)
-
-    def __len__(self) -> int:
-        return self.size
 
     def element_ids(self) -> range:
         return range(self.size)
@@ -155,20 +166,41 @@ class FreeAlgebra:
 
     # -- operations ----------------------------------------------------------
 
+    @property
+    def operation_table(self) -> np.ndarray:
+        """Read-only int32 result ids of shape (N, N, 4): ``[x, y, k]`` is x op_k y.
+
+        The operations are meet, join, fusion and implication.  Rows are filled
+        one x at a time, in N x width bytes; ``KeyError`` if not closed.
+        """
+        if self._operations is None:
+            size, width = self.vectors.shape
+            table = np.empty((size, 4 * size), dtype=np.int32)
+            for x in range(size):
+                packed = _combine(self._top_index, self.vectors[x], self.vectors)
+                table[x] = [self._index.get(packed[o:o + width], -1)
+                            for o in range(0, len(packed), width)]
+            if (table < 0).any():
+                raise KeyError("an operation leaves the algebra: it is not closed")
+            table = table.reshape(size, size, 4)
+            table.flags.writeable = False
+            self._operations = table
+        return self._operations
+
     def meet(self, x: int, y: int) -> int:
-        return self.id_of_vector(np.minimum(self.vectors[x], self.vectors[y]))
+        return int(self.operation_table[x, y, 0])
 
     def join(self, x: int, y: int) -> int:
-        return self.id_of_vector(np.maximum(self.vectors[x], self.vectors[y]))
+        return int(self.operation_table[x, y, 1])
 
     def tnorm(self, x: int, y: int) -> int:
-        return self.id_of_vector(tnorm_block(self._top_index, self.vectors[x], self.vectors[y]))
+        return int(self.operation_table[x, y, 2])
 
     def residuum(self, x: int, y: int) -> int:
-        return self.id_of_vector(residuum_block(self._top_index, self.vectors[x], self.vectors[y]))
+        return int(self.operation_table[x, y, 3])
 
     def neg(self, x: int) -> int:
-        return self.id_of_vector(self._top_index - self.vectors[x])
+        return self.residuum(x, self.bottom_id)
 
     def iff(self, x: int, y: int) -> int:
         return self.tnorm(self.residuum(x, y), self.residuum(y, x))
@@ -232,9 +264,6 @@ class FreeAlgebra:
             )
         return self._ji
 
-    def join_irreducibles(self) -> list[int]:
-        return list(self.join_irreducible_ids)
-
     def is_idempotent(self, x: int) -> bool:
         return self.idempotent_flags[x]
 
@@ -264,9 +293,6 @@ class FreeAlgebra:
                 if not any(h != g and leq[h, g] for h in idem_ji)
             )
         return self._min_idem_ji
-
-    def minimal_idempotent_jis(self) -> list[int]:
-        return list(self.minimal_idempotent_ji_ids)
 
     # -- formulas ------------------------------------------------------------
 
@@ -376,13 +402,8 @@ class FreeAlgebra:
         return algebra
 
     def check_closed(self) -> None:
-        """Verify closure: every operation on every pair lands in the algebra."""
-        for x in self.element_ids():
-            for y in self.element_ids():
-                self.meet(x, y)
-                self.join(x, y)
-                self.tnorm(x, y)
-                self.residuum(x, y)
+        """Verify closure by building :attr:`operation_table`; ``KeyError`` if not closed."""
+        self.operation_table
 
 
 def build(
@@ -419,12 +440,7 @@ def build(
             a = snapshot[i]
             start = previous if i < previous else 0
             for lo in range(start, current, _SLAB):
-                block = snapshot[lo:lo + _SLAB]
-                packed = np.stack((
-                    np.minimum(a, block), np.maximum(a, block),
-                    tnorm_block(top, a, block), residuum_block(top, a, block),
-                ), axis=1).tobytes()
-                # Slice s of the bytes is pair (i, lo + s // 4) under operation s % 4.
+                packed = _combine(top, a, snapshot[lo:lo + _SLAB])
                 for offset in range(0, len(packed), width):
                     key = packed[offset:offset + width]
                     if key not in table:

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from nmlogic import FreeAlgebra
-from nmlogic.cli import main
+from nmlogic.cli import _make_parser, main
 
 
 def run(capsys, *argv):
@@ -166,6 +166,15 @@ def test_malformed_binding(capsys):
 def test_usage_error_returns_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    assert _make_parser() is _make_parser()
+    assert run(capsys, "eval", "x1", "--assign", "x1=1/2")[:2] == (0, "1/2\n")
+    code, _, err = run(capsys, "eval", "x1")
+    assert code == 3 and "no binding" in err
+    assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "eval", "x1", "--assign", "x1=1")[:2] == (0, "1\n")
 
 
 def test_subprocess_entry_point():

@@ -9,6 +9,7 @@ from nmlogic import (
     quotient_by_maximal,
 )
 from nmlogic.filters import principal_upset
+from nmlogic.formula import Iff, Implies
 
 
 def coordinates(nmm1):
@@ -117,6 +118,25 @@ def test_quotient_classes_partition_and_order(nm1):
         assert sorted(everything) == list(nm1.element_ids())
         assert nm1.bottom_id in quotient.classes[0]
         assert nm1.top_id in quotient.classes[-1]
+
+
+@pytest.mark.parametrize("fixture", ["nm1", "nmm1"])
+def test_quotients_match_formula_evaluation(fixture, request):
+    # The congruence and the class order, recomputed with element_of (scalar
+    # eval_chain) instead of the operation table.
+    algebra = request.getfixturevalue(fixture)
+    rep = algebra.representative_formula
+    pairs = [(x, y) for x in algebra.element_ids() for y in algebra.element_ids()]
+    iff = {(x, y): algebra.element_of(Iff(rep(x), rep(y))) for x, y in pairs}
+    imp = {(x, y): algebra.element_of(Implies(rep(x), rep(y))) for x, y in pairs}
+    fst = forest(algebra)
+    for root in fst.roots:
+        filt = fst.filters[root]
+        classes = quotient_by_maximal(algebra, filt).classes
+        rank = {x: i for i, cls in enumerate(classes) for x in cls}
+        for x, y in pairs:
+            assert (rank[x] == rank[y]) == (iff[x, y] in filt.elements)
+            assert (rank[x] <= rank[y]) == (imp[x, y] in filt.elements)
 
 
 def test_quotient_rejects_non_maximal(nmm1):

@@ -13,7 +13,7 @@ from nmlogic import (
     truth_vector,
 )
 from nmlogic import free_algebra
-from nmlogic.formula import TOP, And, Implies, Not, Or, Var
+from nmlogic.formula import TOP, And, Implies, Not, Or, Strong, Var
 
 
 def reference_closure(n, k):
@@ -109,6 +109,27 @@ def test_closure_soundness(nm1, nmm1, nm0):
     nm1.check_closed()
     nmm1.check_closed()
     nm0.check_closed()
+
+
+def test_check_closed_rejects_non_closed_algebra(nm1):
+    data = nm1.export()
+    partial = FreeAlgebra.from_export({**data, "elements": data["elements"][:3]}, validate=False)
+    with pytest.raises(KeyError):
+        partial.check_closed()
+
+
+@pytest.mark.parametrize("fixture", ["nm0", "nmm1", "nm1"])
+def test_operation_table_matches_formula_evaluation(fixture, request):
+    # element_of evaluates with scalar eval_chain, independently of the table.
+    algebra = request.getfixturevalue(fixture)
+    rep = algebra.representative_formula
+    ops = ((And, algebra.meet), (Or, algebra.join), (Strong, algebra.tnorm),
+           (Implies, algebra.residuum))
+    for x in algebra.element_ids():
+        assert algebra.element_of(Not(rep(x))) == algebra.neg(x)
+        for y in algebra.element_ids():
+            for node, op in ops:
+                assert algebra.element_of(node(rep(x), rep(y))) == op(x, y)
 
 
 def _op_tables(algebra):
