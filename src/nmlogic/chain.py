@@ -12,24 +12,30 @@ when ``k`` is odd.  The fusion and the implication are
 The same two formulas, read over exact rationals in [0, 1], give the
 standard algebra on the unit interval; :func:`eval_standard` evaluates
 formulas there using :class:`fractions.Fraction`, never floats.
+
+A third algebra holds uint8 index arrays, one entry per grid point, under
+``np.minimum``, ``np.maximum``, :func:`tnorm_block`, :func:`residuum_block`
+and ``top - a``; :func:`eval_grid` evaluates in it.  All three go through
+:func:`nmlogic.formula.evaluate`.  :func:`grid_coordinates` owns the grid
+order and refuses grids above ``MAX_GRID_POINTS`` before allocating.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .formula import (
-    And, Bot, Formula, Iff, Implies, Not, Or, Square, Strong, Top, Var,
-)
+from .formula import EvaluationError, Formula, evaluate
 
+# Reaches nm and nm- to five generators, {0, 1/2, 1} to twelve variables, {0, 1} to twenty.
+MAX_GRID_POINTS = 1 << 20
 
-class EvaluationError(ValueError):
-    """An assignment is missing a binding or holds an out-of-range value."""
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,16 +125,29 @@ class NMChain:
         return ChainValue(max(self.size - 1 - x.index, y.index), self.size)
 
 
-def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
-    """Every assignment of ``chain`` values to ``x1..xn``, in lexicographic order.
+def grid_coordinates(size: int, n: int) -> np.ndarray:
+    """Row ``i - 1`` holds ``x{i}`` at every point of the ``size``-chain grid.
 
-    This is the one place the grid order is fixed: position ``i`` of a truth
-    vector, of an exported vector and of a model enumeration is the ``i``-th
-    assignment yielded here, with ``x1`` the most significant coordinate.
+    This is the one place the grid order is fixed: position ``j`` of a truth
+    vector, of an exported vector and of a model enumeration is column
+    ``j``, in lexicographic order with ``x1`` the most significant.
     """
     if n < 0:
         raise ValueError(f"variable count must be >= 0, got {n}")
-    return (dict(enumerate(point, 1)) for point in itertools.product(chain.values(), repeat=n))
+    # Chains have size >= 2, so n at or above the bound's bit length is over
+    # it; capping the exponent keeps a huge n from costing a huge power.
+    if size ** min(n, MAX_GRID_POINTS.bit_length()) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the {n}-variable grid over a {size}-chain exceeds {MAX_GRID_POINTS} points"
+        )
+    return np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, size**n)
+
+
+def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
+    """Every assignment of ``chain`` values to ``x1..xn``, in grid order."""
+    values = chain.values()
+    points = grid_coordinates(chain.size, n).T
+    return (dict(enumerate(map(values.__getitem__, p.tolist()), 1)) for p in points)
 
 
 def tnorm_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,77 +160,34 @@ def residuum_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a <= b, top, np.maximum(top - a, b)).astype(a.dtype)
 
 
-class _StandardAlgebra:
-    """The algebra on [0, 1] over exact rationals; mirrors NMChain's surface."""
-
-    bottom = Fraction(0)
-    top = Fraction(1)
-
-    @staticmethod
-    def neg(x: Fraction) -> Fraction:
-        return 1 - x
-
-    @staticmethod
-    def meet(x: Fraction, y: Fraction) -> Fraction:
-        return min(x, y)
-
-    @staticmethod
-    def join(x: Fraction, y: Fraction) -> Fraction:
-        return max(x, y)
-
-    @staticmethod
-    def tnorm(x: Fraction, y: Fraction) -> Fraction:
-        return min(x, y) if x + y > 1 else Fraction(0)
-
-    @staticmethod
-    def residuum(x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(1) if x <= y else max(1 - x, y)
+# The algebra on [0, 1] over exact rationals.
+STANDARD = SimpleNamespace(
+    bottom=Fraction(0), top=Fraction(1), neg=lambda x: 1 - x, meet=min, join=max,
+    tnorm=lambda x, y: min(x, y) if x + y > 1 else Fraction(0),
+    residuum=lambda x, y: Fraction(1) if x <= y else max(1 - x, y),
+)
 
 
-STANDARD = _StandardAlgebra()
+@functools.cache
+def _grid_algebra(top: int) -> SimpleNamespace:
+    """The chain with top index ``top`` acting entrywise on uint8 index arrays."""
+    bottom, top_value = np.array((0, top), dtype=np.uint8)
+    return SimpleNamespace(
+        bottom=bottom, top=top_value, neg=functools.partial(np.subtract, top_value),
+        meet=np.minimum, join=np.maximum, tnorm=functools.partial(tnorm_block, top),
+        residuum=functools.partial(residuum_block, top),
+    )
 
 
-def _evaluate(f: Formula, algebra, env: Mapping[int, object]):
-    """Evaluate compositionally; memoised per node so shared subtrees cost once."""
-    memo: dict[int, object] = {}
-
-    def go(node: Formula):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Var):
-            try:
-                value = env[node.index]
-            except KeyError:
-                raise EvaluationError(f"no binding for variable x{node.index}") from None
-        elif isinstance(node, Bot):
-            value = algebra.bottom
-        elif isinstance(node, Top):
-            value = algebra.top
-        elif isinstance(node, And):
-            value = algebra.meet(go(node.left), go(node.right))
-        elif isinstance(node, Or):
-            value = algebra.join(go(node.left), go(node.right))
-        elif isinstance(node, Strong):
-            value = algebra.tnorm(go(node.left), go(node.right))
-        elif isinstance(node, Implies):
-            value = algebra.residuum(go(node.left), go(node.right))
-        elif isinstance(node, Iff):
-            left, right = go(node.left), go(node.right)
-            value = algebra.tnorm(
-                algebra.residuum(left, right), algebra.residuum(right, left)
-            )
-        elif isinstance(node, Not):
-            value = algebra.neg(go(node.child))
-        elif isinstance(node, Square):
-            child = go(node.child)
-            value = algebra.tnorm(child, child)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[key] = value
-        return value
-
-    return go(f)
+def eval_grid(f: Formula, chain: NMChain, n: int) -> np.ndarray:
+    """The index of ``f`` on ``chain`` at every grid point, ``_CHUNK`` points
+    at a time, so memory stays at distinct nodes times chunk bytes."""
+    points = grid_coordinates(chain.size, n)
+    values = np.empty(points.shape[1], dtype=np.uint8)
+    for lo in range(0, len(values), _CHUNK):
+        env = dict(enumerate(points[:, lo:lo + _CHUNK], 1))
+        values[lo:lo + _CHUNK] = evaluate(f, _grid_algebra(chain.size - 1), env)
+    return values
 
 
 def eval_chain(
@@ -225,7 +201,7 @@ def eval_chain(
     """
     for value in assignment.values():
         chain._own(value)
-    result = _evaluate(f, chain, assignment)
+    result = evaluate(f, chain, assignment)
     assert isinstance(result, ChainValue)
     return result
 
@@ -238,6 +214,6 @@ def eval_standard(f: Formula, assignment: Mapping[int, Fraction]) -> Fraction:
         if not 0 <= value <= 1:
             raise EvaluationError(f"x{var} = {value} lies outside [0, 1]")
         env[var] = value
-    result = _evaluate(f, STANDARD, env)
+    result = evaluate(f, STANDARD, env)
     assert isinstance(result, Fraction)
     return result

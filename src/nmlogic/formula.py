@@ -1,4 +1,4 @@
-"""Propositional syntax: immutable formula trees, a parser and a printer.
+"""Propositional syntax: formula trees, a parser, a printer and one walk.
 
 Formulas are built over variables ``x1, x2, ...`` and the constants ``0``
 (falsum) and ``1`` (verum).  The connectives, tightest binding first:
@@ -26,8 +26,10 @@ Concrete grammar (EBNF), loosest binding first::
 
 Whitespace is insignificant.  All binary connectives are left associative
 except ``->``.  The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``)
-are kept as explicit tree nodes; :func:`desugar` rewrites them into the
-core fragment {Var, Bot, And, Strong, Implies}.
+are kept as explicit tree nodes.  :func:`evaluate` is the one walk that
+interprets them, iteratively and in any algebra; :func:`desugar`, the
+rewrite into the core fragment {Var, Bot, And, Strong, Implies}, is
+evaluation in the algebra of core formulas.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Union
+from types import SimpleNamespace
+from typing import Iterator, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -248,11 +251,15 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula tree.
 
-    Raises :class:`ParseError` on malformed input, reporting the character
-    position and the expected token classes.
+    Raises :class:`ParseError` on malformed input or too deep nesting,
+    reporting the character position and the expected token classes.
     """
     parser = _Parser(_tokenize(text))
-    node = parser.formula()
+    try:
+        node = parser.formula()
+    except RecursionError:
+        at = min(parser.at, len(parser.tokens) - 1)
+        raise ParseError("formula nested too deeply", parser.tokens[at][1]) from None
     if parser.peek() != "end":
         raise ParseError(
             "trailing input", parser.pos(),
@@ -309,6 +316,54 @@ def _format(f: Formula, minimum: int) -> str:
     return text if level >= minimum else f"({text})"
 
 
+class EvaluationError(ValueError):
+    """An assignment is missing a binding or holds an out-of-range value."""
+
+
+def evaluate(f: Formula, algebra, env: Mapping[int, object]):
+    """The value of ``f`` in ``algebra`` (bottom, top, neg, meet, join, tnorm,
+    residuum) with ``x{i}`` bound to ``env[i]``; one value per distinct node."""
+    values: dict[int, object] = {}
+    for node in subformulas(f):
+        kind = type(node)
+        if kind is Var:
+            try:
+                value = env[node.index]
+            except KeyError:
+                raise EvaluationError(f"no binding for variable x{node.index}") from None
+        elif kind is Bot:
+            value = algebra.bottom
+        elif kind is Top:
+            value = algebra.top
+        elif kind is Not:
+            value = algebra.neg(values[id(node.child)])
+        elif kind is Square:
+            value = algebra.tnorm(values[id(node.child)], values[id(node.child)])
+        elif kind is And:
+            value = algebra.meet(values[id(node.left)], values[id(node.right)])
+        elif kind is Or:
+            value = algebra.join(values[id(node.left)], values[id(node.right)])
+        elif kind is Strong:
+            value = algebra.tnorm(values[id(node.left)], values[id(node.right)])
+        elif kind is Implies:
+            value = algebra.residuum(values[id(node.left)], values[id(node.right)])
+        elif kind is Iff:
+            left, right = values[id(node.left)], values[id(node.right)]
+            value = algebra.tnorm(algebra.residuum(left, right), algebra.residuum(right, left))
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        values[id(node)] = value
+    return values[id(f)]
+
+
+# Evaluating in this algebra builds the defining term of each connective.
+_CORE = SimpleNamespace(
+    bottom=BOT, top=Implies(BOT, BOT), meet=And, tnorm=Strong, residuum=Implies,
+    neg=lambda a: Implies(a, BOT),
+    join=lambda a, b: And(Implies(Implies(a, b), b), Implies(Implies(b, a), a)),
+)
+
+
 def desugar(f: Formula) -> Formula:
     """Rewrite ``f`` into the core fragment {Var, Bot, And, Strong, Implies}.
 
@@ -317,28 +372,7 @@ def desugar(f: Formula) -> Formula:
     ``a <-> b = (a -> b) * (b -> a)`` and ``a^2 = a * a``.  Evaluation is
     preserved under every assignment.
     """
-    if isinstance(f, (Var, Bot)):
-        return f
-    if isinstance(f, Top):
-        return Implies(BOT, BOT)
-    if isinstance(f, Not):
-        return Implies(desugar(f.child), BOT)
-    if isinstance(f, Square):
-        child = desugar(f.child)
-        return Strong(child, child)
-    if isinstance(f, Or):
-        a, b = desugar(f.left), desugar(f.right)
-        return And(Implies(Implies(a, b), b), Implies(Implies(b, a), a))
-    if isinstance(f, Iff):
-        a, b = desugar(f.left), desugar(f.right)
-        return Strong(Implies(a, b), Implies(b, a))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Strong):
-        return Strong(desugar(f.left), desugar(f.right))
-    if isinstance(f, Implies):
-        return Implies(desugar(f.left), desugar(f.right))
-    raise TypeError(f"not a formula node: {f!r}")
+    return evaluate(f, _CORE, {i: Var(i) for i in variables(f)})
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -353,16 +387,14 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         node, expanded = stack.pop()
         if expanded:
             yield node
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if isinstance(node, (And, Or, Strong, Implies, Iff)):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif isinstance(node, (Not, Square)):
-            stack.append((node.child, False))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, (And, Or, Strong, Implies, Iff)):
+                stack += ((node, True), (node.right, False), (node.left, False))
+            elif isinstance(node, (Not, Square)):
+                stack += ((node, True), (node.child, False))
+            else:
+                yield node
 
 
 def variables(f: Formula) -> set[int]:

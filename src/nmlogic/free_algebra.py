@@ -4,8 +4,8 @@ An element of the free ``n``-generated algebra is represented by its truth
 vector: the tuple of values the corresponding term takes at every point of
 the assignment grid ``C^n``, where ``C`` is a finite chain large enough to
 be generic for ``n`` generators (size ``2n+3`` with a negation fixpoint,
-``2n+2`` without).  The grid is walked in the lexicographic order of
-:func:`nmlogic.chain.grid_assignments`.  Two terms are logically equivalent
+``2n+2`` without).  Positions follow the lexicographic grid order of
+:func:`nmlogic.chain.grid_coordinates`.  Two terms are logically equivalent
 exactly when their truth vectors coincide, so deduplicating vectors yields
 one canonical element per equivalence class.
 
@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import formula as fm
-from .chain import NMChain, eval_chain, grid_assignments, residuum_block, tnorm_block
+from .chain import NMChain, eval_grid, residuum_block, tnorm_block
 
 DEFAULT_ELEMENT_CAP = 500_000
 
@@ -76,10 +76,9 @@ def truth_vector(n: int, variant: Variant, f: fm.Formula) -> tuple[int, ...]:
     and needs no closure, so it stays cheap even where the full free
     algebra is far too large to build.  A variable above ``x{n}`` has no
     binding and raises :class:`nmlogic.chain.EvaluationError`, a
-    ``ValueError``.
+    ``ValueError``, as does a grid above ``nmlogic.chain.MAX_GRID_POINTS``.
     """
-    chain = NMChain(generic_chain_size(n, variant))
-    return tuple(eval_chain(f, chain, env).index for env in grid_assignments(chain, n))
+    return tuple(eval_grid(f, NMChain(generic_chain_size(n, variant)), n).tolist())
 
 
 def is_tautology(n: int, variant: Variant, f: fm.Formula) -> bool:
@@ -299,8 +298,8 @@ class FreeAlgebra:
     def element_of(self, f: fm.Formula) -> int:
         """The id of the equivalence class of ``f``.
 
-        The formula is evaluated pointwise over the assignment grid; the
-        resulting vector is always present because the algebra is closed.
+        The formula's truth vector is always present because the algebra is
+        closed.
         """
         return self.id_of_vector(truth_vector(self.n, self.variant, f))
 
@@ -337,14 +336,6 @@ class FreeAlgebra:
         result = cache[x]
         assert result is not None
         return result
-
-    def is_tautology(self, f: fm.Formula) -> bool:
-        """True iff the class of ``f`` is the top element."""
-        return self.element_of(f) == self.top_id
-
-    def proves(self, phi: fm.Formula, psi: fm.Formula) -> bool:
-        """Local deduction: phi proves psi iff phi^2 -> psi is a tautology."""
-        return self.is_tautology(fm.Implies(fm.Square(phi), psi))
 
     # -- export / import -----------------------------------------------------
 

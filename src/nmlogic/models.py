@@ -1,9 +1,10 @@
 """Brute-force assignment semantics: enumerate and count satisfying assignments.
 
 Assignments draw values from one of two carriers: the three-element chain
-{0, 1/2, 1} or the two-element chain {0, 1}.  Evaluation reuses the chain
-module directly, so this route is independent of the free-algebra and
-valuation machinery it is used to cross-check.
+{0, 1/2, 1} or the two-element chain {0, 1}.  Evaluation stays scalar on
+purpose, one :func:`nmlogic.chain.eval_chain` per grid point, so this route
+is independent of the array evaluation, free-algebra and valuation
+machinery it is used to cross-check.
 """
 
 from __future__ import annotations

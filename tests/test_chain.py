@@ -1,18 +1,34 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_formula import formulas
 
 from nmlogic import (
     ChainValue,
     NMChain,
+    Variant,
     eval_chain,
     eval_standard,
+    generic_chain_size,
     parse,
     random_formula,
+    variables,
 )
-from nmlogic.chain import EvaluationError, grid_assignments, residuum_block, tnorm_block
+from nmlogic import chain as chain_module
+from nmlogic.chain import (
+    MAX_GRID_POINTS,
+    EvaluationError,
+    eval_grid,
+    grid_assignments,
+    grid_coordinates,
+    residuum_block,
+    tnorm_block,
+)
 
 CHAIN_SIZES = range(2, 10)
 
@@ -224,3 +240,43 @@ def test_grid_assignments_order_and_edges():
     assert list(grid_assignments(chain, 0)) == [{}]
     with pytest.raises(ValueError):
         grid_assignments(chain, -1)
+
+
+def test_grid_coordinates_follow_product_order_and_bound():
+    for size in CHAIN_SIZES:
+        for n in range(4):
+            points = grid_coordinates(size, n)
+            assert points.dtype == np.uint8
+            assert [tuple(column) for column in points.T.tolist()] == list(
+                itertools.product(range(size), repeat=n)
+            )
+    # The documented reach of the bound: nm and nm- to five generators,
+    # {0, 1/2, 1} to twelve variables, {0, 1} to twenty.
+    for variant in Variant:
+        size = generic_chain_size(5, variant)
+        assert grid_coordinates(size, 5).shape == (5, size**5)
+        with pytest.raises(ValueError):
+            grid_coordinates(generic_chain_size(6, variant), 6)
+    assert MAX_GRID_POINTS == 2**20
+    assert grid_coordinates(3, 12).shape == (12, 3**12)
+    for size, n in ((3, 13), (2, 21), (2**20 + 1, 1), (27, 12), (3, 10**9)):
+        with pytest.raises(ValueError):
+            grid_coordinates(size, n)
+    assert grid_coordinates(2**20, 1).shape == (1, 2**20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 3), st.data())
+def test_grid_evaluation_matches_scalar_at_every_point(k, n, data):
+    f = data.draw(formulas(max_vars=max(n, 1)))
+    chain = NMChain(k)
+    # Small chunks split the grid into many pieces and leave a short last one.
+    for chunk in (1, 7, chain_module._CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chain_module, "_CHUNK", chunk)
+            if n == 0 and variables(f):
+                with pytest.raises(EvaluationError):
+                    eval_grid(f, chain, n)
+                continue
+            expected = [eval_chain(f, chain, env).index for env in grid_assignments(chain, n)]
+            assert eval_grid(f, chain, n).tolist() == expected

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from nmlogic import FreeAlgebra
 from nmlogic.cli import _make_parser, main
@@ -99,6 +100,28 @@ def test_proves_exit_codes(capsys):
     assert (code, out) == (0, "yes\n")
     code, out, _ = run(capsys, "proves", "1", "(x1 <-> ~x1)^2 & x1", "--vars", "1")
     assert (code, out) == (1, "no\n")
+
+
+def test_grids_above_the_bound_are_refused_at_once(capsys):
+    for argv in (
+        ("tautology", "x1", "--vars", "12"),
+        ("count-models", "x1", "--vars", "40", "--values", "2"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "exceeds" in err
+
+
+def test_deep_formulas_end_in_exit_codes(capsys):
+    for text in ("~" * 5000 + "x1", "(" * 300 + "x1" + ")" * 300, " -> ".join(["x1"] * 2000)):
+        code, _, err = run(capsys, "eval", text, "--assign", "x1=1/2")
+        assert code == 2 and "nested too deeply" in err
+    deep = " & ".join(["x1"] * 5000)
+    assert run(capsys, "eval", deep, "--assign", "x1=1/2")[:2] == (0, "1/2\n")
+    assert run(capsys, "tautology", deep, "--vars", "1")[:2] == (1, "no\n")
+    assert run(capsys, "chi-plus", deep, "--vars", "1")[:2] == (0, "1\n")
 
 
 def test_export_json_round_trips(capsys, tmp_path, nmm1):

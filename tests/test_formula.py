@@ -179,3 +179,32 @@ def test_random_formula_reproducible_and_bounded():
 def test_top_is_sugar_for_implication_from_bot():
     assert Top() == TOP
     assert desugar(TOP) == Implies(BOT, BOT)
+
+
+def test_evaluate_rejects_a_node_that_is_not_a_formula():
+    from nmlogic.formula import evaluate
+
+    chain = NMChain(3)
+    for f in (And(Var(1), "x1"), Not(None), 1):
+        with pytest.raises(TypeError):
+            evaluate(f, chain, {1: chain.top})
+        with pytest.raises(TypeError):
+            desugar(f)
+
+
+def test_walks_handle_formulas_nested_5000_deep():
+    from nmlogic import Variant, truth_vector
+    from nmlogic.formula import evaluate, subformulas
+
+    conjunction, negation = Var(1), Var(1)
+    for _ in range(5000):
+        conjunction, negation = And(conjunction, Var(1)), Not(negation)
+    chain = NMChain(5)
+    for x in chain.values():
+        assert evaluate(conjunction, chain, {1: x}) == x
+        assert eval_chain(negation, chain, {1: x}) == x
+        assert eval_chain(desugar(negation), chain, {1: x}) == x
+    core = desugar(negation)
+    assert sum(isinstance(node, Implies) for node in subformulas(core)) == 5000
+    assert truth_vector(1, Variant.NM, conjunction) == (0, 1, 2, 3, 4)
+    assert truth_vector(1, Variant.NM, negation) == (0, 1, 2, 3, 4)

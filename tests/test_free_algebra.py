@@ -9,7 +9,9 @@ from nmlogic import (
     Variant,
     build,
     generic_chain_size,
+    is_tautology,
     parse,
+    proves,
     truth_vector,
 )
 from nmlogic import free_algebra
@@ -245,29 +247,24 @@ def test_representative_formulas_define_their_elements(fixture, request):
         assert algebra.element_of(algebra.representative_formula(x)) == x
 
 
-def test_tautology_examples(nm1):
-    assert nm1.is_tautology(parse("(x1 -> x1) | (x1 -> x1)"))
-    assert not nm1.is_tautology(ALPHA)
-    assert nm1.is_tautology(parse("~~x1 -> x1"))
-    assert not nm1.is_tautology(parse("x1 | ~x1"))
+def test_tautology_examples():
+    assert is_tautology(1, Variant.NM, parse("(x1 -> x1) | (x1 -> x1)"))
+    assert not is_tautology(1, Variant.NM, ALPHA)
+    assert is_tautology(1, Variant.NM, parse("~~x1 -> x1"))
+    assert not is_tautology(1, Variant.NM, parse("x1 | ~x1"))
 
 
 def test_tautology_without_building():
-    from nmlogic import is_tautology
-
     assert is_tautology(2, Variant.NM, parse("(x1 -> x2) | (x2 -> x1)"))
     assert not is_tautology(1, Variant.NM, parse("x1 | ~x1"))
     assert is_tautology(1, Variant.NM_MINUS, parse("~(~x1^2)^2 <-> (~(~x1)^2)^2"))
     assert not is_tautology(1, Variant.NM, parse("~(~x1^2)^2 <-> (~(~x1)^2)^2"))
 
 
-def test_proves_examples(nm1):
-    from nmlogic import proves
-
-    assert nm1.proves(Var(1), Var(1))
-    assert nm1.proves(parse("x1 & ~x1"), parse("0"))
-    assert not nm1.proves(TOP, ALPHA)
+def test_proves_examples():
+    assert proves(1, Variant.NM, Var(1), Var(1))
     assert proves(1, Variant.NM, parse("x1 & ~x1"), parse("0"))
+    assert not proves(1, Variant.NM, TOP, ALPHA)
 
 
 def test_truth_vector_examples():
@@ -275,6 +272,24 @@ def test_truth_vector_examples():
     assert truth_vector(0, Variant.NM, TOP) == (2,)
     with pytest.raises(ValueError):
         truth_vector(1, Variant.NM, Var(2))
+
+
+def test_truth_vector_memory_is_bounded_by_the_chunk():
+    import tracemalloc
+
+    f = Var(1)
+    for i in range(300):
+        f = (And, Or, Strong, Implies)[i % 4](f, Var(i % 5 + 1))
+    # 601 distinct nodes on the 13**5-point grid: unchunked, the node
+    # values alone would take 601 * 371293 bytes, over 200 MiB.
+    tracemalloc.start()
+    try:
+        vector = truth_vector(5, Variant.NM, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vector) == 13**5
+    assert peak < 64 * 2**20
 
 
 def test_truth_vector_grid_order_is_lexicographic():
