@@ -289,31 +289,37 @@ _BINARY = {
 
 def format_formula(f: Formula) -> str:
     """Render ``f`` with the fewest parentheses that still reparse to ``f``."""
-    return _format(f, _LEVEL_IFF)
-
-
-def _format(f: Formula, minimum: int) -> str:
-    if isinstance(f, Var):
-        return f"x{f.index}"
-    if isinstance(f, Bot):
-        return "0"
-    if isinstance(f, Top):
-        return "1"
-    if isinstance(f, Not):
-        text = "~" + _format(f.child, _LEVEL_NOT)
-        level = _LEVEL_NOT
-    elif isinstance(f, Square):
-        text = _format(f.child, _LEVEL_SQUARE) + "^2"
-        level = _LEVEL_SQUARE
-    else:
-        level, symbol = _BINARY[type(f)]
-        # -> associates to the right; every other binary to the left.
-        if isinstance(f, Implies):
-            left, right = _format(f.left, level + 1), _format(f.right, level)
+    out: list[str] = []
+    # Text still to emit, or a (node, minimum level) still to render; last first.
+    stack: list = [(f, _LEVEL_IFF)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, minimum = item
+        if isinstance(node, Var):
+            level, parts = _LEVEL_ATOM, [f"x{node.index}"]
+        elif isinstance(node, Bot):
+            level, parts = _LEVEL_ATOM, ["0"]
+        elif isinstance(node, Top):
+            level, parts = _LEVEL_ATOM, ["1"]
+        elif isinstance(node, Not):
+            level, parts = _LEVEL_NOT, ["~", (node.child, _LEVEL_NOT)]
+        elif isinstance(node, Square):
+            level, parts = _LEVEL_SQUARE, [(node.child, _LEVEL_SQUARE), "^2"]
         else:
-            left, right = _format(f.left, level), _format(f.right, level + 1)
-        text = f"{left} {symbol} {right}"
-    return text if level >= minimum else f"({text})"
+            level, symbol = _BINARY[type(node)]
+            # -> associates to the right; every other binary to the left.
+            if isinstance(node, Implies):
+                left, right = level + 1, level
+            else:
+                left, right = level, level + 1
+            parts = [(node.left, left), f" {symbol} ", (node.right, right)]
+        if level < minimum:
+            parts = ["(", *parts, ")"]
+        stack += reversed(parts)
+    return "".join(out)
 
 
 class EvaluationError(ValueError):

@@ -11,16 +11,16 @@ one canonical element per equivalence class.
 
 The build is a breadth-first fixed-point closure of the seed set
 {bottom, top, projections}, whose vectors come from :func:`truth_vector`,
-under the four binary operations.  Element ids are assigned in discovery
-order, which is deterministic: rounds combine the elements known at the
-start of the round, pairs are scanned in lexicographic id order, and for
-each pair the operations are tried as meet, join, fusion, implication.
-The closure keeps a single element table, an insertion-ordered dict from
-vector bytes to provenance, so a key's position is its element id.  The
-provenance records the pair and operation that first produced the
-element, so a defining formula can be reconstructed for any id.  The
-closure and :attr:`FreeAlgebra.operation_table` share one kernel for the
-four operations on vectors, :func:`_combine`.
+under the four binary operations.  Element ids follow discovery order, as
+if each round tried every pair of the elements known at its start in
+lexicographic id order, each pair as meet, join, fusion, implication.  A
+round skips the pairs of earlier rounds, which only yield known vectors,
+and walks the rest as one flat row-major range (old rows with new columns,
+then new rows with all columns) in slabs of ``_SLAB`` pairs.  The element
+table is an insertion-ordered dict from vector bytes to provenance, the
+pair and operation that first produced the element, so a key's position is
+its id.  Closure and :attr:`FreeAlgebra.operation_table` share one kernel,
+:func:`_combine`, which splits its results in C into ``bytes`` keys.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ from . import formula as fm
 from .chain import NMChain, eval_grid, residuum_block, tnorm_block
 
 DEFAULT_ELEMENT_CAP = 500_000
+
+# Bytes an N x N structure may allocate: operation_table takes 16 per pair of
+# elements, leq_matrix a vector width per pair while it compares.  Complete
+# algebras stay far below it; an imported one need not.
+MAX_TABLE_BYTES = 1 << 28
 
 _SLAB = 2048
 
@@ -92,15 +97,14 @@ def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
     return is_tautology(n, variant, fm.Implies(fm.Square(phi), psi))
 
 
-def _combine(top: int, a: np.ndarray, block: np.ndarray) -> bytes:
-    """Meet, join, fusion and implication of row ``a`` with each row of ``block``.
+def _combine(top: int, a: np.ndarray, b: np.ndarray) -> list:
+    """Meet, join, fusion and implication of ``a`` and ``b``, broadcast to (P, width).
 
-    Vector-sized slice ``s`` of the bytes is block row ``s // 4`` under ``_OP_TAGS[s % 4]``.
+    Key ``4p + k`` is row ``p`` under ``_OP_TAGS[k]``; a void view keeps trailing zeros.
     """
-    return np.stack((
-        np.minimum(a, block), np.maximum(a, block),
-        tnorm_block(top, a, block), residuum_block(top, a, block),
-    ), axis=1).tobytes()
+    results = np.stack((np.minimum(a, b), np.maximum(a, b),
+                        tnorm_block(top, a, b), residuum_block(top, a, b)), axis=1)
+    return results.view(np.dtype((np.void, results.shape[-1]))).ravel().tolist()
 
 
 class FreeAlgebra:
@@ -163,22 +167,32 @@ class FreeAlgebra:
         except KeyError:
             raise KeyError(f"vector {tuple(vector)} is not an element") from None
 
+    def _check_table_bytes(self, per_pair: int, what: str) -> None:
+        """``ValueError`` before an N x N allocation of ``per_pair`` bytes a pair."""
+        need = self.size ** 2 * per_pair
+        if need > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"the {what} of {self.size} elements needs {need} bytes,"
+                f" over MAX_TABLE_BYTES = {MAX_TABLE_BYTES}"
+            )
+
     # -- operations ----------------------------------------------------------
 
     @property
     def operation_table(self) -> np.ndarray:
         """Read-only int32 result ids of shape (N, N, 4): ``[x, y, k]`` is x op_k y.
 
-        The operations are meet, join, fusion and implication.  Rows are filled
-        one x at a time, in N x width bytes; ``KeyError`` if not closed.
+        The operations are meet, join, fusion and implication.  Each row x maps
+        the keys of :func:`_combine` to ids, so temporaries are one row's keys;
+        ``KeyError`` if not closed, ``ValueError`` above ``MAX_TABLE_BYTES``.
         """
         if self._operations is None:
-            size, width = self.vectors.shape
+            size = self.size
+            self._check_table_bytes(16, "operation table")
             table = np.empty((size, 4 * size), dtype=np.int32)
             for x in range(size):
-                packed = _combine(self._top_index, self.vectors[x], self.vectors)
-                table[x] = [self._index.get(packed[o:o + width], -1)
-                            for o in range(0, len(packed), width)]
+                keys = _combine(self._top_index, self.vectors[x], self.vectors)
+                table[x] = [self._index.get(key, -1) for key in keys]
             if (table < 0).any():
                 raise KeyError("an operation leaves the algebra: it is not closed")
             table = table.reshape(size, size, 4)
@@ -208,9 +222,13 @@ class FreeAlgebra:
 
     @property
     def leq_matrix(self) -> np.ndarray:
-        """Boolean matrix of the pointwise order: leq[x, y] iff x <= y."""
+        """Boolean matrix of the pointwise order: leq[x, y] iff x <= y.
+
+        ``ValueError`` if the comparison would take over ``MAX_TABLE_BYTES``.
+        """
         if self._leq is None:
             v = self.vectors
+            self._check_table_bytes(v.shape[1], "order matrix")
             leq = (v[:, None, :] <= v[None, :, :]).all(axis=2)
             leq.flags.writeable = False
             self._leq = leq
@@ -404,10 +422,11 @@ def build(
 
     Runs the breadth-first closure described in the module docstring: the
     truth vectors of bottom, top and ``x1..xn`` seed the element table, and
-    each slab of pairs is computed as four numpy blocks, packed into one
-    byte string and committed a vector-sized slice at a time, so only a
-    new vector costs a provenance record.  The result is identical across
-    runs.  If the closure would exceed ``element_cap`` elements,
+    each slab of a round's pair range is one :func:`_combine` call.  Only
+    keys a list comprehension finds missing from the table cost more Python
+    work; each is checked again when committed, as a slab can produce one
+    new vector twice.  The result is identical across runs and slab sizes.
+    If the closure would exceed ``element_cap`` elements,
     :class:`ElementCapExceeded` is raised naming the size attained; growth
     for three or more generators is explosive, so the cap is the intended
     way to probe it safely.
@@ -421,27 +440,28 @@ def build(
     table = {bytes(truth_vector(n, variant, f)): record for f, record in seeds}
     if len(table) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
-    width = (top + 1) ** n
 
     previous = 0
     while True:
         current = len(table)
-        snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(current, width)
-        for i in range(current):
-            a = snapshot[i]
-            start = previous if i < previous else 0
-            for lo in range(start, current, _SLAB):
-                packed = _combine(top, a, snapshot[lo:lo + _SLAB])
-                for offset in range(0, len(packed), width):
-                    key = packed[offset:offset + width]
-                    if key not in table:
-                        if len(table) >= element_cap:
-                            raise ElementCapExceeded(len(table) + 1, element_cap)
-                        j, op = divmod(offset // width, 4)
-                        table[key] = (_OP_TAGS[op], i, lo + j)
+        snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(current, -1)
+        # Untried pairs, row-major: old rows x new columns, then new rows x all.
+        new = current - previous
+        old_pairs = previous * new
+        total = old_pairs + new * current
+        for lo in range(0, total, _SLAB):
+            flat = np.arange(lo, min(lo + _SLAB, total))
+            late = flat - old_pairs
+            rows = np.where(late < 0, flat // new, previous + late // current)
+            cols = np.where(late < 0, previous + flat % new, late % current)
+            keys = _combine(top, snapshot[rows], snapshot[cols])
+            rows, cols = rows.tolist(), cols.tolist()
+            for p in [p for p, key in enumerate(keys) if key not in table]:
+                if keys[p] in table:  # a slab can yield one new key twice
+                    continue
+                if len(table) >= element_cap:
+                    raise ElementCapExceeded(len(table) + 1, element_cap)
+                table[keys[p]] = (_OP_TAGS[p % 4], rows[p // 4], cols[p // 4])
         if len(table) == current:
-            break
+            return FreeAlgebra(n, variant, snapshot, tuple(table.values()))
         previous = current
-
-    vectors = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(len(table), width)
-    return FreeAlgebra(n, variant, vectors, tuple(table.values()))

@@ -208,3 +208,10 @@ def test_walks_handle_formulas_nested_5000_deep():
     assert sum(isinstance(node, Implies) for node in subformulas(core)) == 5000
     assert truth_vector(1, Variant.NM, conjunction) == (0, 1, 2, 3, 4)
     assert truth_vector(1, Variant.NM, negation) == (0, 1, 2, 3, 4)
+    # Dataclass equality recurses, so compare the iterative post-order walks;
+    # with each node's arity known, that sequence fixes the tree.
+    def shape(f):
+        return [(type(node), getattr(node, "index", None)) for node in subformulas(f)]
+
+    assert shape(parse(format_formula(conjunction))) == shape(conjunction)
+    assert format_formula(negation) == "~" * 5000 + "x1"

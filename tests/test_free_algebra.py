@@ -84,8 +84,9 @@ def test_build_matches_reference_closure(n, variant, monkeypatch):
     reference = build(n, variant)
     assert [reference.vector(x) for x in reference.element_ids()] == expected
     # Small slabs split every round into many blocks and start the
-    # incremental scan mid-slab, which the default size never does here.
-    for slab in (1, 3):
+    # incremental scan mid-slab; slab 7 also straddles the boundary between
+    # old rows and new rows, and 2048 takes a whole round at once.
+    for slab in (1, 3, 7, 2048):
         monkeypatch.setattr(free_algebra, "_SLAB", slab)
         algebra = build(n, variant)
         assert [algebra.vector(x) for x in algebra.element_ids()] == expected
@@ -118,6 +119,22 @@ def test_check_closed_rejects_non_closed_algebra(nm1):
     partial = FreeAlgebra.from_export({**data, "elements": data["elements"][:3]}, validate=False)
     with pytest.raises(KeyError):
         partial.check_closed()
+
+
+@pytest.mark.parametrize("fixture", ["nmm1", "nm1"])
+def test_operation_table_matches_closure_kernel(fixture, request):
+    # build and operation_table both read _combine's keys; pin their format.
+    algebra = request.getfixturevalue(fixture)
+    size, width = algebra.vectors.shape
+    rows, cols = np.divmod(np.arange(size * size), size)
+    keys = free_algebra._combine(algebra.chain.size - 1,
+                                 algebra.vectors[rows], algebra.vectors[cols])
+    assert len(keys) == 4 * size * size
+    table = algebra.operation_table
+    for p, key in enumerate(keys):
+        assert len(key) == width
+        (x, y), k = divmod(p // 4, size), p % 4
+        assert table[x, y, k] == algebra.id_of_vector(tuple(key))
 
 
 @pytest.mark.parametrize("fixture", ["nm0", "nmm1", "nm1"])
@@ -306,6 +323,31 @@ def test_element_cap():
     assert "10" in str(err.value) and "11" in str(err.value)
     with pytest.raises(ValueError):
         build(1, Variant.NM, element_cap=0)
+    # The cap is exact: the last element of the complete algebra hits it.
+    assert build(1, Variant.NM, element_cap=48).size == 48
+    with pytest.raises(ElementCapExceeded) as err:
+        build(1, Variant.NM, element_cap=47)
+    assert err.value.attained == 48
+
+
+def test_large_imports_refuse_quadratic_tables():
+    # 20 000 elements would need 6.4 GB for the operation table and about
+    # 20 GB for the order comparison; both are refused before allocating.
+    rng = np.random.default_rng(5)
+    vectors = rng.integers(0, 7, size=(20_000, 49))
+    vectors[0], vectors[1] = 0, 6
+    assert len({row.tobytes() for row in vectors}) == 20_000
+    elements = [{"id": i, "vector": row} for i, row in enumerate(vectors.tolist())]
+    data = {"n": 2, "variant": "nm", "chain_size": 7, "elements": elements,
+            "bottom": 0, "top": 1, "covers": [], "join_irreducible": [], "idempotent": []}
+    algebra = FreeAlgebra.from_export(data, validate=False)
+    assert algebra.size == 20_000
+    for read in (lambda: algebra.meet(0, 1), algebra.check_closed,
+                 lambda: algebra.leq(0, 1), algebra.covers):
+        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+            read()
+    with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+        FreeAlgebra.from_export(data, validate=True)
 
 
 def test_export_import_round_trip(nmm1):
