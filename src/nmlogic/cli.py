@@ -20,10 +20,9 @@ from . import formula as fm
 from . import models, valuations
 from .chain import ChainValue, EvaluationError, NMChain, eval_chain, eval_standard
 from .free_algebra import (
-    ElementCapExceeded, FreeAlgebra, Variant, build, is_tautology, proves,
+    DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, Variant, build, is_tautology,
+    proves,
 )
-
-DEFAULT_CAP = 100_000
 
 
 def _variant(text: str) -> Variant:
@@ -43,6 +42,11 @@ def _bindings(pairs: list[str]) -> dict[int, Fraction]:
             index = int(name[1:])
             if index < 1:
                 raise ValueError(f"variable index must be >= 1 in {item!r}")
+            # Fraction would expand an exponent such as 1e-999999999 in full.
+            if "e" in value.lower():
+                raise ValueError(
+                    f"exponent notation in {item!r}; write an integer, p/q or a plain decimal"
+                )
             out[index] = Fraction(value)
     return out
 
@@ -165,7 +169,7 @@ def _cmd_proves(args) -> int:
 def _add_algebra_options(sub) -> None:
     sub.add_argument("--vars", type=int, required=True, help="number of generators")
     sub.add_argument("--variant", choices=["nm", "nm-"], default="nm")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    sub.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
                      help="abort if the closure exceeds this many elements")
 
 
@@ -186,7 +190,8 @@ def _make_parser() -> argparse.ArgumentParser:
     carrier.add_argument("--standard", action="store_true",
                          help="evaluate on [0,1] (default)")
     p.add_argument("--assign", action="append", default=[], metavar="xN=Q",
-                   help="variable binding, e.g. x1=1/2; repeatable")
+                   help="variable binding: an integer, p/q or a plain decimal, "
+                        "e.g. x1=1/2; repeatable")
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("chi", help="classical characteristic of a formula")

@@ -25,11 +25,17 @@ Concrete grammar (EBNF), loosest binding first::
     VAR     := "x" DIGITS            (index >= 1)
 
 Whitespace is insignificant.  All binary connectives are left associative
-except ``->``.  The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``)
-are kept as explicit tree nodes.  :func:`evaluate` is the one walk that
-interprets them, iteratively and in any algebra; :func:`desugar`, the
-rewrite into the core fragment {Var, Bot, And, Strong, Implies}, is
-evaluation in the algebra of core formulas.
+except ``->``.  :func:`parse` does not recurse: it is one operator-precedence
+loop with an explicit stack, driven by ``_BINARY``, the one table of the
+binary connectives' symbols, levels and associativity, which the tokenizer
+and the printer read too.  Parsing, evaluation and printing are all
+iterative, so nesting depth is limited by memory alone.
+
+The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``) are kept as
+explicit tree nodes.  :func:`evaluate` is the one walk that interprets them,
+iteratively and in any algebra; :func:`desugar`, the rewrite into the core
+fragment {Var, Bot, And, Strong, Implies}, is evaluation in the algebra of
+core formulas.
 """
 
 from __future__ import annotations
@@ -128,170 +134,117 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
+# Binary connectives, loosest first: the one table of their symbols,
+# precedence levels and associativity, read by the tokenizer, the parser and
+# the printer.
+_BINARY = {
+    Iff: ("<->", 1, False),
+    Implies: ("->", 2, True),
+    Or: ("|", 3, False),
+    And: ("&", 4, False),
+    Strong: ("*", 5, False),
+}
+# The unary connectives and the atoms bind tighter than every binary one.
+_LEVEL_NOT = 6
+_LEVEL_SQUARE = 7
+_LEVEL_ATOM = 8
+
+# symbol -> (level, right associative, node class)
+_INFIX = {symbol: (level, right, node) for node, (symbol, level, right) in _BINARY.items()}
+# ")" and the end of input close every connective pending above the last "(".
+_CLOSE = (1, False, None)
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<var>x(?P<digits>\d+))
-  | (?P<iff><->)
-  | (?P<arrow>->)
-  | (?P<square>\^2)
-  | (?P<char>[~*&|()01])
-    """,
-    re.VERBOSE,
+    r"(?P<ws>\s+)|x(?P<var>\d+)|"
+    + "|".join(map(re.escape, ("~", "^2", "(", ")", "0", "1", *_INFIX)))
 )
+_CONSTANTS = {"0": BOT, "1": TOP}
 
 _ATOM_EXPECTED = ("'~'", "'0'", "'1'", "a variable 'xN'", "'('")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Return (kind, position, payload) triples, closed by an 'end' token."""
-    tokens: list[tuple[str, int, int]] = []
+def _tokenize(text: str) -> list[tuple[str, int, Formula | None]]:
+    """Return (kind, position, atom) triples, closed by an 'end' token.
+
+    ``0``, ``1`` and ``xN`` are of kind 'atom' and carry their node; every
+    other token's kind is its own text.
+    """
+    tokens: list[tuple[str, int, Formula | None]] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            if m.lastgroup == "var":
-                index = int(m.group("digits"))
-                if index < 1:
-                    raise ParseError("variable index must be >= 1", pos)
-                tokens.append(("var", pos, index))
-            elif m.lastgroup == "char":
-                tokens.append((m.group("char"), pos, 0))
-            else:
-                assert m.lastgroup is not None
-                tokens.append((m.lastgroup, pos, 0))
+        if m.lastgroup == "var":
+            index = int(m.group("var"))
+            if index < 1:
+                raise ParseError("variable index must be >= 1", pos)
+            tokens.append(("atom", pos, Var(index)))
+        elif m.group() in _CONSTANTS:
+            tokens.append(("atom", pos, _CONSTANTS[m.group()]))
+        elif m.lastgroup != "ws":
+            tokens.append((m.group(), pos, None))
         pos = m.end()
-    tokens.append(("end", len(text), 0))
+    tokens.append(("end", len(text), None))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
-        self.at = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.at][0]
-
-    def pos(self) -> int:
-        return self.tokens[self.at][1]
-
-    def advance(self) -> tuple[str, int, int]:
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
-
-    def formula(self) -> Formula:
-        node = self.imp()
-        while self.peek() == "iff":
-            self.advance()
-            node = Iff(node, self.imp())
-        return node
-
-    def imp(self) -> Formula:
-        node = self.disjunction()
-        if self.peek() == "arrow":
-            self.advance()
-            return Implies(node, self.imp())
-        return node
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek() == "|":
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.strong()
-        while self.peek() == "&":
-            self.advance()
-            node = And(node, self.strong())
-        return node
-
-    def strong(self) -> Formula:
-        node = self.unary()
-        while self.peek() == "*":
-            self.advance()
-            node = Strong(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        if self.peek() == "~":
-            self.advance()
-            return Not(self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Formula:
-        node = self.atom()
-        while self.peek() == "square":
-            self.advance()
-            node = Square(node)
-        return node
-
-    def atom(self) -> Formula:
-        kind, pos, payload = self.advance()
-        if kind == "0":
-            return BOT
-        if kind == "1":
-            return TOP
-        if kind == "var":
-            return Var(payload)
-        if kind == "(":
-            node = self.formula()
-            kind, pos, _ = self.advance()
-            if kind != ")":
-                raise ParseError("unclosed parenthesis", pos, ("')'",))
-            return node
-        raise ParseError("expected a formula", pos, _ATOM_EXPECTED)
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula tree.
 
-    Raises :class:`ParseError` on malformed input or too deep nesting,
-    reporting the character position and the expected token classes.
+    Raises :class:`ParseError` on malformed input, reporting the character
+    position and the expected token classes.  One loop over the tokens keeps
+    an operand stack and a stack of pending connectives, so any nesting depth
+    parses.
     """
-    parser = _Parser(_tokenize(text))
-    try:
-        node = parser.formula()
-    except RecursionError:
-        at = min(parser.at, len(parser.tokens) - 1)
-        raise ParseError("formula nested too deeply", parser.tokens[at][1]) from None
-    if parser.peek() != "end":
-        raise ParseError(
-            "trailing input", parser.pos(),
-            ("a binary connective", "end of input"),
-        )
-    return node
-
-
-# Precedence levels used by the printer; atoms sit above every connective.
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_STRONG = 5
-_LEVEL_NOT = 6
-_LEVEL_SQUARE = 7
-_LEVEL_ATOM = 8
-
-_BINARY = {
-    Iff: (_LEVEL_IFF, "<->"),
-    Implies: (_LEVEL_IMP, "->"),
-    Or: (_LEVEL_OR, "|"),
-    And: (_LEVEL_AND, "&"),
-    Strong: (_LEVEL_STRONG, "*"),
-}
+    operands: list[Formula] = []
+    # (level, node class) of each pending "~" and binary connective; every
+    # "(" and the start of input sit at level 0, below all of them.
+    pending: list[tuple[int, type | None]] = [(0, None)]
+    want_operand = True
+    for kind, pos, atom in _tokenize(text):
+        if want_operand:
+            if kind == "atom":
+                operands.append(atom)
+                want_operand = False
+            elif kind == "~":
+                pending.append((_LEVEL_NOT, Not))
+            elif kind == "(":
+                pending.append((0, None))
+            else:
+                raise ParseError("expected a formula", pos, _ATOM_EXPECTED)
+        elif kind == "^2":
+            operands[-1] = Square(operands[-1])
+        else:
+            level, right_assoc, node = _INFIX.get(kind, _CLOSE)
+            # Reduce what binds at least as tightly; a right associative
+            # connective leaves its own kind pending.
+            while pending[-1][0] >= level + right_assoc:
+                op = pending.pop()[1]
+                if op is Not:
+                    operands[-1] = Not(operands[-1])
+                else:
+                    arg = operands.pop()
+                    operands[-1] = op(operands[-1], arg)
+            if node is not None:
+                pending.append((level, node))
+                want_operand = True
+            elif len(pending) > 1:
+                if kind != ")":
+                    raise ParseError("unclosed parenthesis", pos, ("')'",))
+                pending.pop()
+            elif kind != "end":
+                raise ParseError(
+                    "trailing input", pos, ("a binary connective", "end of input")
+                )
+    return operands[0]
 
 
 def format_formula(f: Formula) -> str:
     """Render ``f`` with the fewest parentheses that still reparse to ``f``."""
     out: list[str] = []
     # Text still to emit, or a (node, minimum level) still to render; last first.
-    stack: list = [(f, _LEVEL_IFF)]
+    stack: list = [(f, 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -309,12 +262,9 @@ def format_formula(f: Formula) -> str:
         elif isinstance(node, Square):
             level, parts = _LEVEL_SQUARE, [(node.child, _LEVEL_SQUARE), "^2"]
         else:
-            level, symbol = _BINARY[type(node)]
-            # -> associates to the right; every other binary to the left.
-            if isinstance(node, Implies):
-                left, right = level + 1, level
-            else:
-                left, right = level, level + 1
+            symbol, level, right_assoc = _BINARY[type(node)]
+            # The side a connective associates to may hold its own level.
+            left, right = (level + 1, level) if right_assoc else (level, level + 1)
             parts = [(node.left, left), f" {symbol} ", (node.right, right)]
         if level < minimum:
             parts = ["(", *parts, ")"]

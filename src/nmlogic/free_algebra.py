@@ -33,7 +33,7 @@ import numpy as np
 from . import formula as fm
 from .chain import NMChain, eval_grid, residuum_block, tnorm_block
 
-DEFAULT_ELEMENT_CAP = 500_000
+DEFAULT_ELEMENT_CAP = 100_000
 
 # Bytes an N x N structure may allocate: operation_table takes 16 per pair of
 # elements, leq_matrix a vector width per pair while it compares.  Complete

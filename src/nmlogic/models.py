@@ -4,15 +4,23 @@ Assignments draw values from one of two carriers: the three-element chain
 {0, 1/2, 1} or the two-element chain {0, 1}.  Evaluation stays scalar on
 purpose, one :func:`nmlogic.chain.eval_chain` per grid point, so this route
 is independent of the array evaluation, free-algebra and valuation
-machinery it is used to cross-check.
+machinery it is used to cross-check.  That costs grid points times formula
+nodes, so a request above ``MAX_SCALAR_WORK`` is refused before any
+evaluation.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterator
 
 from .chain import ChainValue, NMChain, eval_chain, grid_assignments
-from .formula import Formula
+from .formula import Formula, subformulas
+
+# Grid points times distinct formula nodes allowed on the scalar route.  The
+# worst accepted request, one node over 2**16 points of {0, 1}, takes well
+# under a second.
+MAX_SCALAR_WORK = 1 << 16
 
 
 class AssignmentSpace(Enum):
@@ -26,15 +34,28 @@ class AssignmentSpace(Enum):
         return NMChain(self.value)
 
 
+def _assignments(f: Formula, n: int, chain: NMChain) -> Iterator[dict[int, ChainValue]]:
+    """``grid_assignments(chain, n)``, once the scalar work of ``f`` on it is
+    known to fit the budget."""
+    assignments = grid_assignments(chain, n)
+    points, nodes = chain.size**n, sum(1 for _ in subformulas(f))
+    if points * nodes > MAX_SCALAR_WORK:
+        raise ValueError(
+            f"{points} points times {nodes} formula nodes exceeds the scalar "
+            f"budget of {MAX_SCALAR_WORK}"
+        )
+    return assignments
+
+
 def enumerate_models(
     f: Formula, n: int, space: AssignmentSpace
 ) -> list[dict[int, ChainValue]]:
     """Satisfying assignments over ``x1..xn``, in lexicographic order."""
     chain = space.chain
-    return [env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) == chain.top]
+    return [env for env in _assignments(f, n, chain) if eval_chain(f, chain, env) == chain.top]
 
 
 def count_models(f: Formula, n: int, space: AssignmentSpace) -> int:
     """Number of assignments over ``x1..xn`` that evaluate ``f`` to 1."""
     chain = space.chain
-    return sum(eval_chain(f, chain, env) == chain.top for env in grid_assignments(chain, n))
+    return sum(eval_chain(f, chain, env) == chain.top for env in _assignments(f, n, chain))

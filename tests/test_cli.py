@@ -106,6 +106,8 @@ def test_grids_above_the_bound_are_refused_at_once(capsys):
     for argv in (
         ("tautology", "x1", "--vars", "12"),
         ("count-models", "x1", "--vars", "40", "--values", "2"),
+        ("count-models", "x1", "--vars", "12"),
+        ("count-models", "x1 & x2 -> ~x3 | x4", "--vars", "9"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -115,9 +117,12 @@ def test_grids_above_the_bound_are_refused_at_once(capsys):
 
 
 def test_deep_formulas_end_in_exit_codes(capsys):
-    for text in ("~" * 5000 + "x1", "(" * 300 + "x1" + ")" * 300, " -> ".join(["x1"] * 2000)):
-        code, _, err = run(capsys, "eval", text, "--assign", "x1=1/2")
-        assert code == 2 and "nested too deeply" in err
+    for text, value in (
+        ("~" * 5000 + "x1", "1/2"),
+        ("(" * 5000 + "x1" + ")" * 5000, "1/2"),
+        (" -> ".join(["x1"] * 5000), "1"),
+    ):
+        assert run(capsys, "eval", text, "--assign", "x1=1/2")[:2] == (0, f"{value}\n")
     deep = " & ".join(["x1"] * 5000)
     assert run(capsys, "eval", deep, "--assign", "x1=1/2")[:2] == (0, "1/2\n")
     assert run(capsys, "tautology", deep, "--vars", "1")[:2] == (1, "no\n")
@@ -184,6 +189,12 @@ def test_malformed_binding(capsys):
     code, _, err = run(capsys, "eval", "x1", "--assign", "y=1")
     assert code == 3
     assert "binding" in err
+    for value in ("1e-999999999", "1E5", "2.5e0"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "x1", "--assign", f"x1={value}")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "") and "exponent notation" in err
+    assert run(capsys, "eval", "x1", "--assign", "x1=0.25")[:2] == (0, "1/4\n")
 
 
 def test_usage_error_returns_two(capsys):

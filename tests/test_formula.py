@@ -26,6 +26,7 @@ from nmlogic import (
     random_formula,
     variables,
 )
+from nmlogic.formula import subformulas
 
 
 def formulas(max_vars=3, max_leaves=25):
@@ -45,6 +46,12 @@ def formulas(max_vars=3, max_leaves=25):
         ),
         max_leaves=max_leaves,
     )
+
+
+def shape(f):
+    """The iterative post-order walk of ``f``; with each node's arity known, it
+    fixes the tree.  Dataclass equality recurses, so deep trees compare this."""
+    return [(type(node), getattr(node, "index", None)) for node in subformulas(f)]
 
 
 def test_parse_examples():
@@ -68,16 +75,33 @@ def test_parse_rejects_variable_zero():
 
 
 def test_parse_rejects_trailing_and_garbage():
-    with pytest.raises(ParseError):
-        parse("x1 x2")
-    with pytest.raises(ParseError):
-        parse("(x1 -> x2")
-    with pytest.raises(ParseError):
-        parse("x1 @ x2")
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("x1 ^3")
+    for text, message, position, expected in (
+        ("x1 x2", "trailing input", 3, ("a binary connective", "end of input")),
+        ("(x1 -> x2", "unclosed parenthesis", 9, ("')'",)),
+        ("(x1 x2)", "unclosed parenthesis", 4, ("')'",)),
+        ("x1)", "trailing input", 2, ("a binary connective", "end of input")),
+        ("", "expected a formula", 0, ("'~'", "'0'", "'1'", "a variable 'xN'", "'('")),
+        ("x1 @ x2", "unexpected character '@'", 3, ()),
+        ("x1 ^3", "unexpected character '^'", 3, ()),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value).startswith(f"{message} at position {position}")
+        assert (err.value.position, err.value.expected) == (position, expected)
+
+
+# Token pieces, some of them malformed, for generated parser input.
+_PIECES = ["x1", "x2", "x0", "0", "1", "~", "(", ")", "^2", "*", "&", "|", "->", "<->",
+           "^3", "@", " "]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_parse_returns_a_formula_or_raises_parse_error(text):
+    try:
+        f = parse(text)
+    except ParseError:
+        return
+    assert shape(parse(format_formula(f))) == shape(f)
 
 
 def test_associativity():
@@ -120,8 +144,6 @@ def test_desugar_examples():
 
 @given(formulas())
 def test_desugar_emits_core_fragment_only(f):
-    from nmlogic.formula import subformulas
-
     for node in subformulas(desugar(f)):
         assert isinstance(node, (Var, Bot, And, Strong, Implies))
 
@@ -194,7 +216,7 @@ def test_evaluate_rejects_a_node_that_is_not_a_formula():
 
 def test_walks_handle_formulas_nested_5000_deep():
     from nmlogic import Variant, truth_vector
-    from nmlogic.formula import evaluate, subformulas
+    from nmlogic.formula import evaluate
 
     conjunction, negation = Var(1), Var(1)
     for _ in range(5000):
@@ -208,10 +230,5 @@ def test_walks_handle_formulas_nested_5000_deep():
     assert sum(isinstance(node, Implies) for node in subformulas(core)) == 5000
     assert truth_vector(1, Variant.NM, conjunction) == (0, 1, 2, 3, 4)
     assert truth_vector(1, Variant.NM, negation) == (0, 1, 2, 3, 4)
-    # Dataclass equality recurses, so compare the iterative post-order walks;
-    # with each node's arity known, that sequence fixes the tree.
-    def shape(f):
-        return [(type(node), getattr(node, "index", None)) for node in subformulas(f)]
-
     assert shape(parse(format_formula(conjunction))) == shape(conjunction)
     assert format_formula(negation) == "~" * 5000 + "x1"

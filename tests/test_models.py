@@ -5,13 +5,16 @@ import pytest
 from nmlogic import (
     AssignmentSpace,
     And,
+    Not,
     Or,
+    Var,
     count_models,
     enumerate_models,
     eval_chain,
     parse,
     random_formula,
 )
+from nmlogic.models import MAX_SCALAR_WORK
 
 THREE = AssignmentSpace.THREE
 TWO = AssignmentSpace.TWO
@@ -53,6 +56,19 @@ def test_variable_out_of_range():
         count_models(parse("x3"), 2, THREE)
     with pytest.raises(ValueError):
         enumerate_models(parse("x1"), 0, TWO)
+
+
+def test_scalar_budget_counts_points_times_nodes():
+    assert MAX_SCALAR_WORK == 256 * 256
+    f = Var(1)
+    for _ in range(255):
+        f = Not(f)
+    # 2**8 points times 256 nodes is exactly the budget; one node more is over.
+    assert count_models(f, 8, TWO) == 128
+    assert len(enumerate_models(f, 8, TWO)) == 128
+    for call in (count_models, enumerate_models):
+        with pytest.raises(ValueError, match="256 points times 257 formula nodes"):
+            call(Not(f), 8, TWO)
 
 
 def test_counting_is_modular_over_join_and_meet():
