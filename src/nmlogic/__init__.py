@@ -66,7 +66,6 @@ from .valuations import (
     evaluate,
     idempotent_euler_char,
     idempotent_euler_spec,
-    valuation_of_formula,
     weights,
 )
 
@@ -124,7 +123,6 @@ __all__ = [
     "quotient_by_maximal",
     "random_formula",
     "truth_vector",
-    "valuation_of_formula",
     "variables",
     "weights",
 ]

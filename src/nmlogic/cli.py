@@ -4,7 +4,7 @@ Every command prints exact rational text (never decimals) and is
 deterministic: identical arguments produce byte-identical output.
 
 Exit codes: 0 success or affirmative answer, 1 negative answer,
-2 parse error, 3 semantic error, 4 element cap exceeded.
+2 parse error, 3 semantic error or unwritable output, 4 element cap exceeded.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except ElementCapExceeded as err:
         print(f"resource error: {err}", file=sys.stderr)
         return 4
-    except (EvaluationError, ValueError, ZeroDivisionError) as err:
+    except (EvaluationError, ValueError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -71,7 +71,7 @@ class QuotientChain:
 
 
 def principal_upset(algebra: FreeAlgebra, g: int) -> frozenset[int]:
-    return frozenset(x for x in algebra.element_ids() if algebra.leq(g, x))
+    return frozenset(np.flatnonzero(algebra.leq_matrix[g]).tolist())
 
 
 def is_filter(algebra: FreeAlgebra, elements: frozenset[int]) -> bool:
@@ -113,23 +113,22 @@ def forest(algebra: FreeAlgebra) -> PrimeFilterForest:
     """The prime filters under reverse inclusion, with parent links.
 
     Reverse inclusion of the upper sets is the element order of the
-    generators, so the forest is computed on generators.  The ancestor
-    set of every node is checked to be a chain.
+    generators, so the forest is computed on generators.  The ancestors of
+    every node are checked to form a chain: two generators strictly below a
+    common generator must be comparable.  A node's parent is the largest
+    generator strictly below its own.
     """
     filters = tuple(sorted(prime_filters(algebra), key=lambda f: f.generator))
     gens = [f.generator for f in filters]
-    parent: list[int | None] = []
-    for i, g in enumerate(gens):
-        strictly_below = [j for j, h in enumerate(gens) if h != g and algebra.leq(h, g)]
-        for a in strictly_below:
-            for b in strictly_below:
-                if not (algebra.leq(gens[a], gens[b]) or algebra.leq(gens[b], gens[a])):
-                    raise RuntimeError("prime filter order is not a forest")
-        if strictly_below:
-            parent.append(max(strictly_below, key=lambda j: algebra.heights[gens[j]]))
-        else:
-            parent.append(None)
-    return PrimeFilterForest(filters, tuple(parent))
+    leq = algebra.leq_matrix[np.ix_(gens, gens)]
+    below = leq & ~np.eye(len(gens), dtype=bool)  # below[a, b]: gens[a] < gens[b]
+    strict = below.astype(np.float32)
+    if (((strict @ strict.T) > 0) & ~leq & ~leq.T).any():
+        raise RuntimeError("prime filter order is not a forest")
+    # The generators strictly below one form a chain; its top has the most below it.
+    score = np.where(below, below.sum(axis=0)[:, None], -1)
+    parent = tuple(int(column.argmax()) if column.max() >= 0 else None for column in score.T)
+    return PrimeFilterForest(filters, parent)
 
 
 def quotient_by_maximal(algebra: FreeAlgebra, filt: Filter) -> QuotientChain:

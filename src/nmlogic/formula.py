@@ -176,7 +176,10 @@ def _tokenize(text: str) -> list[tuple[str, int, Formula | None]]:
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "var":
-            index = int(m.group("var"))
+            try:
+                index = int(m.group("var"))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("variable index is too long", pos) from None
             if index < 1:
                 raise ParseError("variable index must be >= 1", pos)
             tokens.append(("atom", pos, Var(index)))

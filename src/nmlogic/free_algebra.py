@@ -242,43 +242,37 @@ class FreeAlgebra:
         """cover[x, y] iff y covers x: x < y with nothing strictly between."""
         if self._cover is None:
             lt = self.leq_matrix & ~np.eye(self.size, dtype=bool)
-            between = (lt.astype(np.uint32) @ lt.astype(np.uint32)) > 0
-            cover = lt & ~between
+            # float32 goes to BLAS and counts exactly: N < 2**14 under MAX_TABLE_BYTES.
+            strict = lt.astype(np.float32)
+            cover = lt & ~((strict @ strict) > 0)
             cover.flags.writeable = False
             self._cover = cover
         return self._cover
 
     def covers(self) -> list[tuple[int, int]]:
         """All cover pairs (child, parent), sorted."""
-        xs, ys = np.nonzero(self.cover_matrix)
-        return sorted((int(x), int(y)) for x, y in zip(xs, ys))
-
-    def lower_covers(self, x: int) -> list[int]:
-        return [int(c) for c in np.nonzero(self.cover_matrix[:, x])[0]]
+        return [tuple(pair) for pair in np.argwhere(self.cover_matrix).tolist()]
 
     @property
     def heights(self) -> tuple[int, ...]:
-        """Length of the longest chain from bottom up to each element."""
+        """Length of the longest chain from bottom up to each element.
+
+        In a finite distributive lattice every maximal chain from bottom to x
+        has one step per join-irreducible below x (Birkhoff's representation
+        theorem), so the height is that count.
+        """
         if self._heights is None:
-            below_counts = self.leq_matrix.sum(axis=0)
-            heights = [0] * self.size
-            for x in sorted(self.element_ids(), key=lambda i: int(below_counts[i])):
-                lower = self.lower_covers(x)
-                heights[x] = 1 + max((heights[c] for c in lower), default=-1)
-            self._heights = tuple(heights)
+            below = self.leq_matrix[list(self.join_irreducible_ids)]
+            self._heights = tuple(below.sum(axis=0).tolist())
         return self._heights
 
     # -- annotations ---------------------------------------------------------
 
     @property
     def join_irreducible_ids(self) -> tuple[int, ...]:
-        """Elements with exactly one lower cover (bottom excluded)."""
+        """Elements with exactly one lower cover; bottom has none."""
         if self._ji is None:
-            counts = self.cover_matrix.sum(axis=0)
-            self._ji = tuple(
-                x for x in self.element_ids()
-                if x != self.bottom_id and counts[x] == 1
-            )
+            self._ji = tuple(np.flatnonzero(self.cover_matrix.sum(axis=0) == 1).tolist())
         return self._ji
 
     def is_idempotent(self, x: int) -> bool:
@@ -288,7 +282,7 @@ class FreeAlgebra:
     def idempotent_ids(self) -> tuple[int, ...]:
         """Elements fixed by fusion with themselves."""
         if self._idempotent is None:
-            self._idempotent = tuple(x for x, flag in enumerate(self.idempotent_flags) if flag)
+            self._idempotent = tuple(np.flatnonzero(self.idempotent_flags).tolist())
         return self._idempotent
 
     @property
@@ -303,12 +297,10 @@ class FreeAlgebra:
     def minimal_idempotent_ji_ids(self) -> tuple[int, ...]:
         """Idempotent join-irreducibles with no smaller idempotent join-irreducible."""
         if self._min_idem_ji is None:
-            idem_ji = [x for x in self.join_irreducible_ids if self.is_idempotent(x)]
-            leq = self.leq_matrix
-            self._min_idem_ji = tuple(
-                g for g in idem_ji
-                if not any(h != g and leq[h, g] for h in idem_ji)
-            )
+            gens = np.intersect1d(self.join_irreducible_ids, self.idempotent_ids)
+            below = self.leq_matrix[np.ix_(gens, gens)]
+            # Column g counts the generators below g, g included.
+            self._min_idem_ji = tuple(gens[below.sum(axis=0) == 1].tolist())
         return self._min_idem_ji
 
     # -- formulas ------------------------------------------------------------

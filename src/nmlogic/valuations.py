@@ -19,19 +19,21 @@ join-irreducibles.  The latter, on a free algebra, counts the satisfying
 assignments of a formula; see :mod:`nmlogic.models` for the independent
 counting route.
 
-Any object with ``element_ids()``, ``leq(x, y)``, ``bottom_id`` and
+Any object with a boolean ``leq_matrix`` (``[x, y]`` iff x <= y) and
 ``join_irreducible_ids`` can be valued; the idempotent variant also needs
-``is_idempotent``.  :class:`nmlogic.free_algebra.FreeAlgebra` provides all
-of them.
+``is_idempotent``.  Every order question is a row or submatrix of
+``leq_matrix``.  :class:`nmlogic.free_algebra.FreeAlgebra` provides all of
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping
 
-from .formula import Formula
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,12 @@ def weights(lattice, spec: ValuationSpec) -> WeightTable:
     stray = [g for g in spec.ji_values if g not in jis]
     if stray:
         raise ValueError(f"spec values {stray} are not join-irreducibles")
-    below = {g: [p for p in jis if p != g and lattice.leq(p, g)] for g in jis}
+    below = lattice.leq_matrix[np.ix_(jis, jis)]
+    np.fill_diagonal(below, False)
+    lower = {g: list(compress(jis, column)) for g, column in zip(jis, below.T.tolist())}
     table: dict[int, Fraction] = {}
-    for g in sorted(jis, key=lambda g: len(below[g])):
-        table[g] = spec.ji_values[g] - spec.base - sum(
-            (table[p] for p in below[g]), Fraction(0)
-        )
+    for g in sorted(jis, key=lambda g: len(lower[g])):
+        table[g] = spec.ji_values[g] - sum((table[p] for p in lower[g]), spec.base)
     return WeightTable(spec.base, table)
 
 
@@ -87,11 +89,9 @@ def evaluate(lattice, spec: ValuationSpec, x: int, table: WeightTable | None = N
     """
     if table is None:
         table = weights(lattice, spec)
-    total = table.base
-    for g in lattice.join_irreducible_ids:
-        if lattice.leq(g, x):
-            total += table.by_id[g]
-    return total
+    jis = lattice.join_irreducible_ids
+    hits = compress(jis, lattice.leq_matrix[list(jis), x].tolist())
+    return sum((table.by_id[g] for g in hits), table.base)
 
 
 def euler_spec(lattice) -> ValuationSpec:
@@ -129,11 +129,4 @@ def chi_plus_by_counting(algebra, x: int) -> int:
     solved, the minimal idempotent join-irreducibles are simply counted.
     The two routes agree on every element of a free algebra.
     """
-    return sum(1 for g in algebra.minimal_idempotent_ji_ids if algebra.leq(g, x))
-
-
-def valuation_of_formula(
-    algebra, spec: ValuationSpec, f: Formula, table: WeightTable | None = None
-) -> Fraction:
-    """Value of the equivalence class of ``f`` under ``spec``."""
-    return evaluate(algebra, spec, algebra.element_of(f), table)
+    return int(algebra.leq_matrix[list(algebra.minimal_idempotent_ji_ids), x].sum())

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
-from nmlogic import FreeAlgebra
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_formula import formulas
+
+from nmlogic import FreeAlgebra, format_formula
 from nmlogic.cli import _make_parser, main
+
+LONG_INDEX = "x" + "9" * 5000
 
 
 def run(capsys, *argv):
@@ -42,9 +50,10 @@ def test_eval_value_not_on_chain(capsys):
 
 
 def test_eval_parse_error(capsys):
-    code, _, err = run(capsys, "eval", "x1 -> -> x2", "--standard")
-    assert code == 2
-    assert "parse error" in err
+    for text in ("x1 -> -> x2", LONG_INDEX):
+        code, _, err = run(capsys, "eval", text, "--standard")
+        assert code == 2
+        assert "parse error" in err
 
 
 def test_chi_commands(capsys):
@@ -185,6 +194,15 @@ def test_filters_dot(capsys):
     )
 
 
+def test_unwritable_out_path_is_exit_three(capsys, tmp_path):
+    for command in (("export", "--vars", "1"), ("export", "--vars", "0", "--format", "dot"),
+                    ("filters", "--vars", "1")):
+        for path in (tmp_path / "missing" / "out.txt", tmp_path):
+            code, out, err = run(capsys, *command, "--out", str(path))
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ")
+
+
 def test_malformed_binding(capsys):
     code, _, err = run(capsys, "eval", "x1", "--assign", "y=1")
     assert code == 3
@@ -233,3 +251,59 @@ def test_json_is_byte_stable_across_processes():
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+_FORMULA_ARGS = {"eval": 1, "chi": 1, "chi-plus": 1, "count-models": 1, "tautology": 1,
+                 "proves": 2, "build": 0, "export": 0, "filters": 0}
+_ALGEBRA_COMMANDS = ("chi", "chi-plus", "build", "export", "filters")
+_FORMULA_TEXT = st.one_of(
+    formulas(max_vars=4, max_leaves=12).map(format_formula),
+    st.sampled_from([LONG_INDEX, "x1 & " + LONG_INDEX, "x1 ->", "(x1", "x0", ""]),
+)
+_BINDING = st.builds(
+    "{}={}".format,
+    st.sampled_from(["x1", "x2", "x3", "x0", "y", LONG_INDEX]),
+    st.one_of(st.fractions(0, 1, max_denominator=6).map(str),
+              st.sampled_from(["0.25", "1e-999999999", "-1", "2", "abc", "1/0", ""])),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FORMULA_ARGS)))
+    argv = [command] + [draw(_FORMULA_TEXT) for _ in range(_FORMULA_ARGS[command])]
+    if command == "eval":
+        if draw(st.booleans()):
+            argv += ["--chain", str(draw(st.integers(-1, 7)))]
+        for binding in draw(st.lists(_BINDING, max_size=3)):
+            argv += ["--assign", binding]
+        return argv
+    if command in _ALGEBRA_COMMANDS:
+        argv += ["--vars", str(draw(st.integers(0, 2))),
+                 "--cap", str(draw(st.integers(1, 20_000)))]
+    else:
+        argv += ["--vars", str(draw(st.integers(0, 3)))]
+    if command == "count-models":
+        argv += ["--values", draw(st.sampled_from(["2", "3"]))]
+    else:
+        argv += ["--variant", draw(st.sampled_from(["nm", "nm-"]))]
+    if command == "export":
+        argv += ["--format", draw(st.sampled_from(["json", "dot"]))]
+    if command in ("export", "filters"):
+        out = draw(st.sampled_from([None, "out.txt", "missing/out.txt", "."]))
+        if out is not None:
+            argv += ["--out", out]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_cli_fuzz_ends_in_an_exit_code(argv, tmp_path):
+    argv = [str(tmp_path / a) if i and argv[i - 1] == "--out" else a
+            for i, a in enumerate(argv)]
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5)
+    assert time.perf_counter() - start < 5.0

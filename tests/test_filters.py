@@ -2,6 +2,8 @@ import pytest
 
 from nmlogic import (
     Filter,
+    FreeAlgebra,
+    PrimeFilterForest,
     forest,
     is_filter,
     is_prime_filter,
@@ -68,6 +70,41 @@ def test_forest_ancestors_are_chains(fixture, request):
         # Walking towards the root, the filters grow.
         sizes = [len(fst.filters[j].elements) for j in [i] + ancestors]
         assert sizes == sorted(sizes)
+        # The parent is the largest generator strictly below this one.
+        g = fst.filters[i].generator
+        below = [f.generator for f in fst.filters
+                 if f.generator != g and algebra.leq(f.generator, g)]
+        if fst.parent[i] is None:
+            assert below == []
+        else:
+            p = fst.filters[fst.parent[i]].generator
+            assert p in below and all(algebra.leq(h, p) for h in below)
+
+
+def _nm1_import(vectors):
+    """An unvalidated one-generator nm import: bottom, top, then ``vectors``."""
+    vectors = [[0] * 5, [4] * 5] + vectors
+    data = {"n": 1, "variant": "nm", "chain_size": 5,
+            "elements": [{"id": i, "vector": v} for i, v in enumerate(vectors)]}
+    return FreeAlgebra.from_export(data, validate=False)
+
+
+def test_forest_rejects_an_order_that_is_not_a_forest():
+    # Two incomparable idempotent join-irreducibles, a and b, both lie
+    # strictly below the idempotent join-irreducibles d and top.
+    algebra = _nm1_import([[3, 0, 0, 0, 0], [0, 3, 0, 0, 0], [3, 3, 0, 0, 0],
+                           [4, 3, 0, 0, 0]])
+    assert [f.generator for f in prime_filters(algebra)] == [1, 2, 3, 5]
+    with pytest.raises(RuntimeError, match="not a forest"):
+        forest(algebra)
+
+
+def test_forest_without_prime_filters_is_empty():
+    # The join-irreducibles 2 and 3 are not idempotent; top joins 4 and 5.
+    algebra = _nm1_import([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [4, 4, 4, 4, 3],
+                           [4, 4, 4, 3, 4]])
+    assert algebra.join_irreducible_ids == (2, 3)
+    assert forest(algebra) == PrimeFilterForest((), ())
 
 
 def test_forest_roots(nm1, nmm1, nm0, nmm0):

@@ -83,6 +83,7 @@ def test_parse_rejects_trailing_and_garbage():
         ("", "expected a formula", 0, ("'~'", "'0'", "'1'", "a variable 'xN'", "'('")),
         ("x1 @ x2", "unexpected character '@'", 3, ()),
         ("x1 ^3", "unexpected character '^'", 3, ()),
+        ("x1 & x" + "9" * 5000, "variable index is too long", 5, ()),
     ):
         with pytest.raises(ParseError) as err:
             parse(text)

@@ -235,6 +235,18 @@ def test_element_of_rejects_out_of_range_variable(nm1):
         nm1.element_of(Var(2))
 
 
+@pytest.mark.parametrize("fixture", ["nm0", "nmm0", "nm1", "nmm1"])
+def test_heights_are_longest_cover_chains(fixture, request):
+    algebra = request.getfixturevalue(fixture)
+    cover = algebra.cover_matrix
+    below_counts = algebra.leq_matrix.sum(axis=0)
+    longest = [0] * algebra.size
+    for x in sorted(algebra.element_ids(), key=lambda i: int(below_counts[i])):
+        lower = np.flatnonzero(cover[:, x]).tolist()
+        longest[x] = 1 + max((longest[c] for c in lower), default=-1)
+    assert algebra.heights == tuple(longest)
+
+
 def test_minimal_idempotent_jis(nm1, nmm1, nm0):
     assert len(nm1.minimal_idempotent_ji_ids) == 3
     assert len(nmm1.minimal_idempotent_ji_ids) == 2

@@ -13,23 +13,22 @@ from nmlogic import (
     idempotent_euler_char,
     idempotent_euler_spec,
     parse,
-    valuation_of_formula,
     weights,
 )
 
 
 class StubLattice:
-    """Just enough poset surface for the valuation engine, from cover pairs."""
+    """The valuation engine's lattice surface, ``leq_matrix`` and
+    ``join_irreducible_ids``, from cover pairs; join and meet for the tests."""
 
     def __init__(self, size, covers):
-        self.bottom_id = 0
         self._size = size
         leq = np.eye(size, dtype=bool)
         for child, parent in covers:
             leq[child, parent] = True
         for _ in range(size):
             leq = leq | (leq @ leq)
-        self._leq = leq
+        self.leq_matrix = leq
         counts = defaultdict(int)
         for child, parent in covers:
             counts[parent] += 1
@@ -41,15 +40,15 @@ class StubLattice:
         return range(self._size)
 
     def leq(self, x, y):
-        return bool(self._leq[x, y])
+        return bool(self.leq_matrix[x, y])
 
     def join(self, x, y):
         uppers = [z for z in self.element_ids() if self.leq(x, z) and self.leq(y, z)]
-        return min(uppers, key=lambda z: int(self._leq[:, z].sum()))
+        return min(uppers, key=lambda z: int(self.leq_matrix[:, z].sum()))
 
     def meet(self, x, y):
         lowers = [z for z in self.element_ids() if self.leq(z, x) and self.leq(z, y)]
-        return max(lowers, key=lambda z: int(self._leq[:, z].sum()))
+        return max(lowers, key=lambda z: int(self.leq_matrix[:, z].sum()))
 
 
 TWO_CHAIN = StubLattice(2, [(0, 1)])
@@ -195,6 +194,6 @@ def test_square_invariance(fixture, request):
 
 def test_valuation_of_formula_examples(nm1):
     spec = idempotent_euler_spec(nm1)
-    assert valuation_of_formula(nm1, spec, parse("x1 | ~x1")) == 2
-    assert valuation_of_formula(nm1, spec, parse("0")) == 0
-    assert valuation_of_formula(nm1, spec, parse("x1")) == 1
+    assert evaluate(nm1, spec, nm1.element_of(parse("x1 | ~x1"))) == 2
+    assert evaluate(nm1, spec, nm1.element_of(parse("0"))) == 0
+    assert evaluate(nm1, spec, nm1.element_of(parse("x1"))) == 1
