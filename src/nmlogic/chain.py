@@ -13,6 +13,11 @@ The same two formulas, read over exact rationals in [0, 1], give the
 standard algebra on the unit interval; :func:`eval_standard` evaluates
 formulas there using :class:`fractions.Fraction`, never floats.
 
+On index arrays both are branch-free masks, ``min(x, y) * (x > top - y)``
+and ``top - min(x, top - y) * (x > y)``, as ``top - max(~x, y) = min(x, ~y)``;
+every intermediate lies in ``0 .. top``, so with a Python int ``top`` they
+are exact in the operands' own dtype (uint8 vectors, int64 ranks).
+
 A third algebra holds uint8 index arrays, one entry per grid point, under
 ``np.minimum``, ``np.maximum``, :func:`tnorm_block`, :func:`residuum_block`
 and ``top - a``; :func:`eval_grid` evaluates in it.  All three go through
@@ -151,13 +156,15 @@ def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
 
 
 def tnorm_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise fusion of index arrays over the chain with top index ``top``."""
-    return np.where(a.astype(np.int16) + b > top, np.minimum(a, b), 0).astype(a.dtype)
+    """Entrywise fusion ``min(a, b) * (a > top - b)`` over the chain with top
+    index ``top``, a Python int; ``top - b`` cannot wrap, as ``b <= top``."""
+    return np.minimum(a, b) * (a > top - b)
 
 
 def residuum_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise implication of index arrays, broadcasting as numpy does."""
-    return np.where(a <= b, top, np.maximum(top - a, b)).astype(a.dtype)
+    """Entrywise implication ``top - min(a, top - b) * (a > b)``, broadcasting
+    as numpy does; the subtrahend lies in ``0 .. top``, so nothing wraps."""
+    return top - np.minimum(a, top - b) * (a > b)
 
 
 # The algebra on [0, 1] over exact rationals.

@@ -37,9 +37,14 @@ def _bindings(pairs: list[str]) -> dict[int, Fraction]:
             if not item:
                 continue
             name, _, value = item.partition("=")
-            if not name.startswith("x") or not name[1:].isdigit() or not value:
+            if not name.startswith("x") or not name[1:].isdecimal() or not value:
                 raise ValueError(f"malformed binding {item!r}, expected xN=VALUE")
-            index = int(name[1:])
+            try:
+                index = int(name[1:])
+            except ValueError:  # more digits than int() converts
+                raise ValueError(
+                    f"malformed binding {name[:9]}...: variable index is too long"
+                ) from None
             if index < 1:
                 raise ValueError(f"variable index must be >= 1 in {item!r}")
             # Fraction would expand an exponent such as 1e-999999999 in full.
@@ -83,11 +88,8 @@ def _cmd_eval(args) -> int:
 def _cmd_chi(args, idempotent: bool) -> int:
     f = fm.parse(args.formula)
     algebra = build(args.vars, _variant(args.variant), args.cap)
-    x = algebra.element_of(f)
-    if idempotent:
-        print(valuations.idempotent_euler_char(algebra, x))
-    else:
-        print(valuations.euler_char(algebra, x))
+    char = valuations.idempotent_euler_char if idempotent else valuations.euler_char
+    print(char(algebra, algebra.element_of(f)))
     return 0
 
 
@@ -147,23 +149,19 @@ def _cmd_filters(args) -> int:
     return 0
 
 
+def _answer(yes: bool) -> int:
+    print("yes" if yes else "no")
+    return 0 if yes else 1
+
+
 def _cmd_tautology(args) -> int:
     f = fm.parse(args.formula)
-    if is_tautology(args.vars, _variant(args.variant), f):
-        print("yes")
-        return 0
-    print("no")
-    return 1
+    return _answer(is_tautology(args.vars, _variant(args.variant), f))
 
 
 def _cmd_proves(args) -> int:
-    premise = fm.parse(args.formula)
-    conclusion = fm.parse(args.conclusion)
-    if proves(args.vars, _variant(args.variant), premise, conclusion):
-        print("yes")
-        return 0
-    print("no")
-    return 1
+    premise, conclusion = fm.parse(args.formula), fm.parse(args.conclusion)
+    return _answer(proves(args.vars, _variant(args.variant), premise, conclusion))
 
 
 def _add_algebra_options(sub) -> None:

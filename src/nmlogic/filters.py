@@ -52,10 +52,8 @@ class PrimeFilterForest:
 
     def ancestors(self, i: int) -> list[int]:
         chain = []
-        p = self.parent[i]
-        while p is not None:
-            chain.append(p)
-            p = self.parent[p]
+        while (i := self.parent[i]) is not None:
+            chain.append(i)
         return chain
 
 
@@ -102,11 +100,8 @@ def is_prime_filter(algebra: FreeAlgebra, elements: frozenset[int]) -> bool:
 
 def prime_filters(algebra: FreeAlgebra) -> list[Filter]:
     """All prime filters, each as the upper set of an idempotent join-irreducible."""
-    result = []
-    for g in algebra.join_irreducible_ids:
-        if algebra.is_idempotent(g):
-            result.append(Filter(principal_upset(algebra, g), g))
-    return result
+    return [Filter(principal_upset(algebra, g), g)
+            for g in algebra.join_irreducible_ids if algebra.is_idempotent(g)]
 
 
 def forest(algebra: FreeAlgebra) -> PrimeFilterForest:

@@ -44,6 +44,10 @@ _SLAB = 2048
 
 _OP_TAGS = ("meet", "join", "tnorm", "imp")
 
+# Provenance tag -> the formula node it records.
+_PROVENANCE_NODES = {"bot": lambda: fm.BOT, "top": lambda: fm.TOP, "var": fm.Var,
+                     **dict(zip(_OP_TAGS, (fm.And, fm.Or, fm.Strong, fm.Implies)))}
+
 
 class Variant(str, Enum):
     """Which equational class the free algebra lives in."""
@@ -326,23 +330,11 @@ class FreeAlgebra:
             self._formulas = [None] * self.size
         cache = self._formulas
         for i in range(x + 1):
-            if cache[i] is not None:
-                continue
-            record = self.provenance[i]
-            tag = record[0]
-            if tag == "bot":
-                cache[i] = fm.BOT
-            elif tag == "top":
-                cache[i] = fm.TOP
-            elif tag == "var":
-                cache[i] = fm.Var(record[1])
-            else:
-                a, b = cache[record[1]], cache[record[2]]
-                node = {
-                    "meet": fm.And, "join": fm.Or,
-                    "tnorm": fm.Strong, "imp": fm.Implies,
-                }[tag]
-                cache[i] = node(a, b)
+            if cache[i] is None:
+                tag, *args = self.provenance[i]
+                if tag in _OP_TAGS:
+                    args = [cache[j] for j in args]
+                cache[i] = _PROVENANCE_NODES[tag](*args)
         result = cache[x]
         assert result is not None
         return result
@@ -372,8 +364,10 @@ class FreeAlgebra:
 
         The vectors are always checked: every entry must lie on the chain,
         every row must span the grid, and elements 0 and 1 must be bottom
-        and top.  With ``validate`` the stored annotations are also
-        recomputed and compared.  Any mismatch raises ``ValueError``.
+        and top.  With ``validate`` the pointwise meet and join of every
+        pair must be an element, so the vectors form a lattice, and the
+        stored annotations are recomputed and compared.  Any mismatch
+        raises ``ValueError``.
         """
         variant = Variant(data["variant"])
         n = int(data["n"])
@@ -394,6 +388,12 @@ class FreeAlgebra:
         if validate:
             if (int(data["bottom"]), int(data["top"])) != (0, 1):
                 raise ValueError("bottom and top ids must be 0 and 1")
+            v = algebra.vectors
+            algebra._check_table_bytes(v.shape[1], "lattice check")
+            for name, op in (("meet", np.minimum), ("join", np.maximum)):
+                pairs = op(v[:, None], v[None]).view(np.dtype((np.void, v.shape[1])))
+                if not algebra._index.keys() >= set(pairs.ravel().tolist()):
+                    raise ValueError(f"the vectors are not closed under {name}")
             if [list(p) for p in algebra.covers()] != [list(p) for p in data["covers"]]:
                 raise ValueError("stored covers disagree with the order")
             if sorted(algebra.join_irreducible_ids) != list(data["join_irreducible"]):

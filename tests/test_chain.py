@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from test_formula import formulas
 
 from nmlogic import (
@@ -20,6 +21,7 @@ from nmlogic import (
     variables,
 )
 from nmlogic import chain as chain_module
+from nmlogic.free_algebra import _combine
 from nmlogic.chain import (
     MAX_GRID_POINTS,
     EvaluationError,
@@ -220,6 +222,52 @@ def test_vector_kernels_match_scalar_ops(k):
     for idx, (i, j) in enumerate(pairs):
         assert fused[idx] == chain.tnorm(chain.value(i), chain.value(j)).index
         assert implied[idx] == chain.residuum(chain.value(i), chain.value(j)).index
+
+
+@st.composite
+def operand_shapes(draw):
+    """Equal shapes, numpy-broadcastable shapes, or a column against a row."""
+    kind = draw(st.sampled_from(["equal", "broadcast", "outer"]))
+    if kind == "equal":
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=6))
+        return shape, shape
+    if kind == "broadcast":
+        return draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_side=6)).input_shapes
+    size = draw(st.integers(1, 12))
+    return (size, 1), (1, size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([np.uint8, np.int64]), operand_shapes(), st.data())
+def test_mask_kernels_match_scalar_ops_in_every_shape(top, dtype, shapes, data):
+    # quotient_by_maximal passes int64 ranks as a column and a row; closure
+    # and grids pass uint8.  Either way the result keeps the input dtype.
+    chain = NMChain(top + 1)
+    a, b = (data.draw(hnp.arrays(dtype, shape, elements=st.integers(0, top)))
+            for shape in shapes)
+    fused, implied = tnorm_block(top, a, b), residuum_block(top, a, b)
+    assert fused.dtype == implied.dtype == dtype
+    wide_a, wide_b = np.broadcast_arrays(a, b)
+    assert fused.shape == implied.shape == wide_a.shape
+    for idx in np.ndindex(wide_a.shape):
+        x, y = chain.value(int(wide_a[idx])), chain.value(int(wide_b[idx]))
+        assert fused[idx] == chain.tnorm(x, y).index
+        assert implied[idx] == chain.residuum(x, y).index
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 20), st.data())
+def test_combine_keys_are_one_vector_wide(top, width, pairs, data):
+    # A silent upcast would widen every key and break the id of each vector.
+    a, b = (data.draw(hnp.arrays(np.uint8, (pairs, width), elements=st.integers(0, top)))
+            for _ in range(2))
+    keys = _combine(top, a, b)
+    assert len(keys) == 4 * pairs
+    assert all(len(key) == width for key in keys)
+    expected = (np.minimum(a, b), np.maximum(a, b),
+                tnorm_block(top, a, b), residuum_block(top, a, b))
+    for p, key in enumerate(keys):
+        assert key == expected[p % 4][p // 4].tobytes()
 
 
 def test_chain_value_fraction_view():

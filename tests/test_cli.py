@@ -213,6 +213,11 @@ def test_malformed_binding(capsys):
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "") and "exponent notation" in err
     assert run(capsys, "eval", "x1", "--assign", "x1=0.25")[:2] == (0, "1/4\n")
+    # More digits than int() converts, and a digit that is not decimal.
+    for binding, reason in ((f"{LONG_INDEX}=1", "too long"), ("x\u00b2=1", "expected xN")):
+        code, out, err = run(capsys, "eval", "x1", "--assign", binding)
+        assert (code, out) == (3, "") and "malformed binding" in err and reason in err
+        assert "set_int_max_str_digits" not in err and len(err) < 100
 
 
 def test_usage_error_returns_two(capsys):

@@ -396,6 +396,19 @@ def test_import_rejects_tampered_annotations(nmm1, nm0):
                 FreeAlgebra.from_export(data, validate=validate)
 
 
+def test_import_rejects_a_set_that_is_not_a_lattice():
+    # The stored annotations are recomputed from the vectors, so they agree;
+    # the meet of the last two vectors is missing, and in the first four
+    # the join of [1,0,0,0,0] and [0,1,0,0,0].
+    vectors = np.array([[0] * 5, [4] * 5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                        [4, 4, 4, 4, 3], [4, 4, 4, 3, 4]])
+    for size, missing in ((6, "meet"), (4, "join")):
+        data = FreeAlgebra(1, Variant.NM, vectors[:size], None).export()
+        with pytest.raises(ValueError, match=f"not closed under {missing}"):
+            FreeAlgebra.from_export(data)
+        assert FreeAlgebra.from_export(data, validate=False).size == size
+
+
 def test_vector_access(nm1):
     assert nm1.vector(nm1.bottom_id) == (0, 0, 0, 0, 0)
     assert nm1.vector(nm1.top_id) == (4, 4, 4, 4, 4)
