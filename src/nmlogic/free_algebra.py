@@ -19,12 +19,14 @@ and walks the rest as one flat row-major range (old rows with new columns,
 then new rows with all columns) in slabs of ``_SLAB`` pairs.  The element
 table is an insertion-ordered dict from vector bytes to provenance, the
 pair and operation that first produced the element, so a key's position is
-its id.  Closure and :attr:`FreeAlgebra.operation_table` share one kernel,
-:func:`_combine`, which splits its results in C into ``bytes`` keys.
+its id.  Closure and :attr:`FreeAlgebra.operation_table`, which walks every
+pair, share one pair walk, :func:`_slabs`, and its kernel, :func:`_combine`,
+which splits its results in C into ``bytes`` keys.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -111,6 +113,38 @@ def _combine(top: int, a: np.ndarray, b: np.ndarray) -> list:
     return results.view(np.dtype((np.void, results.shape[-1]))).ravel().tolist()
 
 
+def _slabs(top: int, snapshot: np.ndarray, previous: int):
+    """Yield rows, columns and :func:`_combine` keys per slab of ``_SLAB`` untried pairs.
+
+    Untried pairs, row-major: old rows x new columns, then new rows x all.
+    With ``previous = 0`` that is every pair in row-major order.
+    """
+    current = len(snapshot)
+    new = current - previous
+    old_pairs = previous * new
+    total = old_pairs + new * current
+    for lo in range(0, total, _SLAB):
+        flat = np.arange(lo, min(lo + _SLAB, total))
+        late = flat - old_pairs
+        rows = np.where(late < 0, flat // new, previous + late // current)
+        cols = np.where(late < 0, previous + flat % new, late % current)
+        yield rows, cols, _combine(top, snapshot[rows], snapshot[cols])
+
+
+def _cached(compute):
+    """A read-only property keeping ``compute``'s value, never None, in ``self._cache``."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def fget(self):
+        value = self._cache.get(name)
+        if value is None:
+            value = self._cache[name] = compute(self)
+        return value
+
+    return property(fget)
+
+
 class FreeAlgebra:
     """A closed, deduplicated and annotated algebra of truth vectors.
 
@@ -142,15 +176,7 @@ class FreeAlgebra:
         if len(self._index) != len(vectors):
             raise ValueError("duplicate truth vectors")
         self._top_index = self.chain.size - 1
-        self._leq: np.ndarray | None = None
-        self._cover: np.ndarray | None = None
-        self._heights: tuple[int, ...] | None = None
-        self._ji: tuple[int, ...] | None = None
-        self._idempotent: tuple[int, ...] | None = None
-        self._idem_flags: tuple[bool, ...] | None = None
-        self._min_idem_ji: tuple[int, ...] | None = None
-        self._formulas: list[fm.Formula | None] | None = None
-        self._operations: np.ndarray | None = None
+        self._cache: dict[str, object] = {}
 
     # -- size and raw vectors ------------------------------------------------
 
@@ -182,27 +208,26 @@ class FreeAlgebra:
 
     # -- operations ----------------------------------------------------------
 
-    @property
+    @_cached
     def operation_table(self) -> np.ndarray:
         """Read-only int32 result ids of shape (N, N, 4): ``[x, y, k]`` is x op_k y.
 
-        The operations are meet, join, fusion and implication.  Each row x maps
-        the keys of :func:`_combine` to ids, so temporaries are one row's keys;
-        ``KeyError`` if not closed, ``ValueError`` above ``MAX_TABLE_BYTES``.
+        The operations are meet, join, fusion and implication.  The table is
+        filled from :func:`_slabs` over every pair, so temporaries are one
+        slab's keys.  ``KeyError`` naming the operations that leave the set
+        if it is not closed; ``ValueError`` above ``MAX_TABLE_BYTES``.
         """
-        if self._operations is None:
-            size = self.size
-            self._check_table_bytes(16, "operation table")
-            table = np.empty((size, 4 * size), dtype=np.int32)
-            for x in range(size):
-                keys = _combine(self._top_index, self.vectors[x], self.vectors)
-                table[x] = [self._index.get(key, -1) for key in keys]
-            if (table < 0).any():
-                raise KeyError("an operation leaves the algebra: it is not closed")
-            table = table.reshape(size, size, 4)
-            table.flags.writeable = False
-            self._operations = table
-        return self._operations
+        self._check_table_bytes(16, "operation table")
+        index, table, lo = self._index, np.empty(4 * self.size ** 2, dtype=np.int32), 0
+        for _, _, keys in _slabs(self._top_index, self.vectors, 0):
+            table[lo:lo + len(keys)] = [index.get(key, -1) for key in keys]
+            lo += len(keys)
+        table = table.reshape(self.size, self.size, 4)
+        leaving = [tag for tag, out in zip(_OP_TAGS, (table < 0).any(axis=(0, 1))) if out]
+        if leaving:
+            raise KeyError(f"not closed under {', '.join(leaving)}")
+        table.flags.writeable = False
+        return table
 
     def meet(self, x: int, y: int) -> int:
         return int(self.operation_table[x, y, 0])
@@ -224,40 +249,36 @@ class FreeAlgebra:
 
     # -- order structure -----------------------------------------------------
 
-    @property
+    @_cached
     def leq_matrix(self) -> np.ndarray:
         """Boolean matrix of the pointwise order: leq[x, y] iff x <= y.
 
         ``ValueError`` if the comparison would take over ``MAX_TABLE_BYTES``.
         """
-        if self._leq is None:
-            v = self.vectors
-            self._check_table_bytes(v.shape[1], "order matrix")
-            leq = (v[:, None, :] <= v[None, :, :]).all(axis=2)
-            leq.flags.writeable = False
-            self._leq = leq
-        return self._leq
+        v = self.vectors
+        self._check_table_bytes(v.shape[1], "order matrix")
+        leq = (v[:, None, :] <= v[None, :, :]).all(axis=2)
+        leq.flags.writeable = False
+        return leq
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.leq_matrix[x, y])
 
-    @property
+    @_cached
     def cover_matrix(self) -> np.ndarray:
         """cover[x, y] iff y covers x: x < y with nothing strictly between."""
-        if self._cover is None:
-            lt = self.leq_matrix & ~np.eye(self.size, dtype=bool)
-            # float32 goes to BLAS and counts exactly: N < 2**14 under MAX_TABLE_BYTES.
-            strict = lt.astype(np.float32)
-            cover = lt & ~((strict @ strict) > 0)
-            cover.flags.writeable = False
-            self._cover = cover
-        return self._cover
+        lt = self.leq_matrix & ~np.eye(self.size, dtype=bool)
+        # float32 goes to BLAS and counts exactly: N < 2**14 under MAX_TABLE_BYTES.
+        strict = lt.astype(np.float32)
+        cover = lt & ~((strict @ strict) > 0)
+        cover.flags.writeable = False
+        return cover
 
     def covers(self) -> list[tuple[int, int]]:
         """All cover pairs (child, parent), sorted."""
         return [tuple(pair) for pair in np.argwhere(self.cover_matrix).tolist()]
 
-    @property
+    @_cached
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain from bottom up to each element.
 
@@ -265,47 +286,36 @@ class FreeAlgebra:
         has one step per join-irreducible below x (Birkhoff's representation
         theorem), so the height is that count.
         """
-        if self._heights is None:
-            below = self.leq_matrix[list(self.join_irreducible_ids)]
-            self._heights = tuple(below.sum(axis=0).tolist())
-        return self._heights
+        below = self.leq_matrix[list(self.join_irreducible_ids)]
+        return tuple(below.sum(axis=0).tolist())
 
     # -- annotations ---------------------------------------------------------
 
-    @property
+    @_cached
     def join_irreducible_ids(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover; bottom has none."""
-        if self._ji is None:
-            self._ji = tuple(np.flatnonzero(self.cover_matrix.sum(axis=0) == 1).tolist())
-        return self._ji
+        return tuple(np.flatnonzero(self.cover_matrix.sum(axis=0) == 1).tolist())
 
     def is_idempotent(self, x: int) -> bool:
         return self.idempotent_flags[x]
 
-    @property
+    @_cached
     def idempotent_ids(self) -> tuple[int, ...]:
         """Elements fixed by fusion with themselves."""
-        if self._idempotent is None:
-            self._idempotent = tuple(np.flatnonzero(self.idempotent_flags).tolist())
-        return self._idempotent
+        return tuple(np.flatnonzero(self.idempotent_flags).tolist())
 
-    @property
+    @_cached
     def idempotent_flags(self) -> tuple[bool, ...]:
-        if self._idem_flags is None:
-            v = self.vectors
-            fused = tnorm_block(self._top_index, v, v)
-            self._idem_flags = tuple((fused == v).all(axis=1).tolist())
-        return self._idem_flags
+        v = self.vectors
+        return tuple((tnorm_block(self._top_index, v, v) == v).all(axis=1).tolist())
 
-    @property
+    @_cached
     def minimal_idempotent_ji_ids(self) -> tuple[int, ...]:
         """Idempotent join-irreducibles with no smaller idempotent join-irreducible."""
-        if self._min_idem_ji is None:
-            gens = np.intersect1d(self.join_irreducible_ids, self.idempotent_ids)
-            below = self.leq_matrix[np.ix_(gens, gens)]
-            # Column g counts the generators below g, g included.
-            self._min_idem_ji = tuple(gens[below.sum(axis=0) == 1].tolist())
-        return self._min_idem_ji
+        gens = np.intersect1d(self.join_irreducible_ids, self.idempotent_ids)
+        below = self.leq_matrix[np.ix_(gens, gens)]
+        # Column g counts the generators below g, g included.
+        return tuple(gens[below.sum(axis=0) == 1].tolist())
 
     # -- formulas ------------------------------------------------------------
 
@@ -326,18 +336,14 @@ class FreeAlgebra:
         """
         if self.provenance is None:
             raise ValueError("algebra was imported without provenance")
-        if self._formulas is None:
-            self._formulas = [None] * self.size
-        cache = self._formulas
+        cache = self._cache.setdefault("formulas", {})
         for i in range(x + 1):
-            if cache[i] is None:
+            if i not in cache:
                 tag, *args = self.provenance[i]
                 if tag in _OP_TAGS:
                     args = [cache[j] for j in args]
                 cache[i] = _PROVENANCE_NODES[tag](*args)
-        result = cache[x]
-        assert result is not None
-        return result
+        return cache[x]
 
     # -- export / import -----------------------------------------------------
 
@@ -364,10 +370,10 @@ class FreeAlgebra:
 
         The vectors are always checked: every entry must lie on the chain,
         every row must span the grid, and elements 0 and 1 must be bottom
-        and top.  With ``validate`` the pointwise meet and join of every
-        pair must be an element, so the vectors form a lattice, and the
-        stored annotations are recomputed and compared.  Any mismatch
-        raises ``ValueError``.
+        and top.  With ``validate`` the set must be closed under the four
+        operations, checked by :meth:`check_closed`, and the stored
+        annotations are recomputed and compared.  Any mismatch raises
+        ``ValueError``.
         """
         variant = Variant(data["variant"])
         n = int(data["n"])
@@ -388,12 +394,10 @@ class FreeAlgebra:
         if validate:
             if (int(data["bottom"]), int(data["top"])) != (0, 1):
                 raise ValueError("bottom and top ids must be 0 and 1")
-            v = algebra.vectors
-            algebra._check_table_bytes(v.shape[1], "lattice check")
-            for name, op in (("meet", np.minimum), ("join", np.maximum)):
-                pairs = op(v[:, None], v[None]).view(np.dtype((np.void, v.shape[1])))
-                if not algebra._index.keys() >= set(pairs.ravel().tolist()):
-                    raise ValueError(f"the vectors are not closed under {name}")
+            try:
+                algebra.check_closed()
+            except KeyError as err:
+                raise ValueError(err.args[0]) from None
             if [list(p) for p in algebra.covers()] != [list(p) for p in data["covers"]]:
                 raise ValueError("stored covers disagree with the order")
             if sorted(algebra.join_irreducible_ids) != list(data["join_irreducible"]):
@@ -414,7 +418,7 @@ def build(
 
     Runs the breadth-first closure described in the module docstring: the
     truth vectors of bottom, top and ``x1..xn`` seed the element table, and
-    each slab of a round's pair range is one :func:`_combine` call.  Only
+    each round walks its untried pairs with :func:`_slabs`.  Only
     keys a list comprehension finds missing from the table cost more Python
     work; each is checked again when committed, as a slab can produce one
     new vector twice.  The result is identical across runs and slab sizes.
@@ -437,16 +441,7 @@ def build(
     while True:
         current = len(table)
         snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(current, -1)
-        # Untried pairs, row-major: old rows x new columns, then new rows x all.
-        new = current - previous
-        old_pairs = previous * new
-        total = old_pairs + new * current
-        for lo in range(0, total, _SLAB):
-            flat = np.arange(lo, min(lo + _SLAB, total))
-            late = flat - old_pairs
-            rows = np.where(late < 0, flat // new, previous + late // current)
-            cols = np.where(late < 0, previous + flat % new, late % current)
-            keys = _combine(top, snapshot[rows], snapshot[cols])
+        for rows, cols, keys in _slabs(top, snapshot, previous):
             rows, cols = rows.tolist(), cols.tolist()
             for p in [p for p, key in enumerate(keys) if key not in table]:
                 if keys[p] in table:  # a slab can yield one new key twice

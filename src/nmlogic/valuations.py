@@ -82,10 +82,11 @@ def weights(lattice, spec: ValuationSpec) -> WeightTable:
     return WeightTable(spec.base, table)
 
 
-def evaluate(lattice, spec: ValuationSpec, x: int, table: WeightTable | None = None) -> Fraction:
+def evaluate(lattice, spec: ValuationSpec | None, x: int,
+             table: WeightTable | None = None) -> Fraction:
     """Value of element ``x`` under the valuation prescribed by ``spec``.
 
-    Pass a precomputed ``table`` when valuing many elements.
+    Pass a precomputed ``table`` when valuing many elements; ``spec`` is then unread.
     """
     if table is None:
         table = weights(lattice, spec)
@@ -107,19 +108,21 @@ def idempotent_euler_spec(lattice) -> ValuationSpec:
     )
 
 
-def _as_int(value: Fraction) -> int:
+def _characteristic(lattice, spec_of, x: int, table: WeightTable | None) -> int:
+    """``x``'s value as an int; ``spec_of`` builds the spec only when no table is passed."""
+    value = evaluate(lattice, spec_of(lattice) if table is None else None, x, table)
     assert value.denominator == 1
     return int(value)
 
 
 def euler_char(lattice, x: int, table: WeightTable | None = None) -> int:
     """The classical characteristic of ``x``; always an integer."""
-    return _as_int(evaluate(lattice, euler_spec(lattice), x, table))
+    return _characteristic(lattice, euler_spec, x, table)
 
 
 def idempotent_euler_char(lattice, x: int, table: WeightTable | None = None) -> int:
     """The idempotent variant of the characteristic; always an integer."""
-    return _as_int(evaluate(lattice, idempotent_euler_spec(lattice), x, table))
+    return _characteristic(lattice, idempotent_euler_spec, x, table)
 
 
 def chi_plus_by_counting(algebra, x: int) -> int:

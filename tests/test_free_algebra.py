@@ -122,19 +122,25 @@ def test_check_closed_rejects_non_closed_algebra(nm1):
 
 
 @pytest.mark.parametrize("fixture", ["nmm1", "nm1"])
-def test_operation_table_matches_closure_kernel(fixture, request):
-    # build and operation_table both read _combine's keys; pin their format.
+def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
+    # build and operation_table both walk _slabs over _combine's keys; pin the
+    # key format, and the table's layout at every slab size against row-major pairs.
     algebra = request.getfixturevalue(fixture)
     size, width = algebra.vectors.shape
     rows, cols = np.divmod(np.arange(size * size), size)
     keys = free_algebra._combine(algebra.chain.size - 1,
                                  algebra.vectors[rows], algebra.vectors[cols])
     assert len(keys) == 4 * size * size
-    table = algebra.operation_table
+    expected = np.empty((size, size, 4), dtype=np.int64)
     for p, key in enumerate(keys):
         assert len(key) == width
         (x, y), k = divmod(p // 4, size), p % 4
-        assert table[x, y, k] == algebra.id_of_vector(tuple(key))
+        expected[x, y, k] = algebra.id_of_vector(tuple(key))
+    assert np.array_equal(algebra.operation_table, expected)
+    for slab in (1, 3, 7, 2048):
+        monkeypatch.setattr(free_algebra, "_SLAB", slab)
+        fresh = FreeAlgebra(algebra.n, algebra.variant, algebra.vectors, algebra.provenance)
+        assert np.array_equal(fresh.operation_table, expected)
 
 
 @pytest.mark.parametrize("fixture", ["nm0", "nmm1", "nm1"])
@@ -407,6 +413,38 @@ def test_import_rejects_a_set_that_is_not_a_lattice():
         with pytest.raises(ValueError, match=f"not closed under {missing}"):
             FreeAlgebra.from_export(data)
         assert FreeAlgebra.from_export(data, validate=False).size == size
+
+
+def test_import_rejects_a_lattice_that_is_not_closed():
+    # A three-chain is closed under meet and join (and fusion: 3 * 3 = 3),
+    # but 3 -> 0 is 1, which is missing.
+    data = FreeAlgebra(1, Variant.NM, np.array([[0] * 5, [4] * 5, [3] * 5]), None).export()
+    with pytest.raises(ValueError, match="^not closed under imp$"):
+        FreeAlgebra.from_export(data)
+    assert FreeAlgebra.from_export(data, validate=False).size == 3
+
+
+def test_import_memory_is_bounded_by_the_tables():
+    import tracemalloc
+
+    # The 512 Boolean elements of the n=2 nm algebra: 0 or top on each of
+    # the 9 sign blocks of the 7x7 grid (below, at or above the fixpoint 3
+    # in each coordinate), bottom and top first.  Closed under all four
+    # operations.
+    a, b = np.divmod(np.arange(49), 7)
+    block = 3 * (np.sign(a - 3) + 1) + np.sign(b - 3) + 1
+    bits = (np.array([0, 511, *range(1, 511)])[:, None] >> np.arange(9)) & 1
+    data = FreeAlgebra(2, Variant.NM, 6 * bits[:, block], None).export()
+    # The operation table and the order comparison take (16 + 49) * 512**2
+    # bytes, 16 MiB; a set of the N**2 pair keys would take over 30 MiB.
+    tracemalloc.start()
+    try:
+        algebra = FreeAlgebra.from_export(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert algebra.size == 512
+    assert peak < 24 * 2**20
 
 
 def test_vector_access(nm1):
