@@ -218,9 +218,10 @@ class FreeAlgebra:
         if it is not closed; ``ValueError`` above ``MAX_TABLE_BYTES``.
         """
         self._check_table_bytes(16, "operation table")
-        index, table, lo = self._index, np.empty(4 * self.size ** 2, dtype=np.int32), 0
+        table = np.empty(4 * self.size ** 2, dtype=np.int32)
+        get, lo = self._index.get, 0
         for _, _, keys in _slabs(self._top_index, self.vectors, 0):
-            table[lo:lo + len(keys)] = [index.get(key, -1) for key in keys]
+            table[lo:lo + len(keys)] = [get(key, -1) for key in keys]
             lo += len(keys)
         table = table.reshape(self.size, self.size, 4)
         leaving = [tag for tag, out in zip(_OP_TAGS, (table < 0).any(axis=(0, 1))) if out]
