@@ -18,11 +18,12 @@ and ``top - min(x, top - y) * (x > y)``, as ``top - max(~x, y) = min(x, ~y)``;
 every intermediate lies in ``0 .. top``, so with a Python int ``top`` they
 are exact in the operands' own dtype (uint8 vectors, int64 ranks).
 
-A third algebra holds uint8 index arrays, one entry per grid point, under
+A third algebra holds index arrays, one entry per grid point, under
 ``np.minimum``, ``np.maximum``, :func:`tnorm_block`, :func:`residuum_block`
 and ``top - a``; :func:`eval_grid` evaluates in it.  All three go through
 :func:`nmlogic.formula.evaluate`.  :func:`grid_coordinates` owns the grid
-order and refuses grids above ``MAX_GRID_POINTS`` before allocating.
+order and the index dtype (uint8 up to 256 elements), and refuses grids
+above ``MAX_GRID_POINTS`` before allocating.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ STANDARD = SimpleNamespace(
 
 
 @functools.cache
-def _grid_algebra(top: int) -> SimpleNamespace:
-    """The chain with top index ``top`` acting entrywise on uint8 index arrays."""
-    bottom, top_value = np.array((0, top), dtype=np.uint8)
+def _grid_algebra(top: int, dtype: np.dtype) -> SimpleNamespace:
+    """The chain with top index ``top`` acting entrywise on index arrays of ``dtype``."""
+    bottom, top_value = np.array((0, top), dtype=dtype)
     return SimpleNamespace(
         bottom=bottom, top=top_value, neg=functools.partial(np.subtract, top_value),
         meet=np.minimum, join=np.maximum, tnorm=functools.partial(tnorm_block, top),
@@ -190,10 +191,11 @@ def eval_grid(f: Formula, chain: NMChain, n: int) -> np.ndarray:
     """The index of ``f`` on ``chain`` at every grid point, ``_CHUNK`` points
     at a time, so memory stays at distinct nodes times chunk bytes."""
     points = grid_coordinates(chain.size, n)
-    values = np.empty(points.shape[1], dtype=np.uint8)
+    algebra = _grid_algebra(chain.size - 1, points.dtype)
+    values = np.empty(points.shape[1], dtype=points.dtype)
     for lo in range(0, len(values), _CHUNK):
         env = dict(enumerate(points[:, lo:lo + _CHUNK], 1))
-        values[lo:lo + _CHUNK] = evaluate(f, _grid_algebra(chain.size - 1), env)
+        values[lo:lo + _CHUNK] = evaluate(f, algebra, env)
     return values
 
 

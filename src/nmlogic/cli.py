@@ -2,6 +2,8 @@
 
 Every command prints exact rational text (never decimals) and is
 deterministic: identical arguments produce byte-identical output.
+Handlers return their text and exit code; :func:`main` alone writes the
+text, to stdout or to the ``--out`` path of ``export`` and ``filters``.
 
 Exit codes: 0 success or affirmative answer, 1 negative answer,
 2 parse error, 3 semantic error or unwritable output, 4 element cap exceeded.
@@ -18,15 +20,11 @@ from fractions import Fraction
 from . import filters as flt
 from . import formula as fm
 from . import models, valuations
-from .chain import ChainValue, EvaluationError, NMChain, eval_chain, eval_standard
+from .chain import EvaluationError, NMChain, eval_chain, eval_standard
 from .free_algebra import (
     DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, Variant, build, is_tautology,
     proves,
 )
-
-
-def _variant(text: str) -> Variant:
-    return Variant.NM if text == "nm" else Variant.NM_MINUS
 
 
 def _bindings(pairs: list[str]) -> dict[int, Fraction]:
@@ -52,123 +50,103 @@ def _bindings(pairs: list[str]) -> dict[int, Fraction]:
                 raise ValueError(
                     f"exponent notation in {item!r}; write an integer, p/q or a plain decimal"
                 )
-            out[index] = Fraction(value)
+            try:
+                out[index] = Fraction(value)
+            except ValueError as err:
+                # Past int()'s digit limit, Python's message is advice to raise it.
+                if "set_int_max_str_digits" not in str(err):
+                    raise
+                raise ValueError(f"malformed binding {name}=...: value is too long") from None
     return out
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+def _algebra(args) -> FreeAlgebra:
+    return build(args.vars, Variant(args.variant), args.cap)
 
 
-def _cmd_eval(args) -> int:
+def _answer(yes: bool) -> tuple[str, int]:
+    return ("yes\n", 0) if yes else ("no\n", 1)
+
+
+def _cmd_eval(args) -> tuple[str, int]:
     f = fm.parse(args.formula)
     env = _bindings(args.assign)
-    if args.chain is not None:
-        k = args.chain
-        if k < 2:
-            raise ValueError(f"chain size must be >= 2, got {k}")
-        chain = NMChain(k)
-        values: dict[int, ChainValue] = {}
-        for var, frac in env.items():
-            scaled = frac * (k - 1)
-            if scaled.denominator != 1 or not 0 <= scaled <= k - 1:
-                raise ValueError(f"x{var} = {frac} is not an element of the {k}-chain")
-            values[var] = ChainValue(int(scaled), k)
-        result = eval_chain(f, chain, values).as_fraction
-    else:
-        result = eval_standard(f, env)
-    print(result)
-    return 0
+    if args.chain is None:
+        return f"{eval_standard(f, env)}\n", 0
+    chain = NMChain(args.chain)
+    top = chain.size - 1
+    values = {}
+    for var, frac in env.items():
+        scaled = frac * top
+        if scaled.denominator != 1 or not 0 <= scaled <= top:
+            raise ValueError(f"x{var} = {frac} is not an element of the {chain.size}-chain")
+        values[var] = chain.value(int(scaled))
+    return f"{eval_chain(f, chain, values).as_fraction}\n", 0
 
 
-def _cmd_chi(args, idempotent: bool) -> int:
+def _cmd_chi(args) -> tuple[str, int]:
+    """``chi`` prints the classical characteristic, ``chi-plus`` the idempotent one."""
     f = fm.parse(args.formula)
-    algebra = build(args.vars, _variant(args.variant), args.cap)
-    char = valuations.idempotent_euler_char if idempotent else valuations.euler_char
-    print(char(algebra, algebra.element_of(f)))
-    return 0
+    algebra = _algebra(args)
+    chi_plus = args.command == "chi-plus"
+    char = valuations.idempotent_euler_char if chi_plus else valuations.euler_char
+    return f"{char(algebra, algebra.element_of(f))}\n", 0
 
 
-def _cmd_count_models(args) -> int:
+def _cmd_count_models(args) -> tuple[str, int]:
     f = fm.parse(args.formula)
-    space = models.AssignmentSpace(args.values)
-    print(models.count_models(f, args.vars, space))
-    return 0
+    return f"{models.count_models(f, args.vars, models.AssignmentSpace(args.values))}\n", 0
 
 
-def _cmd_build(args) -> int:
-    algebra = build(args.vars, _variant(args.variant), args.cap)
-    print(f"{algebra.size} elements")
-    return 0
+def _cmd_build(args) -> tuple[str, int]:
+    return f"{_algebra(args).size} elements\n", 0
+
+
+def _cmd_export(args) -> tuple[str, int]:
+    algebra = _algebra(args)
+    return (algebra_json(algebra) if args.format == "json" else hasse_dot(algebra)), 0
+
+
+def _cmd_filters(args) -> tuple[str, int]:
+    return forest_dot(_algebra(args)), 0
+
+
+def _cmd_tautology(args) -> tuple[str, int]:
+    f = fm.parse(args.formula)
+    return _answer(is_tautology(args.vars, Variant(args.variant), f))
+
+
+def _cmd_proves(args) -> tuple[str, int]:
+    premise, conclusion = fm.parse(args.formula), fm.parse(args.conclusion)
+    return _answer(proves(args.vars, Variant(args.variant), premise, conclusion))
 
 
 def algebra_json(algebra: FreeAlgebra) -> str:
     return json.dumps(algebra.export(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _digraph(name: str, labels, edges, *attributes: str) -> str:
+    """A DOT digraph: graph attributes, labelled nodes, then ``a -> b`` edges."""
+    lines = [f"digraph {name} {{", *(f"  {a};" for a in attributes)]
+    lines += [f'  {node} [label="{label}"];' for node, label in labels]
+    lines += [f"  {a} -> {b};" for a, b in edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def hasse_dot(algebra: FreeAlgebra) -> str:
     """Cover edges only, child -> parent; nodes carry 'id:count' labels."""
     table = valuations.weights(algebra, valuations.idempotent_euler_spec(algebra))
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for x in algebra.element_ids():
-        label = valuations.idempotent_euler_char(algebra, x, table)
-        lines.append(f'  {x} [label="{x}:{label}"];')
-    for child, parent in algebra.covers():
-        lines.append(f"  {child} -> {parent};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = [(x, f"{x}:{valuations.idempotent_euler_char(algebra, x, table)}")
+              for x in algebra.element_ids()]
+    return _digraph("hasse", labels, algebra.covers(), "rankdir=BT")
 
 
 def forest_dot(algebra: FreeAlgebra) -> str:
     """Prime filter forest; edges run child -> parent, towards the roots."""
     forest = flt.forest(algebra)
-    lines = ["digraph prime_filters {"]
-    for i, filt in enumerate(forest.filters):
-        lines.append(f'  {i} [label="gen={filt.generator}"];')
-    for i, parent in enumerate(forest.parent):
-        if parent is not None:
-            lines.append(f"  {i} -> {parent};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_export(args) -> int:
-    algebra = build(args.vars, _variant(args.variant), args.cap)
-    text = algebra_json(algebra) if args.format == "json" else hasse_dot(algebra)
-    _write(text, args.out)
-    return 0
-
-
-def _cmd_filters(args) -> int:
-    algebra = build(args.vars, _variant(args.variant), args.cap)
-    _write(forest_dot(algebra), args.out)
-    return 0
-
-
-def _answer(yes: bool) -> int:
-    print("yes" if yes else "no")
-    return 0 if yes else 1
-
-
-def _cmd_tautology(args) -> int:
-    f = fm.parse(args.formula)
-    return _answer(is_tautology(args.vars, _variant(args.variant), f))
-
-
-def _cmd_proves(args) -> int:
-    premise, conclusion = fm.parse(args.formula), fm.parse(args.conclusion)
-    return _answer(proves(args.vars, _variant(args.variant), premise, conclusion))
-
-
-def _add_algebra_options(sub) -> None:
-    sub.add_argument("--vars", type=int, required=True, help="number of generators")
-    sub.add_argument("--variant", choices=["nm", "nm-"], default="nm")
-    sub.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
-                     help="abort if the closure exceeds this many elements")
+    labels = [(i, f"gen={filt.generator}") for i, filt in enumerate(forest.filters)]
+    edges = [(i, parent) for i, parent in enumerate(forest.parent) if parent is not None]
+    return _digraph("prime_filters", labels, edges)
 
 
 @functools.cache
@@ -179,64 +157,46 @@ def _make_parser() -> argparse.ArgumentParser:
                     "lattice valuations and model counting.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    sub = {}
+    for name, func, summary, *positionals in (
+        ("eval", _cmd_eval, "evaluate a formula exactly", "formula"),
+        ("chi", _cmd_chi, "classical characteristic of a formula", "formula"),
+        ("chi-plus", _cmd_chi, "idempotent characteristic of a formula", "formula"),
+        ("count-models", _cmd_count_models, "count satisfying assignments", "formula"),
+        ("build", _cmd_build, "build a free algebra and report its size"),
+        ("export", _cmd_export, "write a free algebra as JSON or DOT"),
+        ("filters", _cmd_filters, "write the prime filter forest as DOT"),
+        ("tautology", _cmd_tautology, "decide whether a formula is a tautology", "formula"),
+        ("proves", _cmd_proves, "decide local consequence between two formulas",
+         "formula", "conclusion"),
+    ):
+        sub[name] = subs.add_parser(name, help=summary)
+        sub[name].set_defaults(func=func)
+        for positional in positionals:
+            sub[name].add_argument(positional)
 
-    p = subs.add_parser("eval", help="evaluate a formula exactly")
-    p.add_argument("formula")
-    carrier = p.add_mutually_exclusive_group()
+    carrier = sub["eval"].add_mutually_exclusive_group()
     carrier.add_argument("--chain", type=int, metavar="K",
                          help="evaluate on the K-element chain")
     carrier.add_argument("--standard", action="store_true",
                          help="evaluate on [0,1] (default)")
-    p.add_argument("--assign", action="append", default=[], metavar="xN=Q",
-                   help="variable binding: an integer, p/q or a plain decimal, "
-                        "e.g. x1=1/2; repeatable")
-    p.set_defaults(func=_cmd_eval)
-
-    p = subs.add_parser("chi", help="classical characteristic of a formula")
-    p.add_argument("formula")
-    _add_algebra_options(p)
-    p.set_defaults(func=lambda a: _cmd_chi(a, idempotent=False))
-
-    p = subs.add_parser("chi-plus", help="idempotent characteristic of a formula")
-    p.add_argument("formula")
-    _add_algebra_options(p)
-    p.set_defaults(func=lambda a: _cmd_chi(a, idempotent=True))
-
-    p = subs.add_parser("count-models", help="count satisfying assignments")
-    p.add_argument("formula")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--values", type=int, choices=[3, 2], default=3,
-                   help="assignment values: 3 for {0,1/2,1}, 2 for {0,1}")
-    p.set_defaults(func=_cmd_count_models)
-
-    p = subs.add_parser("build", help="build a free algebra and report its size")
-    _add_algebra_options(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = subs.add_parser("export", help="write a free algebra as JSON or DOT")
-    _add_algebra_options(p)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_export)
-
-    p = subs.add_parser("filters", help="write the prime filter forest as DOT")
-    _add_algebra_options(p)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_filters)
-
-    p = subs.add_parser("tautology", help="decide whether a formula is a tautology")
-    p.add_argument("formula")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--variant", choices=["nm", "nm-"], default="nm")
-    p.set_defaults(func=_cmd_tautology)
-
-    p = subs.add_parser("proves", help="decide local consequence between two formulas")
-    p.add_argument("formula")
-    p.add_argument("conclusion")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--variant", choices=["nm", "nm-"], default="nm")
-    p.set_defaults(func=_cmd_proves)
-
+    sub["eval"].add_argument("--assign", action="append", default=[], metavar="xN=Q",
+                             help="variable binding: an integer, p/q or a plain decimal, "
+                                  "e.g. x1=1/2; repeatable")
+    sub["count-models"].add_argument("--vars", type=int, required=True)
+    sub["count-models"].add_argument("--values", type=int, choices=[3, 2], default=3,
+                                     help="assignment values: 3 for {0,1/2,1}, 2 for {0,1}")
+    algebra_commands = ("chi", "chi-plus", "build", "export", "filters")
+    for name in algebra_commands + ("tautology", "proves"):
+        sub[name].add_argument("--vars", type=int, required=True,
+                               help="number of generators")
+        sub[name].add_argument("--variant", choices=["nm", "nm-"], default="nm")
+    for name in algebra_commands:
+        sub[name].add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
+                               help="abort if the closure exceeds this many elements")
+    sub["export"].add_argument("--format", choices=["json", "dot"], default="json")
+    for name in ("export", "filters"):
+        sub[name].add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
@@ -246,16 +206,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if getattr(args, "out", None) is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        return code
     except fm.ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
+        message, code = f"parse error: {err}", 2
     except ElementCapExceeded as err:
-        print(f"resource error: {err}", file=sys.stderr)
-        return 4
+        message, code = f"resource error: {err}", 4
     except (EvaluationError, ValueError, ZeroDivisionError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        message, code = f"error: {err}", 3
+    print(message, file=sys.stderr)
+    return code
 
 
 def run() -> None:

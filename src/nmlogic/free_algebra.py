@@ -374,37 +374,48 @@ class FreeAlgebra:
         and top.  With ``validate`` the set must be closed under the four
         operations, checked by :meth:`check_closed`, and the stored
         annotations are recomputed and compared.  Any mismatch raises
-        ``ValueError``.
+        ``ValueError``, as does a document that lacks a field or holds one of
+        the wrong type.
         """
-        variant = Variant(data["variant"])
-        n = int(data["n"])
-        k = generic_chain_size(n, variant)
-        if data["chain_size"] != k:
-            raise ValueError("chain size does not match generator count and variant")
-        elements = sorted(data["elements"], key=lambda e: e["id"])
-        if [e["id"] for e in elements] != list(range(len(elements))):
-            raise ValueError("element ids must be 0..N-1")
-        vectors = np.array([e["vector"] for e in elements])
-        if vectors.ndim != 2 or len(vectors) < 2 or vectors.shape[1] != k**n:
-            raise ValueError(f"expected at least two vectors of grid length {k**n}")
-        if vectors.dtype.kind not in "iu" or vectors.min() < 0 or vectors.max() > k - 1:
-            raise ValueError(f"vector entries must be integers in 0..{k - 1}")
-        if (vectors[0] != 0).any() or (vectors[1] != k - 1).any():
-            raise ValueError("elements 0 and 1 must be bottom and top")
-        algebra = cls(n, variant, vectors, provenance=None)
-        if validate:
-            if (int(data["bottom"]), int(data["top"])) != (0, 1):
-                raise ValueError("bottom and top ids must be 0 and 1")
-            try:
-                algebra.check_closed()
-            except KeyError as err:
-                raise ValueError(err.args[0]) from None
-            if [list(p) for p in algebra.covers()] != [list(p) for p in data["covers"]]:
-                raise ValueError("stored covers disagree with the order")
-            if sorted(algebra.join_irreducible_ids) != list(data["join_irreducible"]):
-                raise ValueError("stored join-irreducible flags disagree")
-            if sorted(algebra.idempotent_ids) != list(data["idempotent"]):
-                raise ValueError("stored idempotency flags disagree")
+        try:
+            variant = Variant(data["variant"])
+            n = int(data["n"])
+            if n != data["n"]:
+                raise ValueError(f"generator count must be an integer, got {data['n']!r}")
+            k = generic_chain_size(n, variant)
+            if data["chain_size"] != k:
+                raise ValueError("chain size does not match generator count and variant")
+            elements = sorted(data["elements"], key=lambda e: e["id"])
+            if [e["id"] for e in elements] != list(range(len(elements))):
+                raise ValueError("element ids must be 0..N-1")
+            vectors = np.array([e["vector"] for e in elements])
+            # As k >= 2, no n at or past the width's bit length matches it; capping
+            # the exponent keeps a huge n from costing a huge power.
+            if (vectors.ndim != 2 or len(vectors) < 2
+                    or k ** min(n, vectors.shape[1].bit_length()) != vectors.shape[1]):
+                raise ValueError(f"expected at least two vectors of grid length {k}**{n}")
+            if vectors.dtype.kind not in "iu" or vectors.min() < 0 or vectors.max() > k - 1:
+                raise ValueError(f"vector entries must be integers in 0..{k - 1}")
+            if (vectors[0] != 0).any() or (vectors[1] != k - 1).any():
+                raise ValueError("elements 0 and 1 must be bottom and top")
+            algebra = cls(n, variant, vectors, provenance=None)
+            if validate:
+                if (data["bottom"], data["top"]) != (0, 1):
+                    raise ValueError("bottom and top ids must be 0 and 1")
+                try:
+                    algebra.check_closed()
+                except KeyError as err:
+                    raise ValueError(err.args[0]) from None
+                if [list(p) for p in algebra.covers()] != [list(p) for p in data["covers"]]:
+                    raise ValueError("stored covers disagree with the order")
+                if sorted(algebra.join_irreducible_ids) != list(data["join_irreducible"]):
+                    raise ValueError("stored join-irreducible flags disagree")
+                if sorted(algebra.idempotent_ids) != list(data["idempotent"]):
+                    raise ValueError("stored idempotency flags disagree")
+        except KeyError as err:
+            raise ValueError(f"export document lacks the field {err}") from None
+        except TypeError as err:
+            raise ValueError(f"malformed export document: {err}") from None
         return algebra
 
     def check_closed(self) -> None:

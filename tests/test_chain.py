@@ -328,3 +328,15 @@ def test_grid_evaluation_matches_scalar_at_every_point(k, n, data):
                 continue
             expected = [eval_chain(f, chain, env).index for env in grid_assignments(chain, n)]
             assert eval_grid(f, chain, n).tolist() == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(formulas(max_vars=1))
+def test_grid_evaluation_past_256_elements(f):
+    # grid_coordinates picks the index dtype: uint8 up to 256 elements, wider above.
+    for k, dtype in ((256, np.uint8), (257, np.uint16), (300, np.uint16)):
+        chain = NMChain(k)
+        grid = eval_grid(f, chain, 1)
+        assert grid.dtype == dtype
+        assert grid.tolist() == [eval_chain(f, chain, env).index
+                                 for env in grid_assignments(chain, 1)]

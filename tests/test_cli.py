@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -218,6 +219,12 @@ def test_malformed_binding(capsys):
         code, out, err = run(capsys, "eval", "x1", "--assign", binding)
         assert (code, out) == (3, "") and "malformed binding" in err and reason in err
         assert "set_int_max_str_digits" not in err and len(err) < 100
+    # A value with more digits than int() converts, on both carriers.
+    for value in ("0." + "1" * 5000, "1" * 5000, "1/" + "3" * 5000):
+        for carrier in (["--standard"], ["--chain", "3"]):
+            code, out, err = run(capsys, "eval", "x1", *carrier, "--assign", f"x1={value}")
+            assert (code, out) == (3, "") and "malformed binding x1=" in err
+            assert "set_int_max_str_digits" not in err and len(err) < 100
 
 
 def test_usage_error_returns_two(capsys):
@@ -232,6 +239,31 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert code == 3 and "no binding" in err
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "eval", "x1", "--assign", "x1=1")[:2] == (0, "1\n")
+
+
+_ALGEBRA_OPTIONS = {"--vars", "--variant", "--cap"}
+_OPTIONS = {
+    "eval": {"--chain", "--standard", "--assign"},
+    "chi": _ALGEBRA_OPTIONS,
+    "chi-plus": _ALGEBRA_OPTIONS,
+    "count-models": {"--vars", "--values"},
+    "build": _ALGEBRA_OPTIONS,
+    "export": _ALGEBRA_OPTIONS | {"--format", "--out"},
+    "filters": _ALGEBRA_OPTIONS | {"--out"},
+    "tautology": {"--vars", "--variant"},
+    "proves": {"--vars", "--variant"},
+}
+
+
+def test_help_lists_each_subcommands_options(capsys):
+    assert set(_OPTIONS) == set(_FORMULA_ARGS)
+    for command, options in _OPTIONS.items():
+        code, out, _ = run(capsys, command, "-h")
+        assert code == 0
+        assert set(re.findall(r"(?<![\w-])--\w[\w-]*", out)) == options | {"--help"}
+        # The seven grid and algebra commands share one --vars declaration.
+        if "--variant" in options:
+            assert re.search(r"--vars VARS\s+number of generators", out), command
 
 
 def test_subprocess_entry_point():

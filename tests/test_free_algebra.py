@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -400,6 +401,28 @@ def test_import_rejects_tampered_annotations(nmm1, nm0):
         for validate in (True, False):
             with pytest.raises(ValueError):
                 FreeAlgebra.from_export(data, validate=validate)
+
+
+_MALFORMED_DOCUMENTS = {
+    "no elements": lambda d: {k: v for k, v in d.items() if k != "elements"},
+    "no covers": lambda d: {k: v for k, v in d.items() if k != "covers"},
+    "no bottom": lambda d: {k: v for k, v in d.items() if k != "bottom"},
+    "elements 5": lambda d: {**d, "elements": 5},
+    "string id": lambda d: {**d, "elements": [{**e, "id": "3"} if e["id"] == 3 else e
+                                              for e in d["elements"]]},
+    "covers of ints": lambda d: {**d, "covers": [1, 2]},
+    "top-level list": lambda d: [d],
+    "fractional n": lambda d: {**d, "n": 1.5},
+    "huge n": lambda d: {**d, "n": 10**6, "chain_size": 2 * 10**6 + 2},
+}
+
+
+@pytest.mark.parametrize("mutate", _MALFORMED_DOCUMENTS.values(), ids=_MALFORMED_DOCUMENTS)
+def test_import_rejects_malformed_documents_with_value_error(nmm1, mutate):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^(?!Exceeds the limit)"):
+        FreeAlgebra.from_export(mutate(nmm1.export()))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_import_rejects_a_set_that_is_not_a_lattice():
