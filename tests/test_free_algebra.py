@@ -420,9 +420,10 @@ _MALFORMED_DOCUMENTS = {
 @pytest.mark.parametrize("mutate", _MALFORMED_DOCUMENTS.values(), ids=_MALFORMED_DOCUMENTS)
 def test_import_rejects_malformed_documents_with_value_error(nmm1, mutate):
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^(?!Exceeds the limit)"):
+    with pytest.raises(ValueError) as err:
         FreeAlgebra.from_export(mutate(nmm1.export()))
     assert time.perf_counter() - start < 1.0
+    assert "set_int_max_str_digits" not in str(err.value)
 
 
 def test_import_rejects_a_set_that_is_not_a_lattice():
