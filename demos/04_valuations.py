@@ -10,7 +10,7 @@ the idempotent ones gives a valuation that counts satisfying assignments.
 
 from nmlogic import (
     AssignmentSpace, Variant, build, chi_plus_by_counting, count_models,
-    euler_char, idempotent_euler_char, idempotent_euler_spec, parse, weights,
+    euler_char, evaluate, idempotent_euler_char, idempotent_euler_spec, parse,
 )
 
 one = build(1, Variant.NM)
@@ -37,21 +37,18 @@ print("fixpoint-free excluded middle:",
       idempotent_euler_char(two_valued, two_valued.element_of(f)),
       "=", count_models(f, 1, AssignmentSpace.TWO), "Boolean models")
 
-# The same number also falls out of pure order theory: count the minimal
-# idempotent join-irreducibles below the element.
-table = weights(one, idempotent_euler_spec(one))
-assert all(
-    idempotent_euler_char(one, x, table) == chi_plus_by_counting(one, x)
-    for x in one.element_ids()
-)
+# evaluate values the whole lattice at once, one entry per element id.  The
+# same numbers also fall out of pure order theory: count the minimal
+# idempotent join-irreducibles below each element.
+values = evaluate(one, idempotent_euler_spec(one))
+assert all(values[x] == chi_plus_by_counting(one, x) for x in one.element_ids())
 print("weight route and counting route agree on all", one.size, "elements")
 
 # Rendered as the 4x4 product grid, the fixpoint-free labels form the
 # familiar diamond (rank by rank, bottom last):
 coords = {x: two_valued.vector(x)[1:3] for x in two_valued.element_ids()}
-tbl = weights(two_valued, idempotent_euler_spec(two_valued))
+labels = evaluate(two_valued, idempotent_euler_spec(two_valued))
 for rank in range(6, -1, -1):
-    row = [idempotent_euler_char(two_valued, x, tbl)
-           for x, (i, j) in sorted(coords.items(), key=lambda kv: kv[1])
+    row = [labels[x] for x, (i, j) in sorted(coords.items(), key=lambda kv: kv[1])
            if i + j == rank]
     print("rank", rank, ":", row)

@@ -59,7 +59,6 @@ from .free_algebra import (
 from .models import AssignmentSpace, count_models, enumerate_models
 from .valuations import (
     ValuationSpec,
-    WeightTable,
     chi_plus_by_counting,
     euler_char,
     euler_spec,
@@ -98,7 +97,6 @@ __all__ = [
     "ValuationSpec",
     "Var",
     "Variant",
-    "WeightTable",
     "build",
     "chi_plus_by_counting",
     "count_models",

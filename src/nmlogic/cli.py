@@ -27,6 +27,20 @@ from .free_algebra import (
 )
 
 
+MAX_MESSAGE = 120  # UTF-8 bytes of an error message; only echoed input makes one longer
+
+
+def _clip(message: str) -> str:
+    data, half = message.encode(), (MAX_MESSAGE - 5) // 2
+    ends = data[:half].decode(errors="ignore"), data[-half:].decode(errors="ignore")
+    return message if len(data) <= MAX_MESSAGE else " ... ".join(ends)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers share this class: every usage error is clipped
+        super().error(_clip(message))
+
+
 def _bindings(pairs: list[str]) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for chunk in pairs:
@@ -135,9 +149,8 @@ def _digraph(name: str, labels, edges, *attributes: str) -> str:
 
 def hasse_dot(algebra: FreeAlgebra) -> str:
     """Cover edges only, child -> parent; nodes carry 'id:count' labels."""
-    table = valuations.weights(algebra, valuations.idempotent_euler_spec(algebra))
-    labels = [(x, f"{x}:{valuations.idempotent_euler_char(algebra, x, table)}")
-              for x in algebra.element_ids()]
+    chi_plus = valuations.evaluate(algebra, valuations.idempotent_euler_spec(algebra))
+    labels = [(x, f"{x}:{value}") for x, value in enumerate(chi_plus)]
     return _digraph("hasse", labels, algebra.covers(), "rankdir=BT")
 
 
@@ -151,7 +164,7 @@ def forest_dot(algebra: FreeAlgebra) -> str:
 
 @functools.cache
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nmlogic",
         description="Nilpotent minimum logic: evaluation, free algebras, "
                     "lattice valuations and model counting.",
@@ -219,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"resource error: {err}", 4
     except (EvaluationError, ValueError, ZeroDivisionError, OSError) as err:
         message, code = f"error: {err}", 3
-    print(message, file=sys.stderr)
+    print(_clip(message), file=sys.stderr)
     return code
 
 

@@ -11,7 +11,8 @@ can be realised additively: give each join-irreducible ``g`` a weight
 Since a join-irreducible lies below ``x | y`` iff it lies below ``x`` or
 below ``y``, this sum is automatically a valuation, and solving for the
 weights along any linear extension of the join-irreducible order
-reproduces the prescribed values.
+reproduces the prescribed values.  :func:`evaluate` takes every element's
+sum at once, as one integer product of the scaled weights with ``leq_matrix``.
 
 Two concrete valuations matter here: the classical one assigning 1 to
 every join-irreducible, and the variant assigning 1 only to the idempotent
@@ -28,6 +29,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -48,51 +50,42 @@ class ValuationSpec:
         return cls(Fraction(base), {g: Fraction(v) for g, v in ji_values.items()})
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Solved weights, one per join-irreducible id."""
-
-    base: Fraction
-    by_id: Mapping[int, Fraction]
-
-    def __getitem__(self, g: int) -> Fraction:
-        return self.by_id[g]
-
-
-def weights(lattice, spec: ValuationSpec) -> WeightTable:
-    """Solve for the additive weights realising ``spec``.
+def weights(lattice, spec: ValuationSpec) -> dict[int, Fraction]:
+    """Solve for the additive weights realising ``spec``, one per join-irreducible id.
 
     Join-irreducibles are processed in a linear extension of their order;
     each weight is what remains of the prescribed value after the base and
     all strictly smaller weights are accounted for.
     """
     jis = list(lattice.join_irreducible_ids)
-    missing = [g for g in jis if g not in spec.ji_values]
-    if missing:
-        raise ValueError(f"spec is missing join-irreducibles {missing}")
-    stray = [g for g in spec.ji_values if g not in jis]
-    if stray:
-        raise ValueError(f"spec values {stray} are not join-irreducibles")
+    if set(spec.ji_values) != set(jis):
+        raise ValueError(f"spec values are on {sorted(spec.ji_values)}, "
+                         f"not exactly on the join-irreducibles {jis}")
     below = lattice.leq_matrix[np.ix_(jis, jis)]
     np.fill_diagonal(below, False)
     lower = {g: list(compress(jis, column)) for g, column in zip(jis, below.T.tolist())}
     table: dict[int, Fraction] = {}
     for g in sorted(jis, key=lambda g: len(lower[g])):
         table[g] = spec.ji_values[g] - sum((table[p] for p in lower[g]), spec.base)
-    return WeightTable(spec.base, table)
+    return table
 
 
-def evaluate(lattice, spec: ValuationSpec | None, x: int,
-             table: WeightTable | None = None) -> Fraction:
-    """Value of element ``x`` under the valuation prescribed by ``spec``.
+def evaluate(lattice, spec: ValuationSpec, table: Mapping | None = None) -> tuple:
+    """Every element's value under ``spec``, in id order.
 
-    Pass a precomputed ``table`` when valuing many elements; ``spec`` is then unread.
+    Pass ``weights(lattice, spec)`` as ``table`` when it is already at hand.
+    The values are ``int`` when the base and the weights are integral and
+    exact ``Fraction`` otherwise.
     """
     if table is None:
         table = weights(lattice, spec)
-    jis = lattice.join_irreducible_ids
-    hits = compress(jis, lattice.leq_matrix[list(jis), x].tolist())
-    return sum((table.by_id[g] for g in hits), table.base)
+    scale = math.lcm(spec.base.denominator, *(w.denominator for w in table.values()))
+    base = int(spec.base * scale)
+    row = [int(w * scale) for w in table.values()]
+    # Python ints once a sum could pass int64; the values stay exact either way.
+    wide = abs(base) + sum(map(abs, row)) >= 2**63
+    sums = np.array(row, dtype=object if wide else np.int64) @ lattice.leq_matrix[list(table)]
+    return tuple(s if scale == 1 else Fraction(s, scale) for s in (sums + base).tolist())
 
 
 def euler_spec(lattice) -> ValuationSpec:
@@ -102,27 +95,22 @@ def euler_spec(lattice) -> ValuationSpec:
 
 def idempotent_euler_spec(lattice) -> ValuationSpec:
     """Value 1 on idempotent join-irreducibles only, 0 elsewhere and at bottom."""
-    return ValuationSpec.of(
-        0,
-        {g: int(lattice.is_idempotent(g)) for g in lattice.join_irreducible_ids},
-    )
+    flags = {g: int(lattice.is_idempotent(g)) for g in lattice.join_irreducible_ids}
+    return ValuationSpec.of(0, flags)
 
 
-def _characteristic(lattice, spec_of, x: int, table: WeightTable | None) -> int:
-    """``x``'s value as an int; ``spec_of`` builds the spec only when no table is passed."""
-    value = evaluate(lattice, spec_of(lattice) if table is None else None, x, table)
-    assert value.denominator == 1
-    return int(value)
-
-
-def euler_char(lattice, x: int, table: WeightTable | None = None) -> int:
+def euler_char(lattice, x: int, table: Mapping | None = None) -> int:
     """The classical characteristic of ``x``; always an integer."""
-    return _characteristic(lattice, euler_spec, x, table)
+    value = evaluate(lattice, euler_spec(lattice), table)[x]
+    assert isinstance(value, int)
+    return value
 
 
-def idempotent_euler_char(lattice, x: int, table: WeightTable | None = None) -> int:
+def idempotent_euler_char(lattice, x: int, table: Mapping | None = None) -> int:
     """The idempotent variant of the characteristic; always an integer."""
-    return _characteristic(lattice, idempotent_euler_spec, x, table)
+    value = evaluate(lattice, idempotent_euler_spec(lattice), table)[x]
+    assert isinstance(value, int)
+    return value
 
 
 def chi_plus_by_counting(algebra, x: int) -> int:

@@ -30,7 +30,6 @@ from nmlogic import (
     parse,
     quotient_by_maximal,
     random_formula,
-    weights,
 )
 
 ALPHA = parse("(x1 <-> ~x1)^2 & x1")
@@ -70,10 +69,10 @@ def test_c01_cardinalities():
 
 @criterion("c02", "rank-by-rank label multisets on the 16-element product grid")
 def test_c02_product_grid_labels(nmm1):
-    table = weights(nmm1, idempotent_euler_spec(nmm1))
+    values = evaluate(nmm1, idempotent_euler_spec(nmm1))
     by_rank = defaultdict(list)
     for x in nmm1.element_ids():
-        by_rank[nmm1.heights[x]].append(idempotent_euler_char(nmm1, x, table))
+        by_rank[nmm1.heights[x]].append(values[x])
     assert {rank: sorted(labels) for rank, labels in by_rank.items()} == {
         6: [2], 5: [2, 2], 4: [1, 1, 2], 3: [1, 1, 1, 1],
         2: [0, 1, 1], 1: [0, 0], 0: [0],
@@ -95,17 +94,12 @@ def _random_formulas(n, count, seed):
 
 
 def _oracle_equivalence(algebra, space, seed):
-    table = weights(algebra, idempotent_euler_spec(algebra))
+    values = evaluate(algebra, idempotent_euler_spec(algebra))
     for x in algebra.element_ids():
         f = algebra.representative_formula(x)
-        assert idempotent_euler_char(algebra, x, table) == count_models(
-            f, algebra.n, space
-        ), f"element {x}"
+        assert values[x] == count_models(f, algebra.n, space), f"element {x}"
     for f in _random_formulas(algebra.n, 200, seed):
-        x = algebra.element_of(f)
-        assert idempotent_euler_char(algebra, x, table) == count_models(
-            f, algebra.n, space
-        )
+        assert values[algebra.element_of(f)] == count_models(f, algebra.n, space)
 
 
 @criterion("c04", "three-valued model count equals the idempotent characteristic "
@@ -130,29 +124,22 @@ def test_c05_two_valued_equivalence(nmm1, nm1, nm0, nmm0):
 @criterion("c06", "the idempotent characteristic is invariant under self-fusion")
 def test_c06_square_invariance(nm1, nmm1):
     for algebra in (nm1, nmm1):
-        table = weights(algebra, idempotent_euler_spec(algebra))
+        values = evaluate(algebra, idempotent_euler_spec(algebra))
         for x in algebra.element_ids():
-            assert idempotent_euler_char(
-                algebra, algebra.tnorm(x, x), table
-            ) == idempotent_euler_char(algebra, x, table)
+            assert values[algebra.tnorm(x, x)] == values[x]
 
 
 @criterion("c07", "weight route and minimal-generator counting agree everywhere")
 def test_c07_two_path_agreement(nm1, nmm1):
     for algebra in (nm1, nmm1):
-        table = weights(algebra, idempotent_euler_spec(algebra))
+        values = evaluate(algebra, idempotent_euler_spec(algebra))
         for x in algebra.element_ids():
-            assert idempotent_euler_char(algebra, x, table) == chi_plus_by_counting(
-                algebra, x
-            )
+            assert values[x] == chi_plus_by_counting(algebra, x)
 
 
 def _modularity(algebra):
     for spec in (euler_spec(algebra), idempotent_euler_spec(algebra)):
-        table = weights(algebra, spec)
-        values = np.array(
-            [int(evaluate(algebra, spec, x, table)) for x in algebra.element_ids()]
-        )
+        values = np.array(evaluate(algebra, spec))
         n = algebra.size
         meet = np.zeros((n, n), dtype=np.int64)
         join = np.zeros((n, n), dtype=np.int64)
@@ -245,26 +232,18 @@ def test_c12_two_generator_stretch():
 
     # Derived artifact, never asserted against a published figure.
     size = algebra.size
-    table = weights(algebra, idempotent_euler_spec(algebra))
+    values = evaluate(algebra, idempotent_euler_spec(algebra))
     rng = Random(3003)
     sample = sorted(rng.sample(range(size), min(500, size)))
     for x in sample:
-        value = idempotent_euler_char(algebra, x, table)
-        assert value == count_models(
+        assert values[x] == count_models(
             algebra.representative_formula(x), 2, AssignmentSpace.THREE
         )
-        assert value == idempotent_euler_char(algebra, algebra.tnorm(x, x), table)
+        assert values[x] == values[algebra.tnorm(x, x)]
     for _ in range(200):
         f = random_formula(rng, 2, rng.randrange(8))
-        assert idempotent_euler_char(
-            algebra, algebra.element_of(f), table
-        ) == count_models(f, 2, AssignmentSpace.THREE)
-    spec = idempotent_euler_spec(algebra)
+        assert values[algebra.element_of(f)] == count_models(f, 2, AssignmentSpace.THREE)
     for _ in range(500):
         x, y = rng.choice(sample), rng.choice(sample)
-        lhs = evaluate(algebra, spec, x, table) + evaluate(algebra, spec, y, table)
-        rhs = evaluate(algebra, spec, algebra.join(x, y), table) + evaluate(
-            algebra, spec, algebra.meet(x, y), table
-        )
-        assert lhs == rhs
+        assert values[x] + values[y] == values[algebra.join(x, y)] + values[algebra.meet(x, y)]
     return f"completed: derived size {size}, sampled checks pass"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_formula import formulas
@@ -227,6 +228,27 @@ def test_malformed_binding(capsys):
             assert "set_int_max_str_digits" not in err and len(err) < 100
 
 
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["eval", "x1", "--assign", "x1=" + "a" * 6000], 3, id="letters-value"),
+    pytest.param(["eval", "x1", "--chain", "9" * 5000], 2, id="long-chain"),
+    pytest.param(["chi", "x1", "--vars", "9" * 5000], 2, id="long-vars"),
+    pytest.param(["build", "--vars", "1", "--variant", "a" * 6000], 2, id="bad-variant"),
+    pytest.param(["build", "--vars", "1", "a" * 6000], 2, id="unrecognised-argument"),
+    pytest.param(["a" * 6000], 2, id="unknown-command"),
+    pytest.param(["eval", "x1", "--assign", "a" * 6000], 3, id="letters-binding"),
+    pytest.param(["eval", "x1", "--chain", "3", "--assign", "x1=0." + "1" * 4000], 3,
+                 id="off-chain-value"),
+    pytest.param(["eval", "x1", "--assign", "x1=2." + "1" * 4000], 3, id="above-one"),
+    # Four UTF-8 bytes a character: the clip counts bytes, not characters.
+    pytest.param(["export", "--vars", "1", "--format", "\U0001f600" * 6000], 2,
+                 id="four-byte-choice"),
+])
+def test_echoed_input_leaves_stderr_bounded(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert len(err.encode()) < 400 and " ... " in err
+
+
 def test_usage_error_returns_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -301,7 +323,8 @@ _BINDING = st.builds(
     "{}={}".format,
     st.sampled_from(["x1", "x2", "x3", "x0", "y", LONG_INDEX]),
     st.one_of(st.fractions(0, 1, max_denominator=6).map(str),
-              st.sampled_from(["0.25", "1e-999999999", "-1", "2", "abc", "1/0", ""])),
+              st.sampled_from(["0.25", "1e-999999999", "-1", "2", "abc", "1/0", "",
+                               "a" * 6000, "0." + "1" * 4000])),
 )
 
 
@@ -311,7 +334,8 @@ def _argv(draw):
     argv = [command] + [draw(_FORMULA_TEXT) for _ in range(_FORMULA_ARGS[command])]
     if command == "eval":
         if draw(st.booleans()):
-            argv += ["--chain", str(draw(st.integers(-1, 7)))]
+            argv += ["--chain", draw(st.one_of(st.integers(-1, 7).map(str),
+                                               st.just("9" * 5000)))]
         for binding in draw(st.lists(_BINDING, max_size=3)):
             argv += ["--assign", binding]
         return argv
@@ -340,7 +364,9 @@ def test_cli_fuzz_ends_in_an_exit_code(argv, tmp_path):
     argv = [str(tmp_path / a) if i and argv[i - 1] == "--out" else a
             for i, a in enumerate(argv)]
     start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in range(5)
     assert time.perf_counter() - start < 5.0
+    assert len(err.getvalue().encode()) < 400

@@ -6,6 +6,7 @@ import pytest
 
 from nmlogic import (
     ValuationSpec,
+    Variant,
     chi_plus_by_counting,
     euler_char,
     euler_spec,
@@ -15,6 +16,7 @@ from nmlogic import (
     parse,
     weights,
 )
+from nmlogic.chain import grid_coordinates as chain_grid
 
 
 class StubLattice:
@@ -82,18 +84,28 @@ def test_weights_requires_exactly_the_join_irreducibles():
 
 def test_evaluate_agrees_with_spec_on_stub():
     spec = ValuationSpec.of(Fraction(1, 3), {1: Fraction(3, 2), 2: -1, 4: 7})
-    table = weights(V_SHAPE, spec)
-    assert evaluate(V_SHAPE, spec, 0, table) == Fraction(1, 3)
+    values = evaluate(V_SHAPE, spec)
+    assert values == evaluate(V_SHAPE, spec, weights(V_SHAPE, spec))
+    assert values[0] == Fraction(1, 3)
     for g in V_SHAPE.join_irreducible_ids:
-        assert evaluate(V_SHAPE, spec, g, table) == spec.ji_values[g]
+        assert values[g] == spec.ji_values[g]
     # Modularity across every pair, including the reducible elements.
     for x in V_SHAPE.element_ids():
         for y in V_SHAPE.element_ids():
-            lhs = evaluate(V_SHAPE, spec, x, table) + evaluate(V_SHAPE, spec, y, table)
-            rhs = evaluate(V_SHAPE, spec, V_SHAPE.join(x, y), table) + evaluate(
-                V_SHAPE, spec, V_SHAPE.meet(x, y), table
-            )
+            lhs = values[x] + values[y]
+            rhs = values[V_SHAPE.join(x, y)] + values[V_SHAPE.meet(x, y)]
             assert lhs == rhs
+
+
+def test_evaluate_is_exact_past_int64_and_with_thirds():
+    # Element 3 = 1 v 2 sums to 2**63, one past int64.
+    big = evaluate(V_SHAPE, ValuationSpec.of(0, {1: 2**62, 2: 2**62, 4: 2**62}))
+    assert big == (0, 2**62, 2**62, 2**63, 2**62)
+    assert all(type(v) is int for v in big)
+    thirds = evaluate(V_SHAPE, ValuationSpec.of(Fraction(1, 3), {1: Fraction(2, 3), 2: 1,
+                                                                 4: Fraction(-1, 3)}))
+    assert thirds == tuple(Fraction(v, 3) for v in (1, 2, 3, 4, -1))
+    assert all(type(v) is Fraction for v in thirds)
 
 
 ALPHA = parse("(x1 <-> ~x1)^2 & x1")
@@ -102,18 +114,19 @@ ALPHA = parse("(x1 <-> ~x1)^2 & x1")
 def test_euler_char_examples(nm1):
     assert euler_char(nm1, nm1.bottom_id) == 0
     assert euler_char(nm1, nm1.element_of(ALPHA)) == 1
-    table = weights(nm1, euler_spec(nm1))
+    assert euler_char(nm1, nm1.element_of(ALPHA), weights(nm1, euler_spec(nm1))) == 1
+    values = evaluate(nm1, euler_spec(nm1))
     for g in nm1.join_irreducible_ids:
-        assert euler_char(nm1, g, table) == 1
+        assert values[g] == 1
 
 
 def test_idempotent_euler_char_examples(nm1):
     assert idempotent_euler_char(nm1, nm1.top_id) == 3
     assert idempotent_euler_char(nm1, nm1.element_of(ALPHA)) == 0
-    table = weights(nm1, idempotent_euler_spec(nm1))
+    values = evaluate(nm1, idempotent_euler_spec(nm1))
     for g in nm1.join_irreducible_ids:
         expected = 1 if nm1.is_idempotent(g) else 0
-        assert idempotent_euler_char(nm1, g, table) == expected
+        assert values[g] == expected
 
 
 def test_alpha_separates_the_two_valuations(nm1):
@@ -130,16 +143,16 @@ def grid_coordinates(nmm1):
 
 def test_product_grid_labels(nmm1):
     # On the 4x4 product grid the label of (i, j) is [i>=2] + [j>=2].
-    table = weights(nmm1, idempotent_euler_spec(nmm1))
+    values = evaluate(nmm1, idempotent_euler_spec(nmm1))
     for x, (i, j) in grid_coordinates(nmm1).items():
-        assert idempotent_euler_char(nmm1, x, table) == (i >= 2) + (j >= 2)
+        assert values[x] == (i >= 2) + (j >= 2)
 
 
 def test_rank_label_multisets(nmm1):
-    table = weights(nmm1, idempotent_euler_spec(nmm1))
+    values = evaluate(nmm1, idempotent_euler_spec(nmm1))
     by_rank = defaultdict(list)
     for x in nmm1.element_ids():
-        by_rank[nmm1.heights[x]].append(idempotent_euler_char(nmm1, x, table))
+        by_rank[nmm1.heights[x]].append(values[x])
     assert {rank: sorted(labels) for rank, labels in by_rank.items()} == {
         0: [0],
         1: [0, 0],
@@ -154,9 +167,9 @@ def test_rank_label_multisets(nmm1):
 @pytest.mark.parametrize("fixture", ["nm1", "nmm1", "nm0", "nmm0"])
 def test_counting_route_agrees_with_weight_route(fixture, request):
     algebra = request.getfixturevalue(fixture)
-    table = weights(algebra, idempotent_euler_spec(algebra))
+    values = evaluate(algebra, idempotent_euler_spec(algebra))
     for x in algebra.element_ids():
-        assert idempotent_euler_char(algebra, x, table) == chi_plus_by_counting(algebra, x)
+        assert values[x] == chi_plus_by_counting(algebra, x)
 
 
 def test_counting_examples(nm1, nmm1):
@@ -172,8 +185,7 @@ def test_counting_examples(nm1, nmm1):
 def test_modularity_on_all_pairs(fixture, request):
     algebra = request.getfixturevalue(fixture)
     for spec in (euler_spec(algebra), idempotent_euler_spec(algebra)):
-        table = weights(algebra, spec)
-        values = [evaluate(algebra, spec, x, table) for x in algebra.element_ids()]
+        values = evaluate(algebra, spec)
         for x in algebra.element_ids():
             for y in algebra.element_ids():
                 lhs = values[x] + values[y]
@@ -184,16 +196,25 @@ def test_modularity_on_all_pairs(fixture, request):
 @pytest.mark.parametrize("fixture", ["nm1", "nmm1"])
 def test_square_invariance(fixture, request):
     algebra = request.getfixturevalue(fixture)
-    table = weights(algebra, idempotent_euler_spec(algebra))
+    values = evaluate(algebra, idempotent_euler_spec(algebra))
     for x in algebra.element_ids():
-        squared = algebra.tnorm(x, x)
-        assert idempotent_euler_char(algebra, squared, table) == idempotent_euler_char(
-            algebra, x, table
-        )
+        assert values[algebra.tnorm(x, x)] == values[x]
 
 
 def test_valuation_of_formula_examples(nm1):
-    spec = idempotent_euler_spec(nm1)
-    assert evaluate(nm1, spec, nm1.element_of(parse("x1 | ~x1"))) == 2
-    assert evaluate(nm1, spec, nm1.element_of(parse("0"))) == 0
-    assert evaluate(nm1, spec, nm1.element_of(parse("x1"))) == 1
+    values = evaluate(nm1, idempotent_euler_spec(nm1))
+    assert values[nm1.element_of(parse("x1 | ~x1"))] == 2
+    assert values[nm1.element_of(parse("0"))] == 0
+    assert values[nm1.element_of(parse("x1"))] == 1
+
+
+@pytest.mark.parametrize("fixture", ["nm0", "nmm0", "nm1", "nmm1"])
+def test_idempotent_values_are_model_counts_read_off_the_vectors(fixture, request):
+    # No order structure: count the {0, 1/2, 1}^n (nm- {0, 1}^n) grid points
+    # where each element's truth vector is top.
+    algebra = request.getfixturevalue(fixture)
+    top = algebra.chain.size - 1
+    allowed = [0, top // 2, top] if algebra.variant is Variant.NM else [0, top]
+    models = np.isin(chain_grid(algebra.chain.size, algebra.n), allowed).all(axis=0)
+    counts = (algebra.vectors[:, models] == top).sum(axis=1)
+    assert evaluate(algebra, idempotent_euler_spec(algebra)) == tuple(counts.tolist())
