@@ -27,7 +27,7 @@ from .free_algebra import (
 )
 
 
-MAX_MESSAGE = 120  # UTF-8 bytes of an error message; only echoed input makes one longer
+MAX_MESSAGE = 160  # UTF-8 bytes of an error message; only long echoed input makes one longer
 
 
 def _clip(message: str) -> str:
@@ -51,26 +51,21 @@ def _bindings(pairs: list[str]) -> dict[int, Fraction]:
             name, _, value = item.partition("=")
             if not name.startswith("x") or not name[1:].isdecimal() or not value:
                 raise ValueError(f"malformed binding {item!r}, expected xN=VALUE")
-            try:
-                index = int(name[1:])
-            except ValueError:  # more digits than int() converts
-                raise ValueError(
-                    f"malformed binding {name[:9]}...: variable index is too long"
-                ) from None
-            if index < 1:
-                raise ValueError(f"variable index must be >= 1 in {item!r}")
             # Fraction would expand an exponent such as 1e-999999999 in full.
             if "e" in value.lower():
                 raise ValueError(
                     f"exponent notation in {item!r}; write an integer, p/q or a plain decimal"
                 )
             try:
-                out[index] = Fraction(value)
+                index, number = int(name[1:]), Fraction(value)
             except ValueError as err:
                 # Past int()'s digit limit, Python's message is advice to raise it.
                 if "set_int_max_str_digits" not in str(err):
                     raise
-                raise ValueError(f"malformed binding {name}=...: value is too long") from None
+                raise ValueError(f"malformed binding {name[:9]}=...: number too long") from None
+            if index < 1:
+                raise ValueError(f"variable index must be >= 1 in {item!r}")
+            out[index] = number
     return out
 
 

@@ -59,8 +59,7 @@ def weights(lattice, spec: ValuationSpec) -> dict[int, Fraction]:
     """
     jis = list(lattice.join_irreducible_ids)
     if set(spec.ji_values) != set(jis):
-        raise ValueError(f"spec values are on {sorted(spec.ji_values)}, "
-                         f"not exactly on the join-irreducibles {jis}")
+        raise ValueError(f"spec missing or stray at ids {sorted(set(jis) ^ set(spec.ji_values))}")
     below = lattice.leq_matrix[np.ix_(jis, jis)]
     np.fill_diagonal(below, False)
     lower = {g: list(compress(jis, column)) for g, column in zip(jis, below.T.tolist())}
@@ -95,8 +94,10 @@ def euler_spec(lattice) -> ValuationSpec:
 
 def idempotent_euler_spec(lattice) -> ValuationSpec:
     """Value 1 on idempotent join-irreducibles only, 0 elsewhere and at bottom."""
-    flags = {g: int(lattice.is_idempotent(g)) for g in lattice.join_irreducible_ids}
-    return ValuationSpec.of(0, flags)
+    return ValuationSpec.of(
+        0,
+        {g: int(lattice.is_idempotent(g)) for g in lattice.join_irreducible_ids},
+    )
 
 
 def euler_char(lattice, x: int, table: Mapping | None = None) -> int:
@@ -106,9 +107,9 @@ def euler_char(lattice, x: int, table: Mapping | None = None) -> int:
     return value
 
 
-def idempotent_euler_char(lattice, x: int, table: Mapping | None = None) -> int:
+def idempotent_euler_char(lattice, x: int) -> int:
     """The idempotent variant of the characteristic; always an integer."""
-    value = evaluate(lattice, idempotent_euler_spec(lattice), table)[x]
+    value = evaluate(lattice, idempotent_euler_spec(lattice))[x]
     assert isinstance(value, int)
     return value
 

@@ -252,6 +252,14 @@ def test_echoed_input_leaves_stderr_bounded(capsys, argv, code):
 def test_usage_error_returns_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    # argparse lists every subcommand for a mistyped one; the clip must cut none.
+    code, out, err = run(capsys, "foo")
+    assert (code, out) == (2, "") and " ... " not in err
+    message = err.splitlines()[-1]
+    assert "invalid choice" in message and message.endswith(")")
+    for name in ("eval", "chi", "chi-plus", "count-models", "build", "export", "filters",
+                 "tautology", "proves"):
+        assert any(f"{name}{end}" in message for end in (",", "',", ")", "')"))
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):

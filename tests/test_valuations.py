@@ -76,9 +76,10 @@ def test_weights_chain_of_join_irreducibles():
 
 
 def test_weights_requires_exactly_the_join_irreducibles():
-    with pytest.raises(ValueError):
+    # The message names only the ids that are missing or stray.
+    with pytest.raises(ValueError, match=r"at ids \[2, 4\]$"):
         weights(V_SHAPE, ValuationSpec.of(0, {1: 1}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"at ids \[3\]$"):
         weights(V_SHAPE, ValuationSpec.of(0, {1: 1, 2: 1, 3: 1, 4: 1}))
 
 
