@@ -18,12 +18,20 @@ and ``top - min(x, top - y) * (x > y)``, as ``top - max(~x, y) = min(x, ~y)``;
 every intermediate lies in ``0 .. top``, so with a Python int ``top`` they
 are exact in the operands' own dtype (uint8 vectors, int64 ranks).
 
-A third algebra holds index arrays, one entry per grid point, under
+On scalars the two formulas have one body, the cached namespace
+``_index_algebra(top)`` over plain int indices; :class:`NMChain`'s
+connectives check that their operands belong to the chain and wrap its
+results in :class:`ChainValue`, and :func:`eval_chain` checks the assignment
+once, evaluates on the bare indices and wraps only the result.
+
+A further algebra holds index arrays, one entry per grid point, under
 ``np.minimum``, ``np.maximum``, :func:`tnorm_block`, :func:`residuum_block`
-and ``top - a``; :func:`eval_grid` evaluates in it.  All three go through
-:func:`nmlogic.formula.evaluate`.  :func:`grid_coordinates` owns the grid
-order and the index dtype (uint8 up to 256 elements), and refuses grids
-above ``MAX_GRID_POINTS`` before allocating.
+and ``top - a``; :func:`eval_grid` evaluates in it.  All of them go through
+:func:`nmlogic.formula.evaluate`, which runs each formula's compiled
+:func:`nmlogic.formula.program`.  :func:`grid_coordinates` owns the grid
+order and the index dtype (uint8 up to 256 elements), and
+:func:`grid_points` refuses grids above ``MAX_GRID_POINTS`` before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ class NMChain:
         self.size = size
         self.bottom = ChainValue(0, size)
         self.top = ChainValue(size - 1, size)
+        self._ops = _index_algebra(size - 1)
 
     def __repr__(self) -> str:
         return f"NMChain({self.size})"
@@ -104,39 +113,43 @@ class NMChain:
                     f"value from chain of size {x.size} used in chain of size {self.size}"
                 )
 
+    def _lift(self, op, *xs: ChainValue) -> ChainValue:
+        self._own(*xs)
+        return ChainValue(op(*(x.index for x in xs)), self.size)
+
     def neg(self, x: ChainValue) -> ChainValue:
-        self._own(x)
-        return ChainValue(self.size - 1 - x.index, self.size)
+        return self._lift(self._ops.neg, x)
 
     def meet(self, x: ChainValue, y: ChainValue) -> ChainValue:
-        self._own(x, y)
-        return x if x.index <= y.index else y
+        return self._lift(self._ops.meet, x, y)
 
     def join(self, x: ChainValue, y: ChainValue) -> ChainValue:
-        self._own(x, y)
-        return x if x.index >= y.index else y
+        return self._lift(self._ops.join, x, y)
 
     def tnorm(self, x: ChainValue, y: ChainValue) -> ChainValue:
         """Fusion: min of the arguments when x exceeds ~y, else bottom."""
-        self._own(x, y)
-        if x.index + y.index > self.size - 1:
-            return self.meet(x, y)
-        return self.bottom
+        return self._lift(self._ops.tnorm, x, y)
 
     def residuum(self, x: ChainValue, y: ChainValue) -> ChainValue:
         """Implication: top when x <= y, else max(~x, y)."""
-        self._own(x, y)
-        if x.index <= y.index:
-            return self.top
-        return ChainValue(max(self.size - 1 - x.index, y.index), self.size)
+        return self._lift(self._ops.residuum, x, y)
 
 
-def grid_coordinates(size: int, n: int) -> np.ndarray:
-    """Row ``i - 1`` holds ``x{i}`` at every point of the ``size``-chain grid.
+@functools.cache
+def _index_algebra(top: int) -> SimpleNamespace:
+    """The chain with top index ``top`` on plain int indices."""
+    return SimpleNamespace(
+        bottom=0, top=top, neg=lambda x: top - x, meet=min, join=max,
+        tnorm=lambda x, y: min(x, y) if x + y > top else 0,
+        residuum=lambda x, y: top if x <= y else max(top - x, y),
+    )
 
-    This is the one place the grid order is fixed: position ``j`` of a truth
-    vector, of an exported vector and of a model enumeration is column
-    ``j``, in lexicographic order with ``x1`` the most significant.
+
+def grid_points(size: int, n: int) -> int:
+    """The number of points of the ``n``-variable grid over a ``size``-chain.
+
+    Raises ``ValueError`` for a negative ``n`` or a grid above
+    ``MAX_GRID_POINTS``; nothing is allocated.
     """
     if n < 0:
         raise ValueError(f"variable count must be >= 0, got {n}")
@@ -146,7 +159,18 @@ def grid_coordinates(size: int, n: int) -> np.ndarray:
         raise ValueError(
             f"the {n}-variable grid over a {size}-chain exceeds {MAX_GRID_POINTS} points"
         )
-    return np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, size**n)
+    return size**n
+
+
+def grid_coordinates(size: int, n: int) -> np.ndarray:
+    """Row ``i - 1`` holds ``x{i}`` at every point of the ``size``-chain grid.
+
+    This is the one place the grid order is fixed: position ``j`` of a truth
+    vector, of an exported vector and of a model enumeration is column
+    ``j``, in lexicographic order with ``x1`` the most significant.
+    """
+    points = grid_points(size, n)
+    return np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, points)
 
 
 def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
@@ -206,13 +230,12 @@ def eval_chain(
 
     Sugar connectives are interpreted directly (disjunction as join,
     negation as index reflection, and so on), which agrees with evaluating
-    the desugared formula.
+    the desugared formula.  The assignment is checked once; evaluation runs
+    on its bare indices and only the result becomes a :class:`ChainValue`.
     """
-    for value in assignment.values():
-        chain._own(value)
-    result = evaluate(f, chain, assignment)
-    assert isinstance(result, ChainValue)
-    return result
+    chain._own(*assignment.values())
+    env = {var: value.index for var, value in assignment.items()}
+    return ChainValue(evaluate(f, _index_algebra(chain.size - 1), env), chain.size)
 
 
 def eval_standard(f: Formula, assignment: Mapping[int, Fraction]) -> Fraction:

@@ -32,10 +32,13 @@ and the printer read too.  Parsing, evaluation and printing are all
 iterative, so nesting depth is limited by memory alone.
 
 The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``) are kept as
-explicit tree nodes.  :func:`evaluate` is the one walk that interprets them,
-iteratively and in any algebra; :func:`desugar`, the rewrite into the core
-fragment {Var, Bot, And, Strong, Implies}, is evaluation in the algebra of
-core formulas.
+explicit tree nodes.  :func:`program` compiles a formula in one walk into a
+flat tuple of steps, one per distinct node, and remembers the last formula
+it compiled, matched by identity; :func:`evaluate`, the one interpreter,
+runs that program in any algebra.  So evaluating one formula at many points
+walks its tree once.  :func:`desugar`, the rewrite into the core fragment
+{Var, Bot, And, Strong, Implies}, is evaluation in the algebra of core
+formulas.
 """
 
 from __future__ import annotations
@@ -279,40 +282,78 @@ class EvaluationError(ValueError):
     """An assignment is missing a binding or holds an out-of-range value."""
 
 
-def evaluate(f: Formula, algebra, env: Mapping[int, object]):
-    """The value of ``f`` in ``algebra`` (bottom, top, neg, meet, join, tnorm,
-    residuum) with ``x{i}`` bound to ``env[i]``; one value per distinct node."""
-    values: dict[int, object] = {}
+# The last formula compiled and its program, starting from a sentinel no
+# caller holds.  One assignment replaces the pair, so no reader sees a
+# mismatched one; it is matched by identity alone, as dataclass equality
+# recurses, and holding ``f`` keeps its id from being reused.
+_last: tuple = (object(), ())
+
+
+def program(f: Formula) -> tuple:
+    """``f`` compiled: one ``(node class, operand slot, operand slot)`` step
+    per distinct node, children before parents, ``f`` last.
+
+    A step's slots index earlier steps; ``Not`` and ``Square`` repeat their
+    one slot, a ``Var`` step carries the variable index instead and the
+    constants carry nothing.  The last formula compiled is remembered, so
+    evaluating one formula many times walks it once.  Raises ``TypeError``
+    on a node that is not a formula.
+    """
+    global _last
+    last, code = _last
+    if last is f:
+        return code
+    slots: dict[int, int] = {}
+    steps = []
     for node in subformulas(f):
         kind = type(node)
-        if kind is Var:
-            try:
-                value = env[node.index]
-            except KeyError:
-                raise EvaluationError(f"no binding for variable x{node.index}") from None
-        elif kind is Bot:
-            value = algebra.bottom
-        elif kind is Top:
-            value = algebra.top
-        elif kind is Not:
-            value = algebra.neg(values[id(node.child)])
-        elif kind is Square:
-            value = algebra.tnorm(values[id(node.child)], values[id(node.child)])
-        elif kind is And:
-            value = algebra.meet(values[id(node.left)], values[id(node.right)])
-        elif kind is Or:
-            value = algebra.join(values[id(node.left)], values[id(node.right)])
-        elif kind is Strong:
-            value = algebra.tnorm(values[id(node.left)], values[id(node.right)])
-        elif kind is Implies:
-            value = algebra.residuum(values[id(node.left)], values[id(node.right)])
-        elif kind is Iff:
-            left, right = values[id(node.left)], values[id(node.right)]
-            value = algebra.tnorm(algebra.residuum(left, right), algebra.residuum(right, left))
+        if kind in _BINARY:
+            step = (kind, slots[id(node.left)], slots[id(node.right)])
+        elif kind is Not or kind is Square:
+            step = (kind, slots[id(node.child)], slots[id(node.child)])
+        elif kind is Var:
+            step = (Var, node.index, None)
+        elif kind is Bot or kind is Top:
+            step = (kind, None, None)
         else:
             raise TypeError(f"not a formula node: {node!r}")
-        values[id(node)] = value
-    return values[id(f)]
+        slots[id(node)] = len(steps)
+        steps.append(step)
+    code = tuple(steps)
+    _last = (f, code)
+    return code
+
+
+def evaluate(f: Formula, algebra, env: Mapping[int, object]):
+    """The value of ``f`` in ``algebra`` (bottom, top, neg, meet, join, tnorm,
+    residuum) with ``x{i}`` bound to ``env[i]``: one loop over
+    :func:`program`, one value per distinct node."""
+    values: list = []
+    push = values.append
+    for kind, a, b in program(f):
+        if kind is Var:
+            try:
+                push(env[a])
+            except KeyError:
+                raise EvaluationError(f"no binding for variable x{a}") from None
+        elif kind is And:
+            push(algebra.meet(values[a], values[b]))
+        elif kind is Or:
+            push(algebra.join(values[a], values[b]))
+        elif kind is Strong or kind is Square:
+            push(algebra.tnorm(values[a], values[b]))
+        elif kind is Implies:
+            push(algebra.residuum(values[a], values[b]))
+        elif kind is Not:
+            push(algebra.neg(values[a]))
+        elif kind is Iff:
+            left, right = values[a], values[b]
+            push(algebra.tnorm(algebra.residuum(left, right), algebra.residuum(right, left)))
+        elif kind is Bot:
+            push(algebra.bottom)
+        else:
+            push(algebra.top)
+    return values[-1]
 
 
 # Evaluating in this algebra builds the defining term of each connective.

@@ -4,9 +4,10 @@ Assignments draw values from one of two carriers: the three-element chain
 {0, 1/2, 1} or the two-element chain {0, 1}.  Evaluation stays scalar on
 purpose, one :func:`nmlogic.chain.eval_chain` per grid point, so this route
 is independent of the array evaluation, free-algebra and valuation
-machinery it is used to cross-check.  That costs grid points times formula
-nodes, so a request above ``MAX_SCALAR_WORK`` is refused before any
-evaluation.
+machinery it is used to cross-check.  The formula is compiled once by
+:func:`nmlogic.formula.program`, and each point runs that program.  The
+cost is grid points times formula nodes, so a request above
+``MAX_SCALAR_WORK`` is refused before the grid is built.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator
 
-from .chain import ChainValue, NMChain, eval_chain, grid_assignments
-from .formula import Formula, subformulas
+from .chain import ChainValue, NMChain, eval_chain, grid_assignments, grid_points
+from .formula import Formula, program
 
 # Grid points times distinct formula nodes allowed on the scalar route.  The
 # worst accepted request, one node over 2**16 points of {0, 1}, takes well
@@ -36,15 +37,14 @@ class AssignmentSpace(Enum):
 
 def _assignments(f: Formula, n: int, chain: NMChain) -> Iterator[dict[int, ChainValue]]:
     """``grid_assignments(chain, n)``, once the scalar work of ``f`` on it is
-    known to fit the budget."""
-    assignments = grid_assignments(chain, n)
-    points, nodes = chain.size**n, sum(1 for _ in subformulas(f))
+    known to fit the budget; nothing is allocated before that."""
+    points, nodes = grid_points(chain.size, n), len(program(f))
     if points * nodes > MAX_SCALAR_WORK:
         raise ValueError(
             f"{points} points times {nodes} formula nodes exceeds the scalar "
             f"budget of {MAX_SCALAR_WORK}"
         )
-    return assignments
+    return grid_assignments(chain, n)
 
 
 def enumerate_models(

@@ -24,6 +24,7 @@ from nmlogic import chain as chain_module
 from nmlogic.free_algebra import _combine
 from nmlogic.chain import (
     MAX_GRID_POINTS,
+    STANDARD,
     EvaluationError,
     eval_grid,
     grid_assignments,
@@ -54,6 +55,22 @@ def test_tnorm_matches_standard_table(k):
     for i in range(k):
         for j in range(k):
             assert chain.tnorm(chain.value(i), chain.value(j)).index == table[i, j]
+
+
+@pytest.mark.parametrize("k", CHAIN_SIZES)
+def test_chain_connectives_match_standard_on_every_pair(k):
+    # STANDARD is the independent Fraction body of the same connectives.
+    chain = NMChain(k)
+    assert chain.bottom.as_fraction == STANDARD.bottom
+    assert chain.top.as_fraction == STANDARD.top
+    for i in range(k):
+        x = Fraction(i, k - 1)
+        assert chain.neg(chain.value(i)).as_fraction == STANDARD.neg(x)
+        for j in range(k):
+            y = Fraction(j, k - 1)
+            for op in ("meet", "join", "tnorm", "residuum"):
+                via_chain = getattr(chain, op)(chain.value(i), chain.value(j))
+                assert via_chain.as_fraction == getattr(STANDARD, op)(x, y), (op, i, j)
 
 
 @pytest.mark.parametrize("k", CHAIN_SIZES)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -19,14 +20,18 @@ from nmlogic import (
     Strong,
     Top,
     Var,
+    AssignmentSpace,
+    EvaluationError,
     desugar,
+    count_models,
     eval_chain,
+    eval_standard,
     format_formula,
     parse,
     random_formula,
     variables,
 )
-from nmlogic.formula import subformulas
+from nmlogic.formula import evaluate, program, subformulas
 
 
 def formulas(max_vars=3, max_leaves=25):
@@ -205,19 +210,73 @@ def test_top_is_sugar_for_implication_from_bot():
 
 
 def test_evaluate_rejects_a_node_that_is_not_a_formula():
-    from nmlogic.formula import evaluate
-
     chain = NMChain(3)
-    for f in (And(Var(1), "x1"), Not(None), 1):
+    good = Not(Var(1))
+    for f in (And(Var(1), "x1"), Not(None), 1, None):
+        # A compiled formula in the memo does not let a bad one through.
+        assert evaluate(good, chain, {1: chain.top}) == chain.bottom
+        with pytest.raises(TypeError):
+            program(f)
         with pytest.raises(TypeError):
             evaluate(f, chain, {1: chain.top})
         with pytest.raises(TypeError):
             desugar(f)
+        assert evaluate(good, chain, {1: chain.bottom}) == chain.top
+
+
+def test_program_is_flat_and_shares_repeated_subtrees():
+    x1 = Var(1)
+    shared = Strong(x1, BOT)
+    code = program(Iff(Square(shared), Not(shared)))
+    assert code == (
+        (Var, 1, None), (Bot, None, None), (Strong, 0, 1),
+        (Square, 2, 2), (Not, 2, 2), (Iff, 3, 4),
+    )
+    assert program(TOP) == ((Top, None, None),)
+
+
+def test_alternating_formulas_each_get_their_own_value():
+    chain = NMChain(3)
+    f, g = parse("x1 -> x2"), parse("x2 -> x1")
+    env = {1: chain.top, 2: chain.value(1)}
+    for h, expected in ((f, 1), (g, 2), (f, 1), (f, 1), (g, 2)):
+        assert eval_chain(h, chain, env).index == expected
+        assert eval_standard(h, {1: Fraction(1), 2: Fraction(1, 2)}) == Fraction(expected, 2)
+
+
+def test_memo_matches_equal_deep_formulas_by_identity():
+    # Two equal but distinct 5000-deep formulas: matching them with == would
+    # recurse past the interpreter's limit.
+    def deep(tail):
+        f = Var(1)
+        for _ in range(5000):
+            f = And(f, tail)
+        return f
+
+    f, g = deep(Var(1)), deep(Not(Var(1)))
+    f2, g2 = deep(Var(1)), deep(Not(Var(1)))
+    chain = NMChain(3)
+    for _ in range(2):
+        for h, h2, vector, models in ((f, f2, [0, 1, 2], 1), (g, g2, [0, 1, 0], 0)):
+            assert [eval_chain(h, chain, {1: x}).index for x in chain.values()] == vector
+            assert count_models(h2, 1, AssignmentSpace.TWO) == models
+            assert eval_chain(h2, chain, {1: chain.top}).index == vector[2]
+            assert count_models(h, 1, AssignmentSpace.THREE) == models
+    assert program(f) is program(f)
+
+
+def test_memoised_program_still_names_an_unbound_variable():
+    chain = NMChain(3)
+    f = parse("x1 & x12345")
+    assert eval_chain(f, chain, {1: chain.top, 12345: chain.top}) == chain.top
+    with pytest.raises(EvaluationError, match="x12345"):
+        eval_chain(f, chain, {1: chain.top})
+    with pytest.raises(EvaluationError, match="x12345"):
+        eval_standard(f, {1: Fraction(1)})
 
 
 def test_walks_handle_formulas_nested_5000_deep():
     from nmlogic import Variant, truth_vector
-    from nmlogic.formula import evaluate
 
     conjunction, negation = Var(1), Var(1)
     for _ in range(5000):

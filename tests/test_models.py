@@ -14,6 +14,7 @@ from nmlogic import (
     parse,
     random_formula,
 )
+from nmlogic import models
 from nmlogic.models import MAX_SCALAR_WORK
 
 THREE = AssignmentSpace.THREE
@@ -69,6 +70,23 @@ def test_scalar_budget_counts_points_times_nodes():
     for call in (count_models, enumerate_models):
         with pytest.raises(ValueError, match="256 points times 257 formula nodes"):
             call(Not(f), 8, TWO)
+
+
+def test_scalar_budget_is_checked_before_the_grid_is_built(monkeypatch):
+    def unbuilt(chain, n):
+        raise AssertionError("the grid was built before the budget check")
+
+    monkeypatch.setattr(models, "grid_assignments", unbuilt)
+    f = Var(1)
+    for _ in range(58):
+        f = Not(f)
+    for call in (count_models, enumerate_models):
+        with pytest.raises(ValueError, match="531441 points times 59 formula nodes"):
+            call(f, 12, THREE)
+        with pytest.raises(ValueError, match="1048576 points times 1 formula nodes"):
+            call(Var(1), 20, TWO)
+        with pytest.raises(ValueError, match="exceeds 1048576 points"):
+            call(Var(1), 10**9, TWO)
 
 
 def test_counting_is_modular_over_join_and_meet():
