@@ -16,10 +16,11 @@ formulas there using :class:`fractions.Fraction`, never floats.
 On index arrays both are branch-free masks, ``min(x, y) * (x > top - y)``
 and ``top - min(x, top - y) * (x > y)``, as ``top - max(~x, y) = min(x, ~y)``;
 every intermediate lies in ``0 .. top``, so with a Python int ``top`` they
-are exact in the operands' own dtype (uint8 vectors, int64 ranks).
+are exact in the operands' own dtype (uint8 in closure and on grids).
 
-On scalars the two formulas have one body, the cached namespace
-``_index_algebra(top)`` over plain int indices; :class:`NMChain`'s
+On scalars the two formulas have one body, the namespace
+``_index_algebra(top)`` over plain int indices, which each :class:`NMChain`
+builds and keeps, so no chain size outlives its chains; the chain's
 connectives check that their operands belong to the chain and wrap its
 results in :class:`ChainValue`, and :func:`eval_chain` checks the assignment
 once, evaluates on the bare indices and wraps only the result.
@@ -135,7 +136,6 @@ class NMChain:
         return self._lift(self._ops.residuum, x, y)
 
 
-@functools.cache
 def _index_algebra(top: int) -> SimpleNamespace:
     """The chain with top index ``top`` on plain int indices."""
     return SimpleNamespace(
@@ -235,7 +235,7 @@ def eval_chain(
     """
     chain._own(*assignment.values())
     env = {var: value.index for var, value in assignment.items()}
-    return ChainValue(evaluate(f, _index_algebra(chain.size - 1), env), chain.size)
+    return ChainValue(evaluate(f, chain._ops, env), chain.size)
 
 
 def eval_standard(f: Formula, assignment: Mapping[int, Fraction]) -> Fraction:

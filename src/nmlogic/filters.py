@@ -11,9 +11,10 @@ Ordered by reverse inclusion the prime filters form a forest whose roots
 are the inclusion-maximal filters, generated by the minimal idempotent
 join-irreducibles.  Quotienting by a root collapses the algebra to a chain
 with two or three elements; three happens exactly when the relevant
-subdirect factor has a negation fixpoint.  Quotients are array code over
-:attr:`FreeAlgebra.operation_table`; the two filter predicates stay
-definitional scans.
+subdirect factor has a negation fixpoint.  Every algebra is stored as a
+subdirect product of chains, one truth-vector column per grid point, so a
+quotient reads one column: a maximal filter is the positive set of some
+grid point's chain.  The two filter predicates stay definitional scans.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import residuum_block, tnorm_block
 from .free_algebra import FreeAlgebra
 
 
@@ -130,40 +130,24 @@ def quotient_by_maximal(algebra: FreeAlgebra, filt: Filter) -> QuotientChain:
     """Collapse the algebra by the congruence of a maximal prime filter.
 
     Two elements are identified when their bi-implication lies in the
-    filter.  The classes always form a nilpotent-minimum chain with two or
-    three elements; anything else signals a broken input and raises.
-    Passing a non-maximal filter raises ``ValueError``.
+    filter.  A maximal filter is prime, so it contains the kernel of some
+    grid projection and is the positive set of that point's chain; the
+    quotient is that chain's own, by the sign of each value there (below,
+    at or above the negation fixpoint), so it has two or three classes.
+    ``ValueError`` for a non-maximal filter, ``KeyError`` for an unclosed
+    algebra, ``RuntimeError`` if the filter is no point's positive set.
     """
     if principal_upset(algebra, filt.generator) != filt.elements:
         raise ValueError("filter elements do not match the generator's upper set")
     if filt.generator not in algebra.minimal_idempotent_ji_ids:
         raise ValueError("filter is not maximal")
+    algebra.check_closed()
 
-    ops = algebra.operation_table
+    top, vectors = algebra.chain.size - 1, algebra.vectors
     member = algebra.leq_matrix[filt.generator]
-    imp = ops[:, :, 3]
-    # x ~ y iff (x -> y) * (y -> x) lies in the filter; a class is named by
-    # its smallest element.
-    same = member[ops[imp, imp.T, 2]]
-    reps, class_of = np.unique(same.argmax(axis=1), return_inverse=True)
-    m = len(reps)
-    if m not in (2, 3):
-        raise RuntimeError(f"quotient by a maximal filter has {m} classes")
-
-    # Class order: [x] <= [y] iff x -> y lands in the filter.  Rank 0 goes to
-    # the class below the most classes, ties broken by class order.
-    leq = member[imp[np.ix_(reps, reps)]]
-    rank = np.argsort(np.argsort(-leq.sum(axis=1), kind="stable"), kind="stable")
-    if (leq != (rank[:, None] <= rank[None, :])).any():
-        raise RuntimeError("quotient classes are not totally ordered")
-
-    # The congruence must respect all four operations, and the induced
-    # operations must be the chain operations on {0..m-1}.
-    r = rank[class_of]
-    x, y = r[:, None], r[None, :]
-    chain_ops = (np.minimum(x, y), np.maximum(x, y),
-                 tnorm_block(m - 1, x, y), residuum_block(m - 1, x, y))
-    if (r[ops] != np.stack(chain_ops, axis=2)).any():
-        raise RuntimeError("quotient operations are not well defined")
-
-    return QuotientChain(tuple(frozenset(np.flatnonzero(r == i).tolist()) for i in range(m)))
+    points = np.flatnonzero(((vectors > top - vectors) == member[:, None]).all(axis=0))
+    if not len(points):
+        raise RuntimeError("the maximal filter is the positive set of no grid point")
+    x = vectors[:, points[0]]
+    signs = (x < top - x, x == top - x, x > top - x)
+    return QuotientChain(tuple(frozenset(np.flatnonzero(s).tolist()) for s in signs if s.any()))

@@ -247,7 +247,8 @@ def parse(text: str) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
-    """Render ``f`` with the fewest parentheses that still reparse to ``f``."""
+    """Render ``f`` with the fewest parentheses that still reparse to ``f``;
+    ``TypeError`` on a node that is not a formula."""
     out: list[str] = []
     # Text still to emit, or a (node, minimum level) still to render; last first.
     stack: list = [(f, 0)]
@@ -267,11 +268,13 @@ def format_formula(f: Formula) -> str:
             level, parts = _LEVEL_NOT, ["~", (node.child, _LEVEL_NOT)]
         elif isinstance(node, Square):
             level, parts = _LEVEL_SQUARE, [(node.child, _LEVEL_SQUARE), "^2"]
-        else:
+        elif type(node) in _BINARY:
             symbol, level, right_assoc = _BINARY[type(node)]
             # The side a connective associates to may hold its own level.
             left, right = (level + 1, level) if right_assoc else (level, level + 1)
             parts = [(node.left, left), f" {symbol} ", (node.right, right)]
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
         if level < minimum:
             parts = ["(", *parts, ")"]
         stack += reversed(parts)
@@ -398,8 +401,9 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def variables(f: Formula) -> set[int]:
-    """The exact set of variable indices occurring in ``f``."""
-    return {node.index for node in subformulas(f) if isinstance(node, Var)}
+    """The exact set of variable indices occurring in ``f``; ``TypeError``
+    on a node that is not a formula, as :func:`program` raises."""
+    return {index for kind, index, _ in program(f) if kind is Var}
 
 
 _CONNECTIVES = (And, Or, Strong, Implies, Iff, Not, Square)

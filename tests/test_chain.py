@@ -191,6 +191,25 @@ def test_eval_chain_foreign_value_rejected():
         NMChain(4).tnorm(ChainValue(1, 4), ChainValue(1, 5))
 
 
+def test_chains_of_many_sizes_leave_nothing_behind():
+    import tracemalloc
+
+    # Each chain owns its scalar connectives; a cache keyed by chain size
+    # would keep one namespace for every size ever built.
+    f = parse("x1 -> ~x1")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(2, 5002):
+            chain = NMChain(k)
+            assert eval_chain(f, chain, {1: chain.top}) == chain.bottom
+        del chain
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+
+
 def test_eval_standard_examples():
     assert eval_standard(ALPHA, {1: Fraction(1, 2)}) == Fraction(1, 2)
     # At 3/4 the biconditional comes out at 1/4, its square collapses to 0,
@@ -257,8 +276,8 @@ def operand_shapes(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), st.sampled_from([np.uint8, np.int64]), operand_shapes(), st.data())
 def test_mask_kernels_match_scalar_ops_in_every_shape(top, dtype, shapes, data):
-    # quotient_by_maximal passes int64 ranks as a column and a row; closure
-    # and grids pass uint8.  Either way the result keeps the input dtype.
+    # Closure and grids pass uint8; any integer dtype works, and the result
+    # keeps it.
     chain = NMChain(top + 1)
     a, b = (data.draw(hnp.arrays(dtype, shape, elements=st.integers(0, top)))
             for shape in shapes)

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from test_free_algebra import boolean_nm2_export
 
 from nmlogic import (
     Filter,
@@ -157,7 +159,7 @@ def test_quotient_classes_partition_and_order(nm1):
         assert nm1.top_id in quotient.classes[-1]
 
 
-@pytest.mark.parametrize("fixture", ["nm1", "nmm1"])
+@pytest.mark.parametrize("fixture", ["nm1", "nmm1", "nm0", "nmm0"])
 def test_quotients_match_formula_evaluation(fixture, request):
     # The congruence and the class order, recomputed with element_of (scalar
     # eval_chain) instead of the operation table.
@@ -174,6 +176,36 @@ def test_quotients_match_formula_evaluation(fixture, request):
         for x, y in pairs:
             assert (rank[x] == rank[y]) == (iff[x, y] in filt.elements)
             assert (rank[x] <= rank[y]) == (imp[x, y] in filt.elements)
+
+
+def test_quotients_of_an_imported_boolean_algebra_match_its_operations():
+    # Nine sign blocks, so nine maximal filters, each with a two-class
+    # quotient; the congruence and the order are read off iff and residuum.
+    algebra = FreeAlgebra.from_export(boolean_nm2_export())
+    ids = algebra.element_ids()
+    iff = np.array([[algebra.iff(x, y) for y in ids] for x in ids])
+    imp = np.array([[algebra.residuum(x, y) for y in ids] for x in ids])
+    fst = forest(algebra)
+    assert len(fst.roots) == 9
+    for root in fst.roots:
+        filt = fst.filters[root]
+        classes = quotient_by_maximal(algebra, filt).classes
+        assert len(classes) == 2
+        rank = np.empty(algebra.size, dtype=int)
+        for i, cls in enumerate(classes):
+            rank[list(cls)] = i
+        member = np.isin(np.arange(algebra.size), list(filt.elements))
+        assert (member[iff] == (rank[:, None] == rank[None, :])).all()
+        assert (member[imp] == (rank[:, None] <= rank[None, :])).all()
+
+
+def test_quotient_of_an_unclosed_import_raises_key_error():
+    # The idempotent join-irreducible [4, 0, 0, 0, 0] generates the one
+    # maximal filter, but its negation is missing.
+    algebra = _nm1_import([[4, 0, 0, 0, 0]])
+    assert algebra.minimal_idempotent_ji_ids == (2,)
+    with pytest.raises(KeyError, match="not closed under imp"):
+        quotient_by_maximal(algebra, Filter(principal_upset(algebra, 2), 2))
 
 
 def test_quotient_rejects_non_maximal(nmm1):

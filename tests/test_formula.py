@@ -221,6 +221,10 @@ def test_evaluate_rejects_a_node_that_is_not_a_formula():
             evaluate(f, chain, {1: chain.top})
         with pytest.raises(TypeError):
             desugar(f)
+        with pytest.raises(TypeError):
+            format_formula(f)
+        with pytest.raises(TypeError):
+            variables(f)
         assert evaluate(good, chain, {1: chain.bottom}) == chain.top
 
 

@@ -448,17 +448,21 @@ def test_import_rejects_a_lattice_that_is_not_closed():
     assert FreeAlgebra.from_export(data, validate=False).size == 3
 
 
-def test_import_memory_is_bounded_by_the_tables():
-    import tracemalloc
-
-    # The 512 Boolean elements of the n=2 nm algebra: 0 or top on each of
-    # the 9 sign blocks of the 7x7 grid (below, at or above the fixpoint 3
-    # in each coordinate), bottom and top first.  Closed under all four
-    # operations.
+def boolean_nm2_export():
+    """The 512 Boolean elements of the n=2 nm algebra: 0 or top on each of
+    the 9 sign blocks of the 7x7 grid (below, at or above the fixpoint 3 in
+    each coordinate), bottom and top first.  Closed under all four
+    operations."""
     a, b = np.divmod(np.arange(49), 7)
     block = 3 * (np.sign(a - 3) + 1) + np.sign(b - 3) + 1
     bits = (np.array([0, 511, *range(1, 511)])[:, None] >> np.arange(9)) & 1
-    data = FreeAlgebra(2, Variant.NM, 6 * bits[:, block], None).export()
+    return FreeAlgebra(2, Variant.NM, 6 * bits[:, block], None).export()
+
+
+def test_import_memory_is_bounded_by_the_tables():
+    import tracemalloc
+
+    data = boolean_nm2_export()
     # The operation table and the order comparison take (16 + 49) * 512**2
     # bytes, 16 MiB; a set of the N**2 pair keys would take over 30 MiB.
     tracemalloc.start()
