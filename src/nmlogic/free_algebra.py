@@ -16,12 +16,19 @@ if each round tried every pair of the elements known at its start in
 lexicographic id order, each pair as meet, join, fusion, implication.  A
 round skips the pairs of earlier rounds, which only yield known vectors,
 and walks the rest as one flat row-major range (old rows with new columns,
-then new rows with all columns) in slabs of ``_SLAB`` pairs.  The element
-table is an insertion-ordered dict from vector bytes to provenance, the
-pair and operation that first produced the element, so a key's position is
-its id.  Closure and :attr:`FreeAlgebra.operation_table`, which walks every
-pair, share one pair walk, :func:`_slabs`, and its kernel, :func:`_combine`,
-which splits its results in C into ``bytes`` keys.
+then new rows with all columns) in slabs of ``_SLAB`` pairs.  Closure and
+:attr:`FreeAlgebra.operation_table`, which walks every pair, share one pair
+walk, :func:`_slabs`, and its kernel, :func:`_combine`.
+
+The element table maps each vector to its id, and :func:`_dense_table`
+picks its form for both.  Where a grid admits at most ``_DENSE_CODES``
+vectors (every grid with at most one generator), a vector is the integer
+code ``sum(v[j] * k**j)`` over a ``k``-chain and the table is one int32
+array indexed by code, -1 where no element has that code, so each slab is
+looked up with a few numpy calls.  Above that bound the table is an
+insertion-ordered dict from vector bytes, which :func:`_combine` splits in
+C, to provenance, the pair and operation that first produced the element,
+so a key's position is its id.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ DEFAULT_ELEMENT_CAP = 100_000
 MAX_TABLE_BYTES = 1 << 28
 
 _SLAB = 2048
+
+# Grids with at most this many possible vectors keep their element table as
+# one dense int32 array indexed by vector code (256 KiB at the bound).
+_DENSE_CODES = 1 << 16
 
 _OP_TAGS = ("meet", "join", "tnorm", "imp")
 
@@ -103,17 +114,33 @@ def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
     return is_tautology(n, variant, fm.Implies(fm.Square(phi), psi))
 
 
-def _combine(top: int, a: np.ndarray, b: np.ndarray) -> list:
+def _combine(top: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None):
     """Meet, join, fusion and implication of ``a`` and ``b``, broadcast to (P, width).
 
-    Key ``4p + k`` is row ``p`` under ``_OP_TAGS[k]``; a void view keeps trailing zeros.
+    Key ``4p + k`` is row ``p`` under ``_OP_TAGS[k]``: a ``bytes`` key from a void
+    view, which keeps trailing zeros, or with code ``weights`` an int array of codes.
     """
     results = np.stack((np.minimum(a, b), np.maximum(a, b),
                         tnorm_block(top, a, b), residuum_block(top, a, b)), axis=1)
+    if weights is not None:
+        return (results @ weights).ravel()
     return results.view(np.dtype((np.void, results.shape[-1]))).ravel().tolist()
 
 
-def _slabs(top: int, snapshot: np.ndarray, previous: int):
+def _dense_table(k: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Code weights ``k**j`` and an all -1 int32 id array over every code, or None.
+
+    None, the dict path, where ``width``-wide vectors over a ``k``-chain have
+    more than ``_DENSE_CODES`` codes.  As k >= 2, no width at or past the
+    bound's bit length is under it; capping the exponent keeps a wide import
+    from costing a huge power.
+    """
+    if k ** min(width, _DENSE_CODES.bit_length()) > _DENSE_CODES:
+        return None
+    return k ** np.arange(width, dtype=np.int32), np.full(k**width, -1, dtype=np.int32)
+
+
+def _slabs(top: int, snapshot: np.ndarray, previous: int, weights: np.ndarray | None):
     """Yield rows, columns and :func:`_combine` keys per slab of ``_SLAB`` untried pairs.
 
     Untried pairs, row-major: old rows x new columns, then new rows x all.
@@ -128,7 +155,7 @@ def _slabs(top: int, snapshot: np.ndarray, previous: int):
         late = flat - old_pairs
         rows = np.where(late < 0, flat // new, previous + late // current)
         cols = np.where(late < 0, previous + flat % new, late % current)
-        yield rows, cols, _combine(top, snapshot[rows], snapshot[cols])
+        yield rows, cols, _combine(top, snapshot[rows], snapshot[cols], weights)
 
 
 def _cached(compute):
@@ -214,14 +241,24 @@ class FreeAlgebra:
 
         The operations are meet, join, fusion and implication.  The table is
         filled from :func:`_slabs` over every pair, so temporaries are one
-        slab's keys.  ``KeyError`` naming the operations that leave the set
-        if it is not closed; ``ValueError`` above ``MAX_TABLE_BYTES``.
+        slab's keys, looked up in :func:`_dense_table`'s id array where the
+        grid has one and in the vector dict otherwise.  ``KeyError`` naming
+        the operations that leave the set if it is not closed; ``ValueError``
+        above ``MAX_TABLE_BYTES``.
         """
         self._check_table_bytes(16, "operation table")
+        dense = _dense_table(self.chain.size, self.vectors.shape[1])
+        if dense is None:
+            weights, get = None, self._index.get
+            lookup = lambda keys: [get(key, -1) for key in keys]
+        else:
+            weights, slot = dense
+            slot[self.vectors @ weights] = np.arange(self.size)
+            lookup = slot.__getitem__
         table = np.empty(4 * self.size ** 2, dtype=np.int32)
-        get, lo = self._index.get, 0
-        for _, _, keys in _slabs(self._top_index, self.vectors, 0):
-            table[lo:lo + len(keys)] = [get(key, -1) for key in keys]
+        lo = 0
+        for _, _, keys in _slabs(self._top_index, self.vectors, 0, weights):
+            table[lo:lo + len(keys)] = lookup(keys)
             lo += len(keys)
         table = table.reshape(self.size, self.size, 4)
         leaving = [tag for tag, out in zip(_OP_TAGS, (table < 0).any(axis=(0, 1))) if out]
@@ -430,30 +467,44 @@ def build(
 
     Runs the breadth-first closure described in the module docstring: the
     truth vectors of bottom, top and ``x1..xn`` seed the element table, and
-    each round walks its untried pairs with :func:`_slabs`.  Only
-    keys a list comprehension finds missing from the table cost more Python
-    work; each is checked again when committed, as a slab can produce one
-    new vector twice.  The result is identical across runs and slab sizes.
-    If the closure would exceed ``element_cap`` elements,
+    each round walks its untried pairs with :func:`_slabs`.  The table is
+    :func:`_dense_table`'s code array where the grid has one
+    (:func:`_close_codes`), else a dict from vector bytes to provenance
+    (:func:`_close_bytes`).  The result is identical across runs, slab sizes
+    and table forms.  If the closure would exceed ``element_cap`` elements,
     :class:`ElementCapExceeded` is raised naming the size attained; growth
     for three or more generators is explosive, so the cap is the intended
     way to probe it safely.
     """
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
-    top = generic_chain_size(n, variant) - 1
+    k = generic_chain_size(n, variant)
     seeds = [(fm.BOT, ("bot",)), (fm.TOP, ("top",))]
     seeds += [(fm.Var(v), ("var", v)) for v in range(1, n + 1)]
-    # The element table: vector bytes -> provenance; key order is id order.
+    # Vector bytes -> provenance; key order is id order.
     table = {bytes(truth_vector(n, variant, f)): record for f, record in seeds}
     if len(table) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
+    dense = _dense_table(k, len(next(iter(table))))
+    if dense is None:
+        vectors, provenance = _close_bytes(k - 1, table, element_cap)
+    else:
+        vectors, provenance = _close_codes(k, *dense, table, element_cap)
+    return FreeAlgebra(n, variant, vectors, provenance)
 
+
+def _close_bytes(top: int, table: dict, element_cap: int) -> tuple[np.ndarray, tuple]:
+    """Close the seed ``table`` in place, probing it once per candidate key.
+
+    Only keys a list comprehension finds missing from the table cost more
+    Python work; each is checked again when committed, as a slab can
+    produce one new vector twice.
+    """
     previous = 0
     while True:
         current = len(table)
         snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(current, -1)
-        for rows, cols, keys in _slabs(top, snapshot, previous):
+        for rows, cols, keys in _slabs(top, snapshot, previous, None):
             rows, cols = rows.tolist(), cols.tolist()
             for p in [p for p, key in enumerate(keys) if key not in table]:
                 if keys[p] in table:  # a slab can yield one new key twice
@@ -462,5 +513,42 @@ def build(
                     raise ElementCapExceeded(len(table) + 1, element_cap)
                 table[keys[p]] = (_OP_TAGS[p % 4], rows[p // 4], cols[p // 4])
         if len(table) == current:
-            return FreeAlgebra(n, variant, snapshot, tuple(table.values()))
+            return snapshot, tuple(table.values())
         previous = current
+
+
+def _close_codes(
+    k: int, weights: np.ndarray, slot: np.ndarray, table: dict, element_cap: int
+) -> tuple[np.ndarray, tuple]:
+    """Close the seeds of ``table`` with ``slot[code]`` as the id of each vector.
+
+    ``codes[i]`` is element i's code, so its vector is the base-``k`` digits.
+    Per slab, the first position of each missing code in slab order is
+    committed; ``np.unique`` finds it, as repeated fancy-index writes have no
+    guaranteed order.
+    """
+    snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(len(table), -1)
+    codes = snapshot @ weights
+    slot[codes] = np.arange(len(codes))
+    provenance = list(table.values())
+    previous = 0
+    while True:
+        found = []
+        for rows, cols, keys in _slabs(k - 1, snapshot, previous, weights):
+            missing = np.flatnonzero(slot[keys] < 0)
+            if not missing.size:
+                continue
+            first = missing[np.sort(np.unique(keys[missing], return_index=True)[1])]
+            count = len(provenance)
+            if count + len(first) > element_cap:
+                raise ElementCapExceeded(element_cap + 1, element_cap)
+            slot[keys[first]] = np.arange(count, count + len(first))
+            found.append(keys[first])
+            pairs = first // 4
+            provenance += zip(map(_OP_TAGS.__getitem__, (first % 4).tolist()),
+                              rows[pairs].tolist(), cols[pairs].tolist())
+        if not found:
+            return snapshot, tuple(provenance)
+        previous = len(codes)
+        codes = np.concatenate([codes, *found])
+        snapshot = (codes[:, None] // weights % k).astype(np.uint8)

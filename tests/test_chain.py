@@ -304,6 +304,8 @@ def test_combine_keys_are_one_vector_wide(top, width, pairs, data):
                 tnorm_block(top, a, b), residuum_block(top, a, b))
     for p, key in enumerate(keys):
         assert key == expected[p % 4][p // 4].tobytes()
+    codes = _combine(top, a, b, (top + 1) ** np.arange(width))
+    assert codes.tolist() == [sum(v * (top + 1) ** j for j, v in enumerate(key)) for key in keys]
 
 
 def test_chain_value_fraction_view():

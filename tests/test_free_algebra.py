@@ -18,6 +18,9 @@ from nmlogic import (
 from nmlogic import free_algebra
 from nmlogic.formula import TOP, And, Implies, Not, Or, Strong, Var
 
+# The dense code array's bound, then 0, which sends every grid to the vector dict.
+DENSE_BOUNDS = (free_algebra._DENSE_CODES, 0)
+
 
 def reference_closure(n, k):
     """Plain reimplementation of the documented build order.
@@ -86,12 +89,36 @@ def test_build_matches_reference_closure(n, variant, monkeypatch):
     assert [reference.vector(x) for x in reference.element_ids()] == expected
     # Small slabs split every round into many blocks and start the
     # incremental scan mid-slab; slab 7 also straddles the boundary between
-    # old rows and new rows, and 2048 takes a whole round at once.
-    for slab in (1, 3, 7, 2048):
-        monkeypatch.setattr(free_algebra, "_SLAB", slab)
-        algebra = build(n, variant)
-        assert [algebra.vector(x) for x in algebra.element_ids()] == expected
-        assert algebra.provenance == reference.provenance
+    # old rows and new rows, and 2048 takes a whole round at once.  A dense
+    # bound of 0 sends the same grid down the vector-dict path.
+    for dense_bound in DENSE_BOUNDS:
+        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+        for slab in (1, 3, 7, 2048):
+            monkeypatch.setattr(free_algebra, "_SLAB", slab)
+            algebra = build(n, variant)
+            assert [algebra.vector(x) for x in algebra.element_ids()] == expected
+            assert algebra.provenance == reference.provenance
+
+
+def test_dense_table_serves_one_generator_grids():
+    for n, variant in itertools.product((0, 1, 2), Variant):
+        k = generic_chain_size(n, variant)
+        dense = free_algebra._dense_table(k, k**n)
+        assert (dense is None) == (n == 2)
+        if dense is not None:
+            weights, slot = dense
+            assert weights.tolist() == [k**j for j in range(k**n)]
+            assert len(slot) == k ** (k**n) and (slot == -1).all()
+
+    class Base(int):
+        def __pow__(self, exponent):
+            exponents.append(exponent)
+            return int(self) ** exponent
+
+    # A wide import is refused without raising 7 to a million-digit power.
+    exponents = []
+    assert free_algebra._dense_table(Base(7), 2**20) is None
+    assert exponents and max(exponents) <= free_algebra._DENSE_CODES.bit_length()
 
 
 def test_build_is_deterministic():
@@ -115,33 +142,46 @@ def test_closure_soundness(nm1, nmm1, nm0):
     nm0.check_closed()
 
 
-def test_check_closed_rejects_non_closed_algebra(nm1):
+def test_check_closed_rejects_non_closed_algebra(nm1, monkeypatch):
     data = nm1.export()
-    partial = FreeAlgebra.from_export({**data, "elements": data["elements"][:3]}, validate=False)
-    with pytest.raises(KeyError):
-        partial.check_closed()
+    messages = []
+    for dense_bound in DENSE_BOUNDS:
+        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+        partial = FreeAlgebra.from_export({**data, "elements": data["elements"][:3]},
+                                          validate=False)
+        with pytest.raises(KeyError, match="not closed under") as err:
+            partial.check_closed()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("fixture", ["nmm1", "nm1"])
 def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
     # build and operation_table both walk _slabs over _combine's keys; pin the
-    # key format, and the table's layout at every slab size against row-major pairs.
+    # key format and the code of each key, and the table's layout at every slab
+    # size on both table forms against row-major pairs.
     algebra = request.getfixturevalue(fixture)
     size, width = algebra.vectors.shape
+    k = algebra.chain.size
     rows, cols = np.divmod(np.arange(size * size), size)
-    keys = free_algebra._combine(algebra.chain.size - 1,
-                                 algebra.vectors[rows], algebra.vectors[cols])
-    assert len(keys) == 4 * size * size
+    operands = (k - 1, algebra.vectors[rows], algebra.vectors[cols])
+    keys = free_algebra._combine(*operands)
+    weights, _ = free_algebra._dense_table(k, width)
+    codes = free_algebra._combine(*operands, weights)
+    assert len(keys) == len(codes) == 4 * size * size
     expected = np.empty((size, size, 4), dtype=np.int64)
     for p, key in enumerate(keys):
         assert len(key) == width
-        (x, y), k = divmod(p // 4, size), p % 4
-        expected[x, y, k] = algebra.id_of_vector(tuple(key))
+        assert codes[p] == sum(v * k**j for j, v in enumerate(key))
+        (x, y), op = divmod(p // 4, size), p % 4
+        expected[x, y, op] = algebra.id_of_vector(tuple(key))
     assert np.array_equal(algebra.operation_table, expected)
-    for slab in (1, 3, 7, 2048):
-        monkeypatch.setattr(free_algebra, "_SLAB", slab)
-        fresh = FreeAlgebra(algebra.n, algebra.variant, algebra.vectors, algebra.provenance)
-        assert np.array_equal(fresh.operation_table, expected)
+    for dense_bound in DENSE_BOUNDS:
+        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+        for slab in (1, 3, 7, 2048):
+            monkeypatch.setattr(free_algebra, "_SLAB", slab)
+            fresh = FreeAlgebra(algebra.n, algebra.variant, algebra.vectors, algebra.provenance)
+            assert np.array_equal(fresh.operation_table, expected)
 
 
 @pytest.mark.parametrize("fixture", ["nm0", "nmm1", "nm1"])
@@ -334,19 +374,21 @@ def test_truth_vector_grid_order_is_lexicographic():
     assert truth_vector(2, Variant.NM, Var(2)) == tuple(range(7)) * 7
 
 
-def test_element_cap():
-    with pytest.raises(ElementCapExceeded) as err:
-        build(1, Variant.NM, element_cap=10)
-    assert err.value.cap == 10
-    assert err.value.attained == 11
-    assert "10" in str(err.value) and "11" in str(err.value)
-    with pytest.raises(ValueError):
-        build(1, Variant.NM, element_cap=0)
-    # The cap is exact: the last element of the complete algebra hits it.
-    assert build(1, Variant.NM, element_cap=48).size == 48
-    with pytest.raises(ElementCapExceeded) as err:
-        build(1, Variant.NM, element_cap=47)
-    assert err.value.attained == 48
+def test_element_cap(monkeypatch):
+    for dense_bound in DENSE_BOUNDS:
+        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+        with pytest.raises(ElementCapExceeded) as err:
+            build(1, Variant.NM, element_cap=10)
+        assert err.value.cap == 10
+        assert err.value.attained == 11
+        assert "10" in str(err.value) and "11" in str(err.value)
+        with pytest.raises(ValueError):
+            build(1, Variant.NM, element_cap=0)
+        # The cap is exact: the last element of the complete algebra hits it.
+        assert build(1, Variant.NM, element_cap=48).size == 48
+        with pytest.raises(ElementCapExceeded) as err:
+            build(1, Variant.NM, element_cap=47)
+        assert err.value.attained == 48
 
 
 def test_large_imports_refuse_quadratic_tables():
