@@ -22,8 +22,7 @@ from . import formula as fm
 from . import models, valuations
 from .chain import EvaluationError, NMChain, eval_chain, eval_standard
 from .free_algebra import (
-    DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, Variant, build, is_tautology,
-    proves,
+    DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, build, is_tautology, proves,
 )
 
 
@@ -70,7 +69,7 @@ def _bindings(pairs: list[str]) -> dict[int, Fraction]:
 
 
 def _algebra(args) -> FreeAlgebra:
-    return build(args.vars, Variant(args.variant), args.cap)
+    return build(args.vars, args.variant, args.cap)
 
 
 def _answer(yes: bool) -> tuple[str, int]:
@@ -122,12 +121,12 @@ def _cmd_filters(args) -> tuple[str, int]:
 
 def _cmd_tautology(args) -> tuple[str, int]:
     f = fm.parse(args.formula)
-    return _answer(is_tautology(args.vars, Variant(args.variant), f))
+    return _answer(is_tautology(args.vars, args.variant, f))
 
 
 def _cmd_proves(args) -> tuple[str, int]:
     premise, conclusion = fm.parse(args.formula), fm.parse(args.conclusion)
-    return _answer(proves(args.vars, Variant(args.variant), premise, conclusion))
+    return _answer(proves(args.vars, args.variant, premise, conclusion))
 
 
 def algebra_json(algebra: FreeAlgebra) -> str:

@@ -9,30 +9,32 @@ be generic for ``n`` generators (size ``2n+3`` with a negation fixpoint,
 exactly when their truth vectors coincide, so deduplicating vectors yields
 one canonical element per equivalence class.
 
-The build is a breadth-first fixed-point closure of the seed set
-{bottom, top, projections}, whose vectors come from :func:`truth_vector`,
-under the four binary operations.  Element ids follow discovery order, as
-if each round tried every pair of the elements known at its start in
-lexicographic id order, each pair as meet, join, fusion, implication.  A
-round skips the pairs of earlier rounds, which only yield known vectors,
-and walks the rest as one flat row-major range (old rows with new columns,
-then new rows with all columns) in slabs of ``_SLAB`` pairs.  Closure and
+The build is a breadth-first fixed-point closure, under the four binary
+operations, of the seeds bottom, top and the projections, which are grid
+rows: the zero row, the top row and :func:`nmlogic.chain.grid_coordinates`.
+Element ids follow discovery order, as if each round tried every pair of
+the elements known at its start in lexicographic id order, each pair as
+meet, join, fusion, implication.  A round skips the pairs of earlier
+rounds, which only yield known vectors, and walks the rest as one flat
+row-major range (old rows with new columns, then new rows with all
+columns) in slabs of ``_SLAB`` pairs.  Closure and
 :attr:`FreeAlgebra.operation_table`, which walks every pair, share one pair
 walk, :func:`_slabs`, and its kernel, :func:`_combine`.
 
-The element table maps each vector to its id, and :func:`_dense_table`
-picks its form for both.  Where a grid admits at most ``_DENSE_CODES``
-vectors (every grid with at most one generator), a vector is the integer
-code ``sum(v[j] * k**j)`` over a ``k``-chain and the table is one int32
-array indexed by code, -1 where no element has that code, so each slab is
-looked up with a few numpy calls.  Above that bound the table is an
-insertion-ordered dict from vector bytes, which :func:`_combine` splits in
-C, to provenance, the pair and operation that first produced the element,
-so a key's position is its id.
+The element table maps each vector to its id; :func:`_dense_table` picks
+its form for both, and :func:`_keys` alone turns vectors into its keys.
+Where a grid admits at most ``_DENSE_CODES`` vectors (every grid with at
+most one generator), a key is the integer code ``sum(v[j] * k**j)`` over a
+``k``-chain and the table is one int32 array indexed by code, -1 where no
+element has that code, so each slab is looked up with a few numpy calls.
+Above that bound a key is the vector's bytes and the table an
+insertion-ordered dict from key to provenance, the pair and operation that
+first produced the element, so a key's position is its id.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from enum import Enum
 from typing import Mapping, Sequence
@@ -40,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import formula as fm
-from .chain import NMChain, eval_grid, residuum_block, tnorm_block
+from .chain import NMChain, eval_grid, grid_coordinates, residuum_block, tnorm_block
 
 DEFAULT_ELEMENT_CAP = 100_000
 
@@ -77,7 +79,7 @@ def generic_chain_size(n: int, variant: Variant) -> int:
     """
     if n < 0:
         raise ValueError(f"generator count must be >= 0, got {n}")
-    return 2 * n + 3 if variant is Variant.NM else 2 * n + 2
+    return 2 * n + 3 if Variant(variant) is Variant.NM else 2 * n + 2
 
 
 class ElementCapExceeded(RuntimeError):
@@ -114,17 +116,19 @@ def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
     return is_tautology(n, variant, fm.Implies(fm.Square(phi), psi))
 
 
-def _combine(top: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None):
-    """Meet, join, fusion and implication of ``a`` and ``b``, broadcast to (P, width).
-
-    Key ``4p + k`` is row ``p`` under ``_OP_TAGS[k]``: a ``bytes`` key from a void
-    view, which keeps trailing zeros, or with code ``weights`` an int array of codes.
-    """
-    results = np.stack((np.minimum(a, b), np.maximum(a, b),
-                        tnorm_block(top, a, b), residuum_block(top, a, b)), axis=1)
+def _keys(rows: np.ndarray, weights: np.ndarray | None = None):
+    """Table keys of the contiguous uint8 vectors on ``rows``' last axis: ``bytes`` from a
+    void view, which keeps trailing zeros, or with code ``weights`` a flat int array."""
     if weights is not None:
-        return (results @ weights).ravel()
-    return results.view(np.dtype((np.void, results.shape[-1]))).ravel().tolist()
+        return (rows @ weights).ravel()
+    return rows.view(np.dtype((np.void, rows.shape[-1]))).ravel().tolist()
+
+
+def _combine(top: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None):
+    """Keys of meet, join, fusion and implication of ``a`` and ``b``, broadcast to
+    (P, width); key ``4p + k`` is row ``p`` under ``_OP_TAGS[k]``."""
+    return _keys(np.stack((np.minimum(a, b), np.maximum(a, b),
+                           tnorm_block(top, a, b), residuum_block(top, a, b)), axis=1), weights)
 
 
 def _dense_table(k: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -191,7 +195,7 @@ class FreeAlgebra:
         provenance: tuple[tuple, ...] | None,
     ):
         self.n = n
-        self.variant = variant
+        self.variant = Variant(variant)
         self.chain = NMChain(generic_chain_size(n, variant))
         vectors = np.ascontiguousarray(vectors, dtype=np.uint8)
         vectors.flags.writeable = False
@@ -199,7 +203,7 @@ class FreeAlgebra:
         self.provenance = provenance
         self.bottom_id = 0
         self.top_id = 1
-        self._index = {vectors[i].tobytes(): i for i in range(len(vectors))}
+        self._index = dict(zip(_keys(vectors), range(len(vectors))))
         if len(self._index) != len(vectors):
             raise ValueError("duplicate truth vectors")
         self._top_index = self.chain.size - 1
@@ -218,11 +222,14 @@ class FreeAlgebra:
         return tuple(int(v) for v in self.vectors[x])
 
     def id_of_vector(self, vector: Sequence[int]) -> int:
-        key = np.asarray(vector, dtype=np.uint8).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"vector {tuple(vector)} is not an element") from None
+        """The id of the element with this truth vector; ``KeyError`` if there is none,
+        as for anything but a width-long vector of integers in ``0..k-1``."""
+        with contextlib.suppress(KeyError, ValueError):  # ValueError: a ragged sequence
+            v = np.asarray(vector)
+            if (v.shape == self.vectors.shape[1:] and v.dtype.kind in "iu"
+                    and v.min() >= 0 and v.max() <= self._top_index):
+                return self._index[_keys(v.astype(np.uint8))[0]]
+        raise KeyError(f"vector {vector!r} is not an element")
 
     def _check_table_bytes(self, per_pair: int, what: str) -> None:
         """``ValueError`` before an N x N allocation of ``per_pair`` bytes a pair."""
@@ -253,7 +260,7 @@ class FreeAlgebra:
             lookup = lambda keys: [get(key, -1) for key in keys]
         else:
             weights, slot = dense
-            slot[self.vectors @ weights] = np.arange(self.size)
+            slot[_keys(self.vectors, weights)] = np.arange(self.size)
             lookup = slot.__getitem__
         table = np.empty(4 * self.size ** 2, dtype=np.int32)
         lo = 0
@@ -466,31 +473,31 @@ def build(
     """Construct the free ``n``-generated algebra of the given variant.
 
     Runs the breadth-first closure described in the module docstring: the
-    truth vectors of bottom, top and ``x1..xn`` seed the element table, and
-    each round walks its untried pairs with :func:`_slabs`.  The table is
-    :func:`_dense_table`'s code array where the grid has one
-    (:func:`_close_codes`), else a dict from vector bytes to provenance
-    (:func:`_close_bytes`).  The result is identical across runs, slab sizes
-    and table forms.  If the closure would exceed ``element_cap`` elements,
-    :class:`ElementCapExceeded` is raised naming the size attained; growth
-    for three or more generators is explosive, so the cap is the intended
-    way to probe it safely.
+    grid rows of bottom, top and ``x1..xn`` seed :func:`_close`.  The result
+    is identical across runs, slab sizes and table forms.  If the closure
+    would exceed ``element_cap`` elements, :class:`ElementCapExceeded` is
+    raised naming the size attained; growth for three or more generators is
+    explosive, so the cap is the intended way to probe it safely.
     """
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     k = generic_chain_size(n, variant)
-    seeds = [(fm.BOT, ("bot",)), (fm.TOP, ("top",))]
-    seeds += [(fm.Var(v), ("var", v)) for v in range(1, n + 1)]
-    # Vector bytes -> provenance; key order is id order.
-    table = {bytes(truth_vector(n, variant, f)): record for f, record in seeds}
-    if len(table) > element_cap:
+    grid = grid_coordinates(k, n)
+    seeds = np.vstack((np.full((2, grid.shape[1]), [[0], [k - 1]], dtype=np.uint8), grid))
+    records = [("bot",), ("top",), *(("var", v) for v in range(1, n + 1))]
+    return FreeAlgebra(n, variant, *_close(seeds, records, k, element_cap))
+
+
+def _close(seeds: np.ndarray, records: list, k: int, element_cap: int) -> tuple:
+    """Vectors and provenance of the closure over a ``k``-chain of the distinct uint8
+    rows ``seeds``, whose own provenance is ``records``: :func:`_close_codes` where
+    :func:`_dense_table` gives the grid a code array, else :func:`_close_bytes`."""
+    if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
-    dense = _dense_table(k, len(next(iter(table))))
+    dense = _dense_table(k, seeds.shape[1])
     if dense is None:
-        vectors, provenance = _close_bytes(k - 1, table, element_cap)
-    else:
-        vectors, provenance = _close_codes(k, *dense, table, element_cap)
-    return FreeAlgebra(n, variant, vectors, provenance)
+        return _close_bytes(k - 1, dict(zip(_keys(seeds), records)), element_cap)
+    return _close_codes(k, *dense, seeds, records, element_cap)
 
 
 def _close_bytes(top: int, table: dict, element_cap: int) -> tuple[np.ndarray, tuple]:
@@ -517,20 +524,18 @@ def _close_bytes(top: int, table: dict, element_cap: int) -> tuple[np.ndarray, t
         previous = current
 
 
-def _close_codes(
-    k: int, weights: np.ndarray, slot: np.ndarray, table: dict, element_cap: int
-) -> tuple[np.ndarray, tuple]:
-    """Close the seeds of ``table`` with ``slot[code]`` as the id of each vector.
+def _close_codes(k: int, weights: np.ndarray, slot: np.ndarray, snapshot: np.ndarray,
+                 records: list, element_cap: int) -> tuple[np.ndarray, tuple]:
+    """Close the seed rows ``snapshot`` with ``slot[code]`` as the id of each vector.
 
     ``codes[i]`` is element i's code, so its vector is the base-``k`` digits.
     Per slab, the first position of each missing code in slab order is
     committed; ``np.unique`` finds it, as repeated fancy-index writes have no
     guaranteed order.
     """
-    snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(len(table), -1)
-    codes = snapshot @ weights
+    codes = _keys(snapshot, weights)
     slot[codes] = np.arange(len(codes))
-    provenance = list(table.values())
+    provenance = list(records)
     previous = 0
     while True:
         found = []

@@ -21,7 +21,7 @@ from nmlogic import (
     variables,
 )
 from nmlogic import chain as chain_module
-from nmlogic.free_algebra import _combine
+from nmlogic.free_algebra import _combine, _keys
 from nmlogic.chain import (
     MAX_GRID_POINTS,
     STANDARD,
@@ -304,8 +304,12 @@ def test_combine_keys_are_one_vector_wide(top, width, pairs, data):
                 tnorm_block(top, a, b), residuum_block(top, a, b))
     for p, key in enumerate(keys):
         assert key == expected[p % 4][p // 4].tobytes()
-    codes = _combine(top, a, b, (top + 1) ** np.arange(width))
+    weights = (top + 1) ** np.arange(width)
+    codes = _combine(top, a, b, weights)
     assert codes.tolist() == [sum(v * (top + 1) ** j for j, v in enumerate(key)) for key in keys]
+    stacked = np.stack(expected, axis=1)
+    assert keys == _keys(stacked)
+    assert np.array_equal(codes, _keys(stacked, weights))
 
 
 def test_chain_value_fraction_view():

@@ -16,7 +16,7 @@ from nmlogic import (
     truth_vector,
 )
 from nmlogic import free_algebra
-from nmlogic.formula import TOP, And, Implies, Not, Or, Strong, Var
+from nmlogic.formula import BOT, TOP, And, Implies, Not, Or, Strong, Var
 
 # The dense code array's bound, then 0, which sends every grid to the vector dict.
 DENSE_BOUNDS = (free_algebra._DENSE_CODES, 0)
@@ -70,6 +70,45 @@ def test_generic_chain_size():
     assert generic_chain_size(0, Variant.NM_MINUS) == 2
     with pytest.raises(ValueError):
         generic_chain_size(-1, Variant.NM)
+
+
+def test_variant_names_are_coerced():
+    # A variant's name selects it as the member does; any other string is refused.
+    assert build(1, "nm").size == 48 and build(1, "nm-").size == 16
+    assert build(1, "nm").export() == build(1, Variant.NM).export()
+    assert build(1, "nm-").variant is Variant.NM_MINUS
+    assert len(truth_vector(1, "nm", Var(1))) == 5
+    with pytest.raises(ValueError):
+        build(1, "bogus")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_seeds_are_grid_rows(n, variant, monkeypatch):
+    # With the closure stubbed out, build returns its seeds; the formula route checks them.
+    def seeds_only(seeds, records, k, element_cap):
+        assert seeds.dtype == np.uint8 and k == generic_chain_size(n, variant)
+        return seeds, tuple(records)
+
+    monkeypatch.setattr(free_algebra, "_close", seeds_only)
+    seeds = build(n, variant)
+    formulas = [BOT, TOP, *map(Var, range(1, n + 1))]
+    assert [seeds.vector(x) for x in seeds.element_ids()] == [
+        truth_vector(n, variant, f) for f in formulas]
+    assert seeds.provenance == (("bot",), ("top",), *(("var", v) for v in range(1, n + 1)))
+
+
+def test_build_evaluates_no_formula(monkeypatch):
+    calls = []
+    for name in ("eval_grid", "truth_vector"):
+        real = getattr(free_algebra, name)
+        monkeypatch.setattr(free_algebra, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    for variant in Variant:
+        build(1, variant)
+    assert calls == []
+    free_algebra.truth_vector(1, Variant.NM, Var(1))  # both patches count
+    assert len(calls) == 2
 
 
 def test_cardinalities(nm1, nmm1, nm0, nmm0):
@@ -523,3 +562,15 @@ def test_vector_access(nm1):
     assert nm1.id_of_vector((0, 1, 2, 3, 4)) == 2
     with pytest.raises(KeyError):
         nm1.id_of_vector((4, 0, 0, 0, 0))
+
+
+_NOT_VECTORS = {"float": (0.5, 0, 0, 0, 0), "negative": (-1, 0, 0, 0, 0),
+                "300": (300, 0, 0, 0, 0), "k": (5, 0, 0, 0, 0), "short": (0, 1, 2, 3),
+                "ragged": ((0, 1), 2, 3, 4, 0), "scalar": 0}
+
+
+@pytest.mark.parametrize("vector", _NOT_VECTORS.values(), ids=_NOT_VECTORS)
+def test_id_of_vector_refuses_what_is_not_a_vector(nm1, vector):
+    # A uint8 cast would read 0.5 as bottom and refuse 300 with OverflowError.
+    with pytest.raises(KeyError, match="is not an element"):
+        nm1.id_of_vector(vector)
