@@ -17,19 +17,18 @@ the elements known at its start in lexicographic id order, each pair as
 meet, join, fusion, implication.  A round skips the pairs of earlier
 rounds, which only yield known vectors, and walks the rest as one flat
 row-major range (old rows with new columns, then new rows with all
-columns) in slabs of ``_SLAB`` pairs.  Closure and
-:attr:`FreeAlgebra.operation_table`, which walks every pair, share one pair
-walk, :func:`_slabs`, and its kernel, :func:`_combine`.
+columns) in slabs of ``_SLAB`` pairs.  One loop, :func:`_close`, runs it;
+closure and :attr:`FreeAlgebra.operation_table`, which walks every pair,
+share one pair walk, :func:`_slabs`.
 
-The element table maps each vector to its id; :func:`_dense_table` picks
-its form for both, and :func:`_keys` alone turns vectors into its keys.
-Where a grid admits at most ``_DENSE_CODES`` vectors (every grid with at
-most one generator), a key is the integer code ``sum(v[j] * k**j)`` over a
-``k``-chain and the table is one int32 array indexed by code, -1 where no
-element has that code, so each slab is looked up with a few numpy calls.
-Above that bound a key is the vector's bytes and the table an
-insertion-ordered dict from key to provenance, the pair and operation that
-first produced the element, so a key's position is its id.
+The element table, :class:`_Table`, maps each vector to its id and alone
+knows the key format; the closure and each algebra keep one.  Where a grid
+admits at most ``_DENSE_CODES`` vectors (every grid with at most one
+generator), a key is the integer code ``sum(v[j] * k**j)`` over a
+``k``-chain and the ids are one int32 array indexed by code, -1 where no
+element has that code.  Above that bound a key is the vector's bytes and
+the ids a dict.  Either way a slab is looked up, deduplicated and added in
+a few array calls.
 """
 
 from __future__ import annotations
@@ -116,39 +115,54 @@ def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
     return is_tautology(n, variant, fm.Implies(fm.Square(phi), psi))
 
 
-def _keys(rows: np.ndarray, weights: np.ndarray | None = None):
-    """Table keys of the contiguous uint8 vectors on ``rows``' last axis: ``bytes`` from a
-    void view, which keeps trailing zeros, or with code ``weights`` a flat int array."""
-    if weights is not None:
-        return (rows @ weights).ravel()
-    return rows.view(np.dtype((np.void, rows.shape[-1]))).ravel().tolist()
+class _Table:
+    """The element table: the id of each ``width``-wide vector over a ``k``-chain.
 
-
-def _combine(top: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None):
-    """Keys of meet, join, fusion and implication of ``a`` and ``b``, broadcast to
-    (P, width); key ``4p + k`` is row ``p`` under ``_OP_TAGS[k]``."""
-    return _keys(np.stack((np.minimum(a, b), np.maximum(a, b),
-                           tnorm_block(top, a, b), residuum_block(top, a, b)), axis=1), weights)
-
-
-def _dense_table(k: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Code weights ``k**j`` and an all -1 int32 id array over every code, or None.
-
-    None, the dict path, where ``width``-wide vectors over a ``k``-chain have
-    more than ``_DENSE_CODES`` codes.  As k >= 2, no width at or past the
-    bound's bit length is under it; capping the exponent keeps a wide import
-    from costing a huge power.
+    It alone knows the key format.  Where the grid admits at most
+    ``_DENSE_CODES`` vectors (every grid with at most one generator), a key is
+    the integer code ``sum(v[j] * k**j)`` and the ids are one int32 array
+    indexed by code.  Above that a key is a void view of the vector's bytes,
+    which keeps trailing zeros, and the ids are a dict from ``bytes``.  As
+    k >= 2, no width at or past the bound's bit length is under it; capping
+    the exponent keeps a wide import from costing a huge power.
     """
-    if k ** min(width, _DENSE_CODES.bit_length()) > _DENSE_CODES:
-        return None
-    return k ** np.arange(width, dtype=np.int32), np.full(k**width, -1, dtype=np.int32)
+
+    def __init__(self, k: int, width: int):
+        self._void = np.dtype((np.void, width))
+        if k ** min(width, _DENSE_CODES.bit_length()) > _DENSE_CODES:
+            self._weights, self._ids = None, {}
+        else:
+            self._weights = k ** np.arange(width, dtype=np.int32)
+            self._ids = np.full(k**width, -1, dtype=np.int32)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """One flat array of keys, one per contiguous uint8 vector on ``rows``' last axis."""
+        if self._weights is None:
+            return rows.view(self._void).ravel()
+        return (rows @ self._weights).ravel()
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The id of each key, -1 where no element has it."""
+        if self._weights is None:
+            get = self._ids.get
+            return np.array([get(key, -1) for key in keys.tolist()], dtype=np.int32)
+        return self._ids[keys]
+
+    def add(self, keys: np.ndarray, start: int) -> None:
+        """Give the distinct new ``keys`` the ids ``start``, ``start + 1``, ..."""
+        if self._weights is None:
+            self._ids.update(zip(keys.tolist(), range(start, start + len(keys))))
+        else:
+            self._ids[keys] = np.arange(start, start + len(keys))
 
 
-def _slabs(top: int, snapshot: np.ndarray, previous: int, weights: np.ndarray | None):
-    """Yield rows, columns and :func:`_combine` keys per slab of ``_SLAB`` untried pairs.
+def _slabs(top: int, snapshot: np.ndarray, previous: int, table: _Table):
+    """Yield rows, columns, result rows and their ``table`` keys per slab of
+    ``_SLAB`` untried pairs.
 
     Untried pairs, row-major: old rows x new columns, then new rows x all.
-    With ``previous = 0`` that is every pair in row-major order.
+    With ``previous = 0`` that is every pair in row-major order.  Result row
+    ``4p + k`` is the slab's pair ``p`` under ``_OP_TAGS[k]``.
     """
     current = len(snapshot)
     new = current - previous
@@ -159,7 +173,10 @@ def _slabs(top: int, snapshot: np.ndarray, previous: int, weights: np.ndarray | 
         late = flat - old_pairs
         rows = np.where(late < 0, flat // new, previous + late // current)
         cols = np.where(late < 0, previous + flat % new, late % current)
-        yield rows, cols, _combine(top, snapshot[rows], snapshot[cols], weights)
+        a, b = snapshot[rows], snapshot[cols]
+        results = np.stack((np.minimum(a, b), np.maximum(a, b), tnorm_block(top, a, b),
+                            residuum_block(top, a, b)), axis=1).reshape(-1, snapshot.shape[1])
+        yield rows, cols, results, table.keys(results)
 
 
 def _cached(compute):
@@ -183,7 +200,7 @@ class FreeAlgebra:
     order).  The bottom element always has id 0 and the top id 1; the
     projections follow, then everything the closure discovered.  All
     structure (order, covers, irreducibility and idempotency flags, and the
-    operation table filled by :func:`build`'s kernel) is derived from the
+    operation table filled by :func:`build`'s pair walk) is derived from the
     vectors and cached lazily; instances are immutable and safe to share.
     """
 
@@ -203,8 +220,10 @@ class FreeAlgebra:
         self.provenance = provenance
         self.bottom_id = 0
         self.top_id = 1
-        self._index = dict(zip(_keys(vectors), range(len(vectors))))
-        if len(self._index) != len(vectors):
+        self._table = _Table(self.chain.size, vectors.shape[1])
+        keys = self._table.keys(vectors)
+        self._table.add(keys, 0)
+        if (self._table.lookup(keys) != np.arange(len(vectors))).any():
             raise ValueError("duplicate truth vectors")
         self._top_index = self.chain.size - 1
         self._cache: dict[str, object] = {}
@@ -224,11 +243,14 @@ class FreeAlgebra:
     def id_of_vector(self, vector: Sequence[int]) -> int:
         """The id of the element with this truth vector; ``KeyError`` if there is none,
         as for anything but a width-long vector of integers in ``0..k-1``."""
-        with contextlib.suppress(KeyError, ValueError):  # ValueError: a ragged sequence
+        with contextlib.suppress(ValueError):  # ValueError: a ragged sequence
             v = np.asarray(vector)
-            if (v.shape == self.vectors.shape[1:] and v.dtype.kind in "iu"
-                    and v.min() >= 0 and v.max() <= self._top_index):
-                return self._index[_keys(v.astype(np.uint8))[0]]
+            if v.shape == self.vectors.shape[1:] and v.dtype.kind in "iu":
+                values = v.tolist()
+                if 0 <= min(values) and max(values) <= self._top_index:
+                    x = self._table.lookup(self._table.keys(v.astype(np.uint8))).item()
+                    if x >= 0:
+                        return x
         raise KeyError(f"vector {vector!r} is not an element")
 
     def _check_table_bytes(self, per_pair: int, what: str) -> None:
@@ -248,24 +270,15 @@ class FreeAlgebra:
 
         The operations are meet, join, fusion and implication.  The table is
         filled from :func:`_slabs` over every pair, so temporaries are one
-        slab's keys, looked up in :func:`_dense_table`'s id array where the
-        grid has one and in the vector dict otherwise.  ``KeyError`` naming
-        the operations that leave the set if it is not closed; ``ValueError``
-        above ``MAX_TABLE_BYTES``.
+        slab's results and keys, looked up in the algebra's element table.
+        ``KeyError`` naming the operations that leave the set if it is not
+        closed; ``ValueError`` above ``MAX_TABLE_BYTES``.
         """
         self._check_table_bytes(16, "operation table")
-        dense = _dense_table(self.chain.size, self.vectors.shape[1])
-        if dense is None:
-            weights, get = None, self._index.get
-            lookup = lambda keys: [get(key, -1) for key in keys]
-        else:
-            weights, slot = dense
-            slot[_keys(self.vectors, weights)] = np.arange(self.size)
-            lookup = slot.__getitem__
         table = np.empty(4 * self.size ** 2, dtype=np.int32)
         lo = 0
-        for _, _, keys in _slabs(self._top_index, self.vectors, 0, weights):
-            table[lo:lo + len(keys)] = lookup(keys)
+        for *_, keys in _slabs(self._top_index, self.vectors, 0, self._table):
+            table[lo:lo + len(keys)] = self._table.lookup(keys)
             lo += len(keys)
         table = table.reshape(self.size, self.size, 4)
         leaving = [tag for tag, out in zip(_OP_TAGS, (table < 0).any(axis=(0, 1))) if out]
@@ -490,70 +503,35 @@ def build(
 
 def _close(seeds: np.ndarray, records: list, k: int, element_cap: int) -> tuple:
     """Vectors and provenance of the closure over a ``k``-chain of the distinct uint8
-    rows ``seeds``, whose own provenance is ``records``: :func:`_close_codes` where
-    :func:`_dense_table` gives the grid a code array, else :func:`_close_bytes`."""
+    rows ``seeds``, whose own provenance is ``records``.
+
+    Per slab, the first position of each missing key in slab order is
+    committed; ``np.unique`` finds it, as a slab can produce one new vector
+    twice and repeated fancy-index writes have no guaranteed order.  New
+    provenance stays one int32 (op, row, col) array per slab until the
+    closure completes, so a capped build makes no tuple.
+    """
     if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
-    dense = _dense_table(k, seeds.shape[1])
-    if dense is None:
-        return _close_bytes(k - 1, dict(zip(_keys(seeds), records)), element_cap)
-    return _close_codes(k, *dense, seeds, records, element_cap)
-
-
-def _close_bytes(top: int, table: dict, element_cap: int) -> tuple[np.ndarray, tuple]:
-    """Close the seed ``table`` in place, probing it once per candidate key.
-
-    Only keys a list comprehension finds missing from the table cost more
-    Python work; each is checked again when committed, as a slab can
-    produce one new vector twice.
-    """
-    previous = 0
-    while True:
-        current = len(table)
-        snapshot = np.frombuffer(b"".join(table), dtype=np.uint8).reshape(current, -1)
-        for rows, cols, keys in _slabs(top, snapshot, previous, None):
-            rows, cols = rows.tolist(), cols.tolist()
-            for p in [p for p, key in enumerate(keys) if key not in table]:
-                if keys[p] in table:  # a slab can yield one new key twice
-                    continue
-                if len(table) >= element_cap:
-                    raise ElementCapExceeded(len(table) + 1, element_cap)
-                table[keys[p]] = (_OP_TAGS[p % 4], rows[p // 4], cols[p // 4])
-        if len(table) == current:
-            return snapshot, tuple(table.values())
-        previous = current
-
-
-def _close_codes(k: int, weights: np.ndarray, slot: np.ndarray, snapshot: np.ndarray,
-                 records: list, element_cap: int) -> tuple[np.ndarray, tuple]:
-    """Close the seed rows ``snapshot`` with ``slot[code]`` as the id of each vector.
-
-    ``codes[i]`` is element i's code, so its vector is the base-``k`` digits.
-    Per slab, the first position of each missing code in slab order is
-    committed; ``np.unique`` finds it, as repeated fancy-index writes have no
-    guaranteed order.
-    """
-    codes = _keys(snapshot, weights)
-    slot[codes] = np.arange(len(codes))
-    provenance = list(records)
-    previous = 0
+    table = _Table(k, seeds.shape[1])
+    table.add(table.keys(seeds), 0)
+    snapshot, previous, made = seeds, 0, [np.empty((0, 3), dtype=np.int32)]
     while True:
         found = []
-        for rows, cols, keys in _slabs(k - 1, snapshot, previous, weights):
-            missing = np.flatnonzero(slot[keys] < 0)
+        count = len(snapshot)
+        for rows, cols, results, keys in _slabs(k - 1, snapshot, previous, table):
+            missing = np.flatnonzero(table.lookup(keys) < 0)
             if not missing.size:
                 continue
             first = missing[np.sort(np.unique(keys[missing], return_index=True)[1])]
-            count = len(provenance)
             if count + len(first) > element_cap:
                 raise ElementCapExceeded(element_cap + 1, element_cap)
-            slot[keys[first]] = np.arange(count, count + len(first))
-            found.append(keys[first])
+            table.add(keys[first], count)
+            count += len(first)
+            found.append(results[first])
             pairs = first // 4
-            provenance += zip(map(_OP_TAGS.__getitem__, (first % 4).tolist()),
-                              rows[pairs].tolist(), cols[pairs].tolist())
+            made.append(np.stack((first % 4, rows[pairs], cols[pairs]), axis=1).astype(np.int32))
         if not found:
-            return snapshot, tuple(provenance)
-        previous = len(codes)
-        codes = np.concatenate([codes, *found])
-        snapshot = (codes[:, None] // weights % k).astype(np.uint8)
+            ops, rows, cols = np.concatenate(made).T.tolist()
+            return snapshot, (*records, *zip(map(_OP_TAGS.__getitem__, ops), rows, cols))
+        previous, snapshot = len(snapshot), np.concatenate([snapshot, *found])

@@ -21,7 +21,7 @@ from nmlogic import (
     variables,
 )
 from nmlogic import chain as chain_module
-from nmlogic.free_algebra import _combine, _keys
+from nmlogic import free_algebra
 from nmlogic.chain import (
     MAX_GRID_POINTS,
     STANDARD,
@@ -292,24 +292,31 @@ def test_mask_kernels_match_scalar_ops_in_every_shape(top, dtype, shapes, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 20), st.data())
-def test_combine_keys_are_one_vector_wide(top, width, pairs, data):
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 6), st.data())
+def test_table_keys_are_one_vector_wide(top, width, size, data):
     # A silent upcast would widen every key and break the id of each vector.
-    a, b = (data.draw(hnp.arrays(np.uint8, (pairs, width), elements=st.integers(0, top)))
-            for _ in range(2))
-    keys = _combine(top, a, b)
-    assert len(keys) == 4 * pairs
-    assert all(len(key) == width for key in keys)
-    expected = (np.minimum(a, b), np.maximum(a, b),
-                tnorm_block(top, a, b), residuum_block(top, a, b))
-    for p, key in enumerate(keys):
-        assert key == expected[p % 4][p // 4].tobytes()
-    weights = (top + 1) ** np.arange(width)
-    codes = _combine(top, a, b, weights)
-    assert codes.tolist() == [sum(v * (top + 1) ** j for j, v in enumerate(key)) for key in keys]
-    stacked = np.stack(expected, axis=1)
-    assert keys == _keys(stacked)
-    assert np.array_equal(codes, _keys(stacked, weights))
+    snapshot = data.draw(hnp.arrays(np.uint8, (size, width), elements=st.integers(0, top)))
+    rows, cols = np.divmod(np.arange(size * size), size)
+    a, b = snapshot[rows], snapshot[cols]
+    expected = np.stack((np.minimum(a, b), np.maximum(a, b),
+                         tnorm_block(top, a, b), residuum_block(top, a, b)), axis=1)
+    vectors = expected.reshape(-1, width).tolist()
+    k = top + 1
+    for dense_bound in (free_algebra._DENSE_CODES, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+            table = free_algebra._Table(k, width)
+        [(_, _, results, keys)] = free_algebra._slabs(top, snapshot, 0, table)
+        assert results.dtype == np.uint8 and results.tolist() == vectors
+        if k**width > dense_bound:
+            assert keys.dtype.kind == "V"
+            assert keys.tolist() == [bytes(v) for v in vectors]  # trailing zeros kept
+        else:
+            assert keys.tolist() == [sum(x * k**j for j, x in enumerate(v)) for v in vectors]
+        # The distinct vectors but the last get ids from 5 on; the last has none.
+        distinct = np.unique(results, axis=0)
+        table.add(table.keys(distinct[:-1]), 5)
+        assert table.lookup(table.keys(distinct)).tolist() == [*range(5, 4 + len(distinct)), -1]
 
 
 def test_chain_value_fraction_view():

@@ -16,21 +16,28 @@ from nmlogic import (
     truth_vector,
 )
 from nmlogic import free_algebra
+from nmlogic.chain import residuum_block, tnorm_block
 from nmlogic.formula import BOT, TOP, And, Implies, Not, Or, Strong, Var
 
 # The dense code array's bound, then 0, which sends every grid to the vector dict.
 DENSE_BOUNDS = (free_algebra._DENSE_CODES, 0)
 
 
-def reference_closure(n, k):
-    """Plain reimplementation of the documented build order.
+def grid_seeds(n, k, generators):
+    """Bottom, top and the first ``generators`` projections as vectors on the ``k``-grid."""
+    grid = list(itertools.product(range(k), repeat=n))
+    return [tuple([0] * len(grid)), tuple([k - 1] * len(grid)),
+            *(tuple(g[i] for g in grid) for i in range(generators))]
+
+
+def reference_closure(seeds, k):
+    """Plain reimplementation of the documented closure order from the vectors ``seeds``.
 
     Rounds rescan every ordered pair of the elements known at the round
     start; pairs run in lexicographic id order and each pair tries meet,
     join, fusion, implication.  No incremental skipping, no numpy.
     """
     top = k - 1
-    grid = list(itertools.product(range(k), repeat=n))
 
     def tn(x, y):
         return min(x, y) if x + y > top else 0
@@ -46,10 +53,8 @@ def reference_closure(n, k):
             seen[v] = len(vecs)
             vecs.append(v)
 
-    commit(tuple([0] * len(grid)))
-    commit(tuple([top] * len(grid)))
-    for i in range(n):
-        commit(tuple(g[i] for g in grid))
+    for seed in seeds:
+        commit(seed)
     while True:
         current = len(vecs)
         for i in range(current):
@@ -120,12 +125,28 @@ def test_cardinalities(nm1, nmm1, nm0, nmm0):
 
 @pytest.mark.parametrize(
     "n,variant",
-    [(0, Variant.NM), (0, Variant.NM_MINUS), (1, Variant.NM), (1, Variant.NM_MINUS)],
+    [(0, Variant.NM), (0, Variant.NM_MINUS), (1, Variant.NM), (1, Variant.NM_MINUS),
+     (2, Variant.NM), (2, Variant.NM_MINUS)],
 )
 def test_build_matches_reference_closure(n, variant, monkeypatch):
-    expected = reference_closure(n, generic_chain_size(n, variant))
-    reference = build(n, variant)
-    assert [reference.vector(x) for x in reference.element_ids()] == expected
+    # On a two-generator grid only bottom, top and x1 seed the closure: a
+    # width-49 or width-36 table, past the dense bound, that closes to the
+    # one-generator algebra, found in the same order.
+    k = generic_chain_size(n, variant)
+    seeds = grid_seeds(n, k, min(n, 1))
+    expected = (reference_closure(seeds, k), build(min(n, 1), variant).provenance)
+
+    def closure():
+        if n < 2:
+            algebra = build(n, variant)
+            return [algebra.vector(x) for x in algebra.element_ids()], algebra.provenance
+        records = [("bot",), ("top",), ("var", 1)]
+        vectors, provenance = free_algebra._close(np.array(seeds, dtype=np.uint8), records, k,
+                                                  free_algebra.DEFAULT_ELEMENT_CAP)
+        return list(map(tuple, vectors.tolist())), provenance
+
+    assert closure() == expected
+    assert n < 2 or len(expected[0]) == {Variant.NM: 48, Variant.NM_MINUS: 16}[variant]
     # Small slabs split every round into many blocks and start the
     # incremental scan mid-slab; slab 7 also straddles the boundary between
     # old rows and new rows, and 2048 takes a whole round at once.  A dense
@@ -134,29 +155,33 @@ def test_build_matches_reference_closure(n, variant, monkeypatch):
         monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
         for slab in (1, 3, 7, 2048):
             monkeypatch.setattr(free_algebra, "_SLAB", slab)
-            algebra = build(n, variant)
-            assert [algebra.vector(x) for x in algebra.element_ids()] == expected
-            assert algebra.provenance == reference.provenance
+            assert closure() == expected
 
 
-def test_dense_table_serves_one_generator_grids():
+def test_table_is_dense_on_one_generator_grids():
+    # Integer codes on every grid with at most one generator, with k**j the
+    # code of the j-th unit vector and one id slot per code; bytes at two.
     for n, variant in itertools.product((0, 1, 2), Variant):
         k = generic_chain_size(n, variant)
-        dense = free_algebra._dense_table(k, k**n)
-        assert (dense is None) == (n == 2)
-        if dense is not None:
-            weights, slot = dense
-            assert weights.tolist() == [k**j for j in range(k**n)]
-            assert len(slot) == k ** (k**n) and (slot == -1).all()
+        table = free_algebra._Table(k, k**n)
+        keys = table.keys(np.eye(k**n, dtype=np.uint8))
+        assert (keys.dtype.kind == "V") == (n == 2)
+        assert (table.lookup(keys) == -1).all()
+        if n < 2:
+            assert keys.tolist() == [k**j for j in range(k**n)]
+            assert (table.lookup(np.arange(k ** (k**n))) == -1).all()
+            with pytest.raises(IndexError):
+                table.lookup(np.array([k ** (k**n)]))
 
     class Base(int):
         def __pow__(self, exponent):
             exponents.append(exponent)
             return int(self) ** exponent
 
-    # A wide import is refused without raising 7 to a million-digit power.
+    # A wide import gets a bytes table without raising 7 to a million-digit power.
     exponents = []
-    assert free_algebra._dense_table(Base(7), 2**20) is None
+    table = free_algebra._Table(Base(7), 2**20)
+    assert table.keys(np.zeros((1, 2**20), dtype=np.uint8)).dtype.kind == "V"
     assert exponents and max(exponents) <= free_algebra._DENSE_CODES.bit_length()
 
 
@@ -196,30 +221,31 @@ def test_check_closed_rejects_non_closed_algebra(nm1, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["nmm1", "nm1"])
 def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
-    # build and operation_table both walk _slabs over _combine's keys; pin the
-    # key format and the code of each key, and the table's layout at every slab
-    # size on both table forms against row-major pairs.
+    # build and operation_table both walk _slabs and look its keys up in a
+    # _Table; pin the result rows, the key of each on both table forms, and
+    # the table's layout at every slab size on both forms against row-major pairs.
     algebra = request.getfixturevalue(fixture)
     size, width = algebra.vectors.shape
     k = algebra.chain.size
     rows, cols = np.divmod(np.arange(size * size), size)
-    operands = (k - 1, algebra.vectors[rows], algebra.vectors[cols])
-    keys = free_algebra._combine(*operands)
-    weights, _ = free_algebra._dense_table(k, width)
-    codes = free_algebra._combine(*operands, weights)
-    assert len(keys) == len(codes) == 4 * size * size
-    expected = np.empty((size, size, 4), dtype=np.int64)
-    for p, key in enumerate(keys):
-        assert len(key) == width
-        assert codes[p] == sum(v * k**j for j, v in enumerate(key))
-        (x, y), op = divmod(p // 4, size), p % 4
-        expected[x, y, op] = algebra.id_of_vector(tuple(key))
+    a, b = algebra.vectors[rows], algebra.vectors[cols]
+    results = np.stack((np.minimum(a, b), np.maximum(a, b), tnorm_block(k - 1, a, b),
+                        residuum_block(k - 1, a, b)), axis=1).reshape(-1, width)
+    expected = np.reshape([algebra.id_of_vector(r) for r in results.tolist()], (size, size, 4))
     assert np.array_equal(algebra.operation_table, expected)
     for dense_bound in DENSE_BOUNDS:
         monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+        keys = free_algebra._Table(k, width).keys(results).tolist()
+        if dense_bound:
+            assert keys == [sum(v * k**j for j, v in enumerate(r)) for r in results.tolist()]
+        else:
+            assert keys == [bytes(r) for r in results.tolist()]
         for slab in (1, 3, 7, 2048):
             monkeypatch.setattr(free_algebra, "_SLAB", slab)
             fresh = FreeAlgebra(algebra.n, algebra.variant, algebra.vectors, algebra.provenance)
+            walked = list(free_algebra._slabs(k - 1, fresh.vectors, 0, fresh._table))
+            assert np.array_equal(np.concatenate([w[2] for w in walked]), results)
+            assert [key for w in walked for key in w[3].tolist()] == keys
             assert np.array_equal(fresh.operation_table, expected)
 
 
