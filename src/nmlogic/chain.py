@@ -78,10 +78,8 @@ class NMChain:
     """The nilpotent-minimum chain with ``size`` elements (``size >= 2``)."""
 
     def __init__(self, size: int):
-        if size < 2:
-            raise ValueError(f"chain size must be >= 2, got {size}")
         self.size = size
-        self.bottom = ChainValue(0, size)
+        self.bottom = ChainValue(0, size)  # raises ValueError for size < 2
         self.top = ChainValue(size - 1, size)
         self._ops = _index_algebra(size - 1)
 

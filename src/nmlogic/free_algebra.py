@@ -41,13 +41,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import formula as fm
-from .chain import NMChain, eval_grid, grid_coordinates, residuum_block, tnorm_block
+from .chain import NMChain, eval_grid, grid_coordinates, grid_points, residuum_block, tnorm_block
 
 DEFAULT_ELEMENT_CAP = 100_000
 
-# Bytes an N x N structure may allocate: operation_table takes 16 per pair of
-# elements, leq_matrix a vector width per pair while it compares.  Complete
-# algebras stay far below it; an imported one need not.
+# Bytes an N x N structure or a closure may allocate: operation_table takes 16
+# per pair of elements, leq_matrix a vector width per pair while it compares,
+# a closure's rows a vector width per element up to its cap (its table keys as
+# much again), and one slab at most this.  Complete algebras stay far below
+# it; imports and big caps need not.
 MAX_TABLE_BYTES = 1 << 28
 
 _SLAB = 2048
@@ -158,25 +160,34 @@ class _Table:
 
 def _slabs(top: int, snapshot: np.ndarray, previous: int, table: _Table):
     """Yield rows, columns, result rows and their ``table`` keys per slab of
-    ``_SLAB`` untried pairs.
+    at most ``_SLAB`` untried pairs.
 
     Untried pairs, row-major: old rows x new columns, then new rows x all.
     With ``previous = 0`` that is every pair in row-major order.  Result row
-    ``4p + k`` is the slab's pair ``p`` under ``_OP_TAGS[k]``.
+    ``4p + k`` is the slab's pair ``p`` under ``_OP_TAGS[k]``.  A slab takes up
+    to 17 bytes a pair per vector entry (tracemalloc, n = 5 closures), so
+    wide grids take fewer pairs to stay within ``MAX_TABLE_BYTES``.
     """
-    current = len(snapshot)
+    current, width = snapshot.shape
     new = current - previous
     old_pairs = previous * new
     total = old_pairs + new * current
-    for lo in range(0, total, _SLAB):
-        flat = np.arange(lo, min(lo + _SLAB, total))
+    slab = max(1, min(_SLAB, MAX_TABLE_BYTES // (17 * width)))
+    for lo in range(0, total, slab):
+        flat = np.arange(lo, min(lo + slab, total))
         late = flat - old_pairs
         rows = np.where(late < 0, flat // new, previous + late // current)
         cols = np.where(late < 0, previous + flat % new, late % current)
         a, b = snapshot[rows], snapshot[cols]
         results = np.stack((np.minimum(a, b), np.maximum(a, b), tnorm_block(top, a, b),
-                            residuum_block(top, a, b)), axis=1).reshape(-1, snapshot.shape[1])
+                            residuum_block(top, a, b)), axis=1).reshape(-1, width)
         yield rows, cols, results, table.keys(results)
+
+
+def _check_bytes(need: int, what: str) -> None:
+    """``ValueError`` before the ``what`` allocates ``need`` bytes over ``MAX_TABLE_BYTES``."""
+    if need > MAX_TABLE_BYTES:
+        raise ValueError(f"the {what} needs {need} bytes, over MAX_TABLE_BYTES = {MAX_TABLE_BYTES}")
 
 
 def _cached(compute):
@@ -202,6 +213,10 @@ class FreeAlgebra:
     structure (order, covers, irreducibility and idempotency flags, and the
     operation table filled by :func:`build`'s pair walk) is derived from the
     vectors and cached lazily; instances are immutable and safe to share.
+
+    The constructor alone checks a vector set: at least two distinct rows of
+    grid width (``k**n``, within ``MAX_GRID_POINTS``) and integers in
+    ``0..k-1``, else ``ValueError``; :meth:`check_closed` checks closure.
     """
 
     def __init__(
@@ -213,19 +228,26 @@ class FreeAlgebra:
     ):
         self.n = n
         self.variant = Variant(variant)
-        self.chain = NMChain(generic_chain_size(n, variant))
+        k = generic_chain_size(n, variant)
+        self.chain = NMChain(k)
+        width = grid_points(k, n)
+        vectors = np.asarray(vectors)
+        if vectors.ndim != 2 or len(vectors) < 2 or vectors.shape[1] != width:
+            raise ValueError(f"expected at least two vectors of grid length {k}**{n}")
+        if vectors.dtype.kind not in "iu" or vectors.min() < 0 or vectors.max() > k - 1:
+            raise ValueError(f"vector entries must be integers in 0..{k - 1}")
         vectors = np.ascontiguousarray(vectors, dtype=np.uint8)
         vectors.flags.writeable = False
         self.vectors = vectors
         self.provenance = provenance
         self.bottom_id = 0
         self.top_id = 1
-        self._table = _Table(self.chain.size, vectors.shape[1])
+        self._table = _Table(k, width)
         keys = self._table.keys(vectors)
         self._table.add(keys, 0)
         if (self._table.lookup(keys) != np.arange(len(vectors))).any():
             raise ValueError("duplicate truth vectors")
-        self._top_index = self.chain.size - 1
+        self._top_index = k - 1
         self._cache: dict[str, object] = {}
 
     # -- size and raw vectors ------------------------------------------------
@@ -253,15 +275,6 @@ class FreeAlgebra:
                         return x
         raise KeyError(f"vector {vector!r} is not an element")
 
-    def _check_table_bytes(self, per_pair: int, what: str) -> None:
-        """``ValueError`` before an N x N allocation of ``per_pair`` bytes a pair."""
-        need = self.size ** 2 * per_pair
-        if need > MAX_TABLE_BYTES:
-            raise ValueError(
-                f"the {what} of {self.size} elements needs {need} bytes,"
-                f" over MAX_TABLE_BYTES = {MAX_TABLE_BYTES}"
-            )
-
     # -- operations ----------------------------------------------------------
 
     @_cached
@@ -274,7 +287,7 @@ class FreeAlgebra:
         ``KeyError`` naming the operations that leave the set if it is not
         closed; ``ValueError`` above ``MAX_TABLE_BYTES``.
         """
-        self._check_table_bytes(16, "operation table")
+        _check_bytes(16 * self.size**2, f"operation table of {self.size} elements")
         table = np.empty(4 * self.size ** 2, dtype=np.int32)
         lo = 0
         for *_, keys in _slabs(self._top_index, self.vectors, 0, self._table):
@@ -314,7 +327,7 @@ class FreeAlgebra:
         ``ValueError`` if the comparison would take over ``MAX_TABLE_BYTES``.
         """
         v = self.vectors
-        self._check_table_bytes(v.shape[1], "order matrix")
+        _check_bytes(v.shape[1] * self.size**2, f"order matrix of {self.size} elements")
         leq = (v[:, None, :] <= v[None, :, :]).all(axis=2)
         leq.flags.writeable = False
         return leq
@@ -426,10 +439,10 @@ class FreeAlgebra:
     def from_export(cls, data: Mapping, validate: bool = True) -> "FreeAlgebra":
         """Rebuild an algebra from :meth:`export` output.
 
-        The vectors are always checked: every entry must lie on the chain,
-        every row must span the grid, and elements 0 and 1 must be bottom
-        and top.  With ``validate`` the set must be closed under the four
-        operations, checked by :meth:`check_closed`, and the stored
+        The vectors always pass the constructor's checks; here the ids must
+        be ``0..N-1``, ``n`` match ``chain_size`` and elements 0 and 1 be
+        bottom and top.  With ``validate`` the set must be closed under the
+        four operations, checked by :meth:`check_closed`, and the stored
         annotations are recomputed and compared.  Any mismatch raises
         ``ValueError``, as does a document that lacks a field or holds one of
         the wrong type.
@@ -445,17 +458,9 @@ class FreeAlgebra:
             elements = sorted(data["elements"], key=lambda e: e["id"])
             if [e["id"] for e in elements] != list(range(len(elements))):
                 raise ValueError("element ids must be 0..N-1")
-            vectors = np.array([e["vector"] for e in elements])
-            # As k >= 2, no n at or past the width's bit length matches it; capping
-            # the exponent keeps a huge n from costing a huge power.
-            if (vectors.ndim != 2 or len(vectors) < 2
-                    or k ** min(n, vectors.shape[1].bit_length()) != vectors.shape[1]):
-                raise ValueError(f"expected at least two vectors of grid length {k}**{n}")
-            if vectors.dtype.kind not in "iu" or vectors.min() < 0 or vectors.max() > k - 1:
-                raise ValueError(f"vector entries must be integers in 0..{k - 1}")
-            if (vectors[0] != 0).any() or (vectors[1] != k - 1).any():
+            algebra = cls(n, variant, [e["vector"] for e in elements], provenance=None)
+            if (algebra.vectors[0] != 0).any() or (algebra.vectors[1] != k - 1).any():
                 raise ValueError("elements 0 and 1 must be bottom and top")
-            algebra = cls(n, variant, vectors, provenance=None)
             if validate:
                 if (data["bottom"], data["top"]) != (0, 1):
                     raise ValueError("bottom and top ids must be 0 and 1")
@@ -490,7 +495,8 @@ def build(
     is identical across runs, slab sizes and table forms.  If the closure
     would exceed ``element_cap`` elements, :class:`ElementCapExceeded` is
     raised naming the size attained; growth for three or more generators is
-    explosive, so the cap is the intended way to probe it safely.
+    explosive, so the cap is the intended way to probe it safely.  A cap of
+    more vector bytes than ``MAX_TABLE_BYTES`` raises ``ValueError`` at once.
     """
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
@@ -509,11 +515,14 @@ def _close(seeds: np.ndarray, records: list, k: int, element_cap: int) -> tuple:
     committed; ``np.unique`` finds it, as a slab can produce one new vector
     twice and repeated fancy-index writes have no guaranteed order.  New
     provenance stays one int32 (op, row, col) array per slab until the
-    closure completes, so a capped build makes no tuple.
+    closure completes, so a capped build makes no tuple.  ``ValueError`` first
+    if ``element_cap`` rows take over ``MAX_TABLE_BYTES``.
     """
     if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
-    table = _Table(k, seeds.shape[1])
+    width = seeds.shape[1]
+    _check_bytes(element_cap * width, f"closure to {element_cap} vectors of width {width}")
+    table = _Table(k, width)
     table.add(table.keys(seeds), 0)
     snapshot, previous, made = seeds, 0, [np.empty((0, 3), dtype=np.int32)]
     while True:

@@ -13,7 +13,6 @@ cost is grid points times formula nodes, so a request above
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator
 
 from .chain import ChainValue, NMChain, eval_chain, grid_assignments, grid_points
 from .formula import Formula, program
@@ -35,27 +34,20 @@ class AssignmentSpace(Enum):
         return NMChain(self.value)
 
 
-def _assignments(f: Formula, n: int, chain: NMChain) -> Iterator[dict[int, ChainValue]]:
-    """``grid_assignments(chain, n)``, once the scalar work of ``f`` on it is
-    known to fit the budget; nothing is allocated before that."""
+def enumerate_models(
+    f: Formula, n: int, space: AssignmentSpace
+) -> list[dict[int, ChainValue]]:
+    """Satisfying assignments over ``x1..xn``, in lexicographic order."""
+    chain = space.chain
     points, nodes = grid_points(chain.size, n), len(program(f))
     if points * nodes > MAX_SCALAR_WORK:
         raise ValueError(
             f"{points} points times {nodes} formula nodes exceeds the scalar "
             f"budget of {MAX_SCALAR_WORK}"
         )
-    return grid_assignments(chain, n)
-
-
-def enumerate_models(
-    f: Formula, n: int, space: AssignmentSpace
-) -> list[dict[int, ChainValue]]:
-    """Satisfying assignments over ``x1..xn``, in lexicographic order."""
-    chain = space.chain
-    return [env for env in _assignments(f, n, chain) if eval_chain(f, chain, env) == chain.top]
+    return [env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) == chain.top]
 
 
 def count_models(f: Formula, n: int, space: AssignmentSpace) -> int:
     """Number of assignments over ``x1..xn`` that evaluate ``f`` to 1."""
-    chain = space.chain
-    return sum(eval_chain(f, chain, env) == chain.top for env in _assignments(f, n, chain))
+    return len(enumerate_models(f, n, space))

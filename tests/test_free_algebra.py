@@ -158,6 +158,47 @@ def test_build_matches_reference_closure(n, variant, monkeypatch):
             assert closure() == expected
 
 
+@pytest.mark.parametrize("variant,size", [(Variant.NM, 48), (Variant.NM_MINUS, 16)])
+def test_slabs_shrink_under_the_byte_bound(variant, size, monkeypatch):
+    # The lowest bound that admits the complete closure of bottom, top and x1
+    # on the two-generator grid, cap times width bytes, leaves room for one
+    # pair a slab at 17 bytes an entry on nm- (16 rows) and two on nm (48).
+    k = generic_chain_size(2, variant)
+    seeds = grid_seeds(2, k, 1)
+    expected = (reference_closure(seeds, k), build(1, variant).provenance)
+    pairs = []
+    real = free_algebra._slabs
+
+    def counted(*args):
+        for slab in real(*args):
+            pairs.append(len(slab[0]))
+            yield slab
+
+    monkeypatch.setattr(free_algebra, "_slabs", counted)
+    monkeypatch.setattr(free_algebra, "MAX_TABLE_BYTES", size * k**2)
+    vectors, provenance = free_algebra._close(np.array(seeds, dtype=np.uint8),
+                                              [("bot",), ("top",), ("var", 1)], k, size)
+    assert (list(map(tuple, vectors.tolist())), provenance) == expected
+    assert max(pairs) == {Variant.NM: 2, Variant.NM_MINUS: 1}[variant]
+    with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+        free_algebra._close(np.array(seeds, dtype=np.uint8), [], k, size + 1)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_wide_default_cap_builds_are_refused_before_allocating(variant):
+    import tracemalloc
+
+    # 100 000 vectors of width 14 641 or 10 000 would take over MAX_TABLE_BYTES.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+            build(4, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_table_is_dense_on_one_generator_grids():
     # Integer codes on every grid with at most one generator, with k**j the
     # code of the j-th unit vector and one id slot per code; bytes at two.
@@ -508,6 +549,34 @@ def test_import_rejects_tampered_annotations(nmm1, nm0):
         for validate in (True, False):
             with pytest.raises(ValueError):
                 FreeAlgebra.from_export(data, validate=validate)
+
+
+_NOT_VECTOR_SETS = {
+    "off the chain": (1, [[0] * 5, [4] * 5, [7] * 5], "integers in 0..4"),
+    "negative": (1, [[0] * 5, [4] * 5, [-1] * 5], "integers in 0..4"),
+    "float": (1, [[0.5] * 5, [4] * 5], "integers in 0..4"),
+    "one row": (1, [[0] * 5], "at least two vectors"),
+    "too wide": (1, [[0] * 6, [4] * 6], "grid length 5\\*\\*1"),
+    "flat": (1, [0, 4, 4, 4, 4], "at least two vectors"),
+    "repeated": (1, [[0] * 5, [4] * 5, [0] * 5], "duplicate truth vectors"),
+    "grid above the bound": (6, [[0], [14]], "exceeds 1048576 points"),
+}
+
+
+@pytest.mark.parametrize("n,vectors,message", _NOT_VECTOR_SETS.values(), ids=_NOT_VECTOR_SETS)
+def test_constructor_refuses_what_is_not_a_vector_set(n, vectors, message):
+    # A uint8 cast would index past the chain with 7 and read 0.5 as bottom.
+    with pytest.raises(ValueError, match=message):
+        FreeAlgebra(n, Variant.NM, vectors, None)
+
+
+def test_import_rejects_repeated_vectors(nmm1):
+    data = nmm1.export()
+    repeated = {"id": nmm1.size, "vector": data["elements"][5]["vector"]}
+    data["elements"] = data["elements"] + [repeated]
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="duplicate truth vectors"):
+            FreeAlgebra.from_export(data, validate=validate)
 
 
 _MALFORMED_DOCUMENTS = {
