@@ -171,6 +171,19 @@ def grid_coordinates(size: int, n: int) -> np.ndarray:
     return np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, points)
 
 
+def sign_blocks(size: int, n: int) -> list[np.ndarray]:
+    """The grid's columns split by sign pattern, each block in grid order.
+
+    A point's sign pattern records, for each ``x{i}``, whether it lies below,
+    at or above its negation ``~x{i}``.  Blocks follow their patterns in
+    lexicographic order, ``x1`` most significant and below before at before
+    above; "at" occurs only on odd chains.
+    """
+    signs = np.sign(2 * grid_coordinates(size, n).astype(np.int64) - (size - 1))
+    block = np.unique(signs, axis=1, return_inverse=True)[1]
+    return [np.flatnonzero(block == b) for b in range(block.max() + 1)]
+
+
 def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
     """Every assignment of ``chain`` values to ``x1..xn``, in grid order."""
     values = chain.values()

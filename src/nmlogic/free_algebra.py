@@ -17,31 +17,49 @@ the elements known at its start in lexicographic id order, each pair as
 meet, join, fusion, implication.  A round skips the pairs of earlier
 rounds, which only yield known vectors, and walks the rest as one flat
 row-major range (old rows with new columns, then new rows with all
-columns) in slabs of ``_SLAB`` pairs.  One loop, :func:`_close`, runs it;
-closure and :attr:`FreeAlgebra.operation_table`, which walks every pair,
-share one pair walk, :func:`_slabs`.
+columns) in slabs of ``_SLAB`` pairs.  One loop, :func:`_close_rows`, runs
+it on rows of either kind: :func:`_close` on vectors and, at ``n = 2``,
+:func:`_close_blocks` on rows of factor ids.  Closure and
+:attr:`FreeAlgebra.operation_table`, which walks every pair, share one pair
+walk, :func:`_slabs`.
 
-The element table, :class:`_Table`, maps each vector to its id and alone
-knows the key format; the closure and each algebra keep one.  Where a grid
-admits at most ``_DENSE_CODES`` vectors (every grid with at most one
-generator), a key is the integer code ``sum(v[j] * k**j)`` over a
-``k``-chain and the ids are one int32 array indexed by code, -1 where no
-element has that code.  Above that bound a key is the vector's bytes and
-the ids a dict.  Either way a slab is looked up, deduplicated and added in
-a few array calls.
+At ``n = 2`` the grid splits into the sign blocks of
+:func:`nmlogic.chain.sign_blocks`, and the closure's projection onto each
+block is a small factor: 36 elements on a 9-point block, 5 on 3 points and
+3 on 1 (cf. Aguzzoli and Gerla, *Normal forms and free algebras for some
+extensions of MTL*, Fuzzy Sets and Systems, 2008).  Each factor is closed
+once per grid by :func:`_close` and tabulates its four operations.  A vector
+is named by its tuple of projections and the operations act on each block
+alone, so the closure of those tuples, with results gathered from the
+factor tables, finds the same ids in the same order as the closure of the
+vectors; a complete one scatters its factor rows back into vectors.
+
+The element table, :class:`_Table`, maps each row to its id and alone knows
+the key format; the closure and each algebra keep one.  A row's code is its
+mixed-radix value, ``sum(v[j] * k**j)`` for a vector over a ``k``-chain.
+Below ``_DENSE_CODES`` codes (every grid with at most one generator, and
+nm-'s two-generator factor rows) a key is the code and the ids are one
+int32 array indexed by code, -1 where no element has that code; below
+``_HASHED_CODES``, where codes fit int64 (nm's factor rows), a key is the
+code and the ids a vectorised open-addressing hash table, :class:`_CodeMap`;
+above that (vectors from two generators on) a key is the row's bytes and
+the ids a dict.  Each way a slab is looked up, deduplicated and added in a
+few array calls.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import formula as fm
-from .chain import NMChain, eval_grid, grid_coordinates, grid_points, residuum_block, tnorm_block
+from .chain import (NMChain, eval_grid, grid_coordinates, grid_points, residuum_block,
+                    sign_blocks, tnorm_block)
 
 DEFAULT_ELEMENT_CAP = 100_000
 
@@ -54,9 +72,15 @@ MAX_TABLE_BYTES = 1 << 28
 
 _SLAB = 2048
 
-# Grids with at most this many possible vectors keep their element table as
-# one dense int32 array indexed by vector code (256 KiB at the bound).
-_DENSE_CODES = 1 << 16
+# Rows with at most this many possible codes keep their element table as one
+# dense int32 array indexed by code (8 MiB at the bound); rows with at most
+# _HASHED_CODES, whose codes fit int64, a hash table of codes.
+_DENSE_CODES = 1 << 21
+_HASHED_CODES = 1 << 63
+
+# A hash table's first slot count, and the odd multiplier of its Fibonacci hash.
+_HASH_SLOTS = 1 << 12
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _OP_TAGS = ("meet", "join", "tnorm", "imp")
 
@@ -117,28 +141,83 @@ def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
     return is_tautology(n, variant, fm.Implies(fm.Square(phi), psi))
 
 
-class _Table:
-    """The element table: the id of each ``width``-wide vector over a ``k``-chain.
+class _CodeMap:
+    """Int32 ids of distinct int64 codes, read and written like a dense id array.
 
-    It alone knows the key format.  Where the grid admits at most
-    ``_DENSE_CODES`` vectors (every grid with at most one generator), a key is
-    the integer code ``sum(v[j] * k**j)`` and the ids are one int32 array
-    indexed by code.  Above that a key is a void view of the vector's bytes,
-    which keeps trailing zeros, and the ids are a dict from ``bytes``.  As
-    k >= 2, no width at or past the bound's bit length is under it; capping
-    the exponent keeps a wide import from costing a huge power.
+    A vectorised open-addressing table with linear probing: a code's probe
+    sequence starts at its Fibonacci hash, the top bits of the uint64 product
+    ``code * _GOLDEN``, which wraps by design.  The slots, ``_HASH_SLOTS`` at
+    first, grow to the least power of two that is at least four times the
+    codes held, which keeps probe runs, and so the array calls a lookup
+    takes, short.  ``m[codes]`` is -1 where a code is missing;
+    ``m[codes] = ids`` takes distinct missing codes.
     """
 
-    def __init__(self, k: int, width: int):
-        self._void = np.dtype((np.void, width))
-        if k ** min(width, _DENSE_CODES.bit_length()) > _DENSE_CODES:
+    def __init__(self):
+        self._codes = np.full(_HASH_SLOTS, -1, dtype=np.int64)
+        self._ids = np.empty(_HASH_SLOTS, dtype=np.int32)
+        self._count = 0
+
+    def _home(self, codes: np.ndarray) -> np.ndarray:
+        shift = 65 - len(self._codes).bit_length()
+        return ((codes.view(np.uint64) * _GOLDEN) >> np.uint64(shift)).astype(np.intp)
+
+    def __getitem__(self, codes: np.ndarray) -> np.ndarray:
+        ids = np.full(len(codes), -1, dtype=np.int32)
+        todo, slot, mask = np.arange(len(codes)), self._home(codes), len(self._codes) - 1
+        while todo.size:
+            held = self._codes[slot]
+            hit = held == codes
+            ids[todo[hit]] = self._ids[slot[hit]]
+            go = ~hit & (held >= 0)
+            codes, todo, slot = codes[go], todo[go], (slot[go] + 1) & mask
+        return ids
+
+    def __setitem__(self, codes: np.ndarray, ids: np.ndarray) -> None:
+        self._count += len(codes)
+        if 4 * self._count > len(self._codes):
+            held = self._codes >= 0
+            codes = np.concatenate((self._codes[held], codes))
+            ids = np.concatenate((self._ids[held], ids))
+            size = 1 << (4 * self._count - 1).bit_length()
+            self._codes = np.full(size, -1, dtype=np.int64)
+            self._ids = np.empty(size, dtype=np.int32)
+        slot, mask = self._home(codes), len(self._codes) - 1
+        while codes.size:
+            free = self._codes[slot] < 0
+            self._codes[slot[free]] = codes[free]
+            # Of the codes claiming one free slot, the one written last holds it.
+            won = self._codes[slot] == codes
+            self._ids[slot[won]] = ids[won]
+            lost = ~won
+            codes, ids, slot = codes[lost], ids[lost], (slot[lost] + 1) & mask
+
+
+class _Table:
+    """The element table: the id of each row whose entry ``j`` lies in ``0..radices[j]-1``.
+
+    It alone knows the key format.  Where the rows have at most
+    ``_DENSE_CODES`` mixed-radix codes ``sum(row[j] * prod(radices[:j]))``, a
+    key is the code and the ids are one int32 array indexed by code; where
+    they have at most ``_HASHED_CODES`` and so fit int64, a key is the code
+    and the ids a :class:`_CodeMap`.  Above that a key is a void view of the
+    row's bytes, which keeps trailing zeros, and the ids are a dict from
+    ``bytes``.  Every radix is at least 2, so 64 of them are over the int64
+    bound; taking the product of at most 64 keeps a wide import from costing
+    a huge number.
+    """
+
+    def __init__(self, radices: Sequence[int]):
+        self._void = np.dtype((np.void, len(radices)))
+        codes = math.prod(radices[:64])
+        if codes > _HASHED_CODES:
             self._weights, self._ids = None, {}
         else:
-            self._weights = k ** np.arange(width, dtype=np.int32)
-            self._ids = np.full(k**width, -1, dtype=np.int32)
+            self._weights = np.cumprod([1, *radices[:-1]], dtype=np.int64)
+            self._ids = np.full(codes, -1, dtype=np.int32) if codes <= _DENSE_CODES else _CodeMap()
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        """One flat array of keys, one per contiguous uint8 vector on ``rows``' last axis."""
+        """One flat array of keys, one per contiguous uint8 row on ``rows``' last axis."""
         if self._weights is None:
             return rows.view(self._void).ravel()
         return (rows @ self._weights).ravel()
@@ -158,15 +237,24 @@ class _Table:
             self._ids[keys] = np.arange(start, start + len(keys))
 
 
-def _slabs(top: int, snapshot: np.ndarray, previous: int, table: _Table):
+def _connectives(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Meet, join, fusion and implication of the row pairs ``a``, ``b`` over the
+    chain with top index ``top``, stacked on axis 1 in ``_OP_TAGS`` order."""
+    return np.stack((np.minimum(a, b), np.maximum(a, b), tnorm_block(top, a, b),
+                     residuum_block(top, a, b)), axis=1)
+
+
+def _slabs(ops, snapshot: np.ndarray, previous: int, table: _Table):
     """Yield rows, columns, result rows and their ``table`` keys per slab of
     at most ``_SLAB`` untried pairs.
 
     Untried pairs, row-major: old rows x new columns, then new rows x all.
-    With ``previous = 0`` that is every pair in row-major order.  Result row
-    ``4p + k`` is the slab's pair ``p`` under ``_OP_TAGS[k]``.  A slab takes up
-    to 17 bytes a pair per vector entry (tracemalloc, n = 5 closures), so
-    wide grids take fewer pairs to stay within ``MAX_TABLE_BYTES``.
+    With ``previous = 0`` that is every pair in row-major order.  ``ops(a,
+    b)`` stacks the four results of the row pairs as :func:`_connectives`
+    does, and result row ``4p + k`` is the slab's pair ``p`` under
+    ``_OP_TAGS[k]``.  A slab takes up to 17 bytes a pair per vector entry
+    (tracemalloc, n = 5 closures), so wide grids take fewer pairs to stay
+    within ``MAX_TABLE_BYTES``.
     """
     current, width = snapshot.shape
     new = current - previous
@@ -178,10 +266,19 @@ def _slabs(top: int, snapshot: np.ndarray, previous: int, table: _Table):
         late = flat - old_pairs
         rows = np.where(late < 0, flat // new, previous + late // current)
         cols = np.where(late < 0, previous + flat % new, late % current)
-        a, b = snapshot[rows], snapshot[cols]
-        results = np.stack((np.minimum(a, b), np.maximum(a, b), tnorm_block(top, a, b),
-                            residuum_block(top, a, b)), axis=1).reshape(-1, width)
+        results = ops(snapshot[rows], snapshot[cols]).reshape(-1, width)
         yield rows, cols, results, table.keys(results)
+
+
+def _pair_ids(ops, rows: np.ndarray, table: _Table) -> np.ndarray:
+    """Int32 ids, shape (N, N, 4), of ``ops`` on every pair of the N ``rows``,
+    looked up in ``table``; -1 where a result has no id."""
+    ids = np.empty(4 * len(rows) ** 2, dtype=np.int32)
+    lo = 0
+    for *_, keys in _slabs(ops, rows, 0, table):
+        ids[lo:lo + len(keys)] = table.lookup(keys)
+        lo += len(keys)
+    return ids.reshape(len(rows), len(rows), 4)
 
 
 def _check_bytes(need: int, what: str) -> None:
@@ -242,7 +339,7 @@ class FreeAlgebra:
         self.provenance = provenance
         self.bottom_id = 0
         self.top_id = 1
-        self._table = _Table(k, width)
+        self._table = _Table([k] * width)
         keys = self._table.keys(vectors)
         self._table.add(keys, 0)
         if (self._table.lookup(keys) != np.arange(len(vectors))).any():
@@ -288,12 +385,8 @@ class FreeAlgebra:
         closed; ``ValueError`` above ``MAX_TABLE_BYTES``.
         """
         _check_bytes(16 * self.size**2, f"operation table of {self.size} elements")
-        table = np.empty(4 * self.size ** 2, dtype=np.int32)
-        lo = 0
-        for *_, keys in _slabs(self._top_index, self.vectors, 0, self._table):
-            table[lo:lo + len(keys)] = self._table.lookup(keys)
-            lo += len(keys)
-        table = table.reshape(self.size, self.size, 4)
+        table = _pair_ids(functools.partial(_connectives, self._top_index), self.vectors,
+                          self._table)
         leaving = [tag for tag, out in zip(_OP_TAGS, (table < 0).any(axis=(0, 1))) if out]
         if leaving:
             raise KeyError(f"not closed under {', '.join(leaving)}")
@@ -491,7 +584,8 @@ def build(
     """Construct the free ``n``-generated algebra of the given variant.
 
     Runs the breadth-first closure described in the module docstring: the
-    grid rows of bottom, top and ``x1..xn`` seed :func:`_close`.  The result
+    grid rows of bottom, top and ``x1..xn`` seed :func:`_close`, or at
+    ``n = 2`` :func:`_close_blocks` over their sign-block factors.  The result
     is identical across runs, slab sizes and table forms.  If the closure
     would exceed ``element_cap`` elements, :class:`ElementCapExceeded` is
     raised naming the size attained; growth for three or more generators is
@@ -501,34 +595,49 @@ def build(
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     k = generic_chain_size(n, variant)
-    grid = grid_coordinates(k, n)
-    seeds = np.vstack((np.full((2, grid.shape[1]), [[0], [k - 1]], dtype=np.uint8), grid))
     records = [("bot",), ("top",), *(("var", v) for v in range(1, n + 1))]
-    return FreeAlgebra(n, variant, *_close(seeds, records, k, element_cap))
+    # One generator's grid is dense already, and from three on the factor codes overflow int64.
+    if n == 2:
+        return FreeAlgebra(n, variant, *_close_blocks(_grid_factors(k, n), records, element_cap))
+    return FreeAlgebra(n, variant, *_close(_grid_seeds(k, n), records, k, element_cap))
+
+
+def _grid_seeds(k: int, n: int) -> np.ndarray:
+    """Bottom, top and ``x1..xn`` as uint8 rows of the ``n``-variable ``k``-chain grid."""
+    grid = grid_coordinates(k, n)
+    return np.vstack((np.full((2, grid.shape[1]), [[0], [k - 1]], dtype=np.uint8), grid))
 
 
 def _close(seeds: np.ndarray, records: list, k: int, element_cap: int) -> tuple:
     """Vectors and provenance of the closure over a ``k``-chain of the distinct uint8
-    rows ``seeds``, whose own provenance is ``records``.
+    rows ``seeds``, whose own provenance is ``records``; ``ValueError`` first if
+    ``element_cap`` rows take over ``MAX_TABLE_BYTES``."""
+    width = seeds.shape[1]
+    _check_bytes(element_cap * width, f"closure to {element_cap} vectors of width {width}")
+    return _close_rows(seeds, records, functools.partial(_connectives, k - 1), [k] * width,
+                       element_cap)
+
+
+def _close_rows(seeds: np.ndarray, records: list, ops, radices: Sequence[int],
+                element_cap: int) -> tuple:
+    """Rows and provenance of the closure under ``ops`` (as in :func:`_slabs`) of
+    the distinct ``seeds``, whose entry ``j`` lies in ``0..radices[j]-1``.
 
     Per slab, the first position of each missing key in slab order is
-    committed; ``np.unique`` finds it, as a slab can produce one new vector
+    committed; ``np.unique`` finds it, as a slab can produce one new row
     twice and repeated fancy-index writes have no guaranteed order.  New
     provenance stays one int32 (op, row, col) array per slab until the
-    closure completes, so a capped build makes no tuple.  ``ValueError`` first
-    if ``element_cap`` rows take over ``MAX_TABLE_BYTES``.
+    closure completes, so a capped build makes no tuple.
     """
     if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
-    width = seeds.shape[1]
-    _check_bytes(element_cap * width, f"closure to {element_cap} vectors of width {width}")
-    table = _Table(k, width)
+    table = _Table(radices)
     table.add(table.keys(seeds), 0)
     snapshot, previous, made = seeds, 0, [np.empty((0, 3), dtype=np.int32)]
     while True:
         found = []
         count = len(snapshot)
-        for rows, cols, results, keys in _slabs(k - 1, snapshot, previous, table):
+        for rows, cols, results, keys in _slabs(ops, snapshot, previous, table):
             missing = np.flatnonzero(table.lookup(keys) < 0)
             if not missing.size:
                 continue
@@ -541,6 +650,78 @@ def _close(seeds: np.ndarray, records: list, k: int, element_cap: int) -> tuple:
             pairs = first // 4
             made.append(np.stack((first % 4, rows[pairs], cols[pairs]), axis=1).astype(np.int32))
         if not found:
-            ops, rows, cols = np.concatenate(made).T.tolist()
-            return snapshot, (*records, *zip(map(_OP_TAGS.__getitem__, ops), rows, cols))
+            tags, rows, cols = np.concatenate(made).T.tolist()
+            return snapshot, (*records, *zip(map(_OP_TAGS.__getitem__, tags), rows, cols))
         previous, snapshot = len(snapshot), np.concatenate([snapshot, *found])
+
+
+class _Factors(NamedTuple):
+    """A closure's sign-block factors; every array is read-only."""
+
+    blocks: list[np.ndarray]   # the columns of each block, from chain.sign_blocks
+    vectors: list[np.ndarray]  # each factor's elements on its block's columns
+    tables: np.ndarray         # tables[b, x, y, op]: factor b's result ids, zero-padded
+    seeds: np.ndarray          # the seeds as rows of factor ids, one column a block
+
+
+def _factors(seeds: np.ndarray, k: int, n: int) -> _Factors:
+    """The sign-block factors of the closure of the ``n``-variable grid rows ``seeds``.
+
+    Factor ``b`` is the :func:`_close` of the seeds projected onto block
+    ``b``'s columns, and its op table comes from the :func:`_pair_ids` walk.
+    """
+    blocks = sign_blocks(k, n)
+    ops = functools.partial(_connectives, k - 1)
+    vectors, tables, seed_ids = [], [], []
+    for cols in blocks:
+        projected, inverse = np.unique(seeds[:, cols], axis=0, return_inverse=True)
+        projected = np.ascontiguousarray(projected)  # a bytes-keyed table views rows whole
+        factor = _close(projected, [()] * len(projected), k, DEFAULT_ELEMENT_CAP)[0]
+        table = _Table([k] * len(cols))
+        table.add(table.keys(factor), 0)
+        vectors.append(factor)
+        tables.append(_pair_ids(ops, factor, table))
+        seed_ids.append(inverse)
+    size = max(map(len, vectors))
+    padded = np.zeros((len(blocks), size, size, 4), dtype=np.min_scalar_type(size - 1))
+    for b, ids in enumerate(tables):
+        padded[b, :len(ids), :len(ids)] = ids
+    factors = _Factors(blocks, vectors, padded, np.stack(seed_ids, axis=1).astype(padded.dtype))
+    for array in (*blocks, *vectors, padded, factors.seeds):
+        array.flags.writeable = False
+    return factors
+
+
+@functools.cache
+def _grid_factors(k: int, n: int) -> _Factors:
+    """The sign-block factors of :func:`build`'s closure, made once per grid."""
+    return _factors(_grid_seeds(k, n), k, n)
+
+
+def _gather(tables: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_connectives` on rows of factor ids: each block's ids from its table,
+    contiguous, as a bytes-keyed table views each row whole."""
+    blocks, size = tables.shape[:2]
+    pairs = a * np.intp(size) + b + np.arange(0, blocks * size * size, size * size)
+    return np.ascontiguousarray(np.moveaxis(tables.reshape(-1, 4).take(pairs, axis=0), 2, 1))
+
+
+def _close_blocks(factors: _Factors, records: list, element_cap: int) -> tuple:
+    """:func:`_close` of the seeds ``factors`` came from, run on rows of factor ids.
+
+    A vector's projections onto its blocks name it and the operations act on
+    each block alone, so this closure is that of the vectors renamed: the
+    same pairs in the same order, the same ids, provenance and cap errors.
+    The codes of these rows are fewer than the factor sizes' product, where
+    a vector's are ``k**width``.  A complete closure scatters each block's
+    factor rows back into the vectors.
+    """
+    width = sum(map(len, factors.blocks))
+    _check_bytes(element_cap * width, f"closure to {element_cap} vectors of width {width}")
+    ids, provenance = _close_rows(factors.seeds, records,
+                                  functools.partial(_gather, factors.tables),
+                                  [len(v) for v in factors.vectors], element_cap)
+    vectors = np.empty((len(ids), width), dtype=np.uint8)
+    for cols, factor, column in zip(factors.blocks, factors.vectors, ids.T):
+        vectors[:, cols] = factor[column]
+    return vectors, provenance

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from random import Random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from test_formula import formulas
+from test_free_algebra import TABLE_FORMS, use_table_form
 
 from nmlogic import (
     ChainValue,
@@ -30,6 +32,7 @@ from nmlogic.chain import (
     grid_assignments,
     grid_coordinates,
     residuum_block,
+    sign_blocks,
     tnorm_block,
 )
 
@@ -302,13 +305,14 @@ def test_table_keys_are_one_vector_wide(top, width, size, data):
                          tnorm_block(top, a, b), residuum_block(top, a, b)), axis=1)
     vectors = expected.reshape(-1, width).tolist()
     k = top + 1
-    for dense_bound in (free_algebra._DENSE_CODES, 0):
+    ops = functools.partial(free_algebra._connectives, top)
+    for form in TABLE_FORMS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
-            table = free_algebra._Table(k, width)
-        [(_, _, results, keys)] = free_algebra._slabs(top, snapshot, 0, table)
+            use_table_form(patch, form)
+            table = free_algebra._Table([k] * width)
+        [(_, _, results, keys)] = free_algebra._slabs(ops, snapshot, 0, table)
         assert results.dtype == np.uint8 and results.tolist() == vectors
-        if k**width > dense_bound:
+        if k**width > form[1]:
             assert keys.dtype.kind == "V"
             assert keys.tolist() == [bytes(v) for v in vectors]  # trailing zeros kept
         else:
@@ -317,6 +321,31 @@ def test_table_keys_are_one_vector_wide(top, width, size, data):
         distinct = np.unique(results, axis=0)
         table.add(table.keys(distinct[:-1]), 5)
         assert table.lookup(table.keys(distinct)).tolist() == [*range(5, 4 + len(distinct)), -1]
+
+
+@pytest.mark.parametrize("size,n,sizes", [
+    (6, 2, [9] * 4),
+    (7, 2, [9, 3, 9, 3, 1, 3, 9, 3, 9]),
+    (5, 1, [2, 1, 2]),
+    (4, 1, [2, 2]),
+    (5, 0, [1]),
+    (7, 3, None),
+])
+def test_sign_blocks_split_the_grid_by_sign_pattern(size, n, sizes):
+    # Each x_i lies below (-1), at (0) or above (1) its negation size-1-x_i.
+    def pattern(point):
+        return tuple((x > size - 1 - x) - (x < size - 1 - x) for x in point)
+
+    blocks = sign_blocks(size, n)
+    assert sizes is None or [len(b) for b in blocks] == sizes
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(size**n))
+    points = list(itertools.product(range(size), repeat=n))
+    patterns = []
+    for block in blocks:
+        assert block.tolist() == sorted(block.tolist())
+        [signs] = {pattern(points[j]) for j in block.tolist()}
+        patterns.append(signs)
+    assert patterns == sorted(set(map(pattern, points)))
 
 
 def test_chain_value_fraction_view():

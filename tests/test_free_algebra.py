@@ -1,5 +1,8 @@
+import functools
 import itertools
+import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +19,29 @@ from nmlogic import (
     truth_vector,
 )
 from nmlogic import free_algebra
-from nmlogic.chain import residuum_block, tnorm_block
+from nmlogic.chain import grid_coordinates, residuum_block, tnorm_block
 from nmlogic.formula import BOT, TOP, And, Implies, Not, Or, Strong, Var
 
-# The dense code array's bound, then 0, which sends every grid to the vector dict.
-DENSE_BOUNDS = (free_algebra._DENSE_CODES, 0)
+# The element table's code bounds (_DENSE_CODES, _HASHED_CODES) per form: as
+# shipped, then 0 for the dense bound, which sends every int64-coded row to the
+# hashed codes, then 0 for both, which sends every row to the bytes dict.
+TABLE_FORMS = ((free_algebra._DENSE_CODES, free_algebra._HASHED_CODES),
+               (0, free_algebra._HASHED_CODES), (0, 0))
+
+
+def use_table_form(monkeypatch, form):
+    monkeypatch.setattr(free_algebra, "_DENSE_CODES", form[0])
+    monkeypatch.setattr(free_algebra, "_HASHED_CODES", form[1])
+
+
+# A third seed on the two-generator grid, besides bottom and top, from x1, x2 and top.
+TWO_GENERATOR_SEEDS = {
+    "x1": lambda x1, x2, top: x1,
+    "x2": lambda x1, x2, top: x2,
+    "x1 & x2": lambda x1, x2, top: np.minimum(x1, x2),
+    "x1 -> x2": lambda x1, x2, top: residuum_block(top, x1, x2),
+    "x1 * x2": lambda x1, x2, top: tnorm_block(top, x1, x2),
+}
 
 
 def grid_seeds(n, k, generators):
@@ -90,12 +111,18 @@ def test_variant_names_are_coerced():
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("variant", list(Variant))
 def test_seeds_are_grid_rows(n, variant, monkeypatch):
-    # With the closure stubbed out, build returns its seeds; the formula route checks them.
-    def seeds_only(seeds, records, k, element_cap):
-        assert seeds.dtype == np.uint8 and k == generic_chain_size(n, variant)
+    # With the closure loop stubbed out, build returns its seeds; the formula
+    # route checks them.  At n = 2 they are rows of factor ids, which the real
+    # factors, made and cached first, scatter back into vectors.
+    k = generic_chain_size(n, variant)
+
+    def seeds_only(seeds, records, ops, radices, element_cap):
+        assert seeds.dtype == np.uint8 and len(radices) == seeds.shape[1]
+        assert radices == ([k] * k**n if n < 2 else [len(v) for v in factors.vectors])
         return seeds, tuple(records)
 
-    monkeypatch.setattr(free_algebra, "_close", seeds_only)
+    factors = free_algebra._grid_factors(k, n) if n == 2 else None
+    monkeypatch.setattr(free_algebra, "_close_rows", seeds_only)
     seeds = build(n, variant)
     formulas = [BOT, TOP, *map(Var, range(1, n + 1))]
     assert [seeds.vector(x) for x in seeds.element_ids()] == [
@@ -123,39 +150,63 @@ def test_cardinalities(nm1, nmm1, nm0, nmm0):
     assert nmm0.size == 2
 
 
+def replays(vectors, provenance, k):
+    """Each closure element's recorded operation on its earlier operands gives its vector."""
+    ops = dict(zip(free_algebra._OP_TAGS, (np.minimum, np.maximum, functools.partial(
+        tnorm_block, k - 1), functools.partial(residuum_block, k - 1))))
+    v = np.array(vectors)
+    return all(max(args) < x and np.array_equal(ops[tag](v[args[0]], v[args[1]]), v[x])
+               for x, (tag, *args) in enumerate(provenance) if tag in ops)
+
+
 @pytest.mark.parametrize(
     "n,variant",
     [(0, Variant.NM), (0, Variant.NM_MINUS), (1, Variant.NM), (1, Variant.NM_MINUS),
      (2, Variant.NM), (2, Variant.NM_MINUS)],
 )
 def test_build_matches_reference_closure(n, variant, monkeypatch):
-    # On a two-generator grid only bottom, top and x1 seed the closure: a
-    # width-49 or width-36 table, past the dense bound, that closes to the
-    # one-generator algebra, found in the same order.
+    # On a two-generator grid bottom, top and one more grid row g seed the
+    # closure: a width-49 or width-36 table, past the dense bound, closing to
+    # at most 48 vectors.  Both the direct _close and the factor route
+    # _close_blocks must find them in the reference order with the same
+    # provenance; for g = x1 that is the one-generator algebra's.
     k = generic_chain_size(n, variant)
-    seeds = grid_seeds(n, k, min(n, 1))
-    expected = (reference_closure(seeds, k), build(min(n, 1), variant).provenance)
+    if n < 2:
+        algebra = build(n, variant)
+        cases = {"build": (grid_seeds(n, k, n), algebra.provenance)}
+    else:
+        x1, x2 = grid_coordinates(k, 2)
+        bottom, top = grid_seeds(2, k, 0)
+        cases = {name: ([bottom, top, tuple(g(x1, x2, k - 1).tolist())], None)
+                 for name, g in TWO_GENERATOR_SEEDS.items()}
+        cases["x1"] = (cases["x1"][0], build(1, variant).provenance)
 
-    def closure():
-        if n < 2:
-            algebra = build(n, variant)
-            return [algebra.vector(x) for x in algebra.element_ids()], algebra.provenance
+    for seeds, provenance in cases.values():
         records = [("bot",), ("top",), ("var", 1)]
-        vectors, provenance = free_algebra._close(np.array(seeds, dtype=np.uint8), records, k,
-                                                  free_algebra.DEFAULT_ELEMENT_CAP)
-        return list(map(tuple, vectors.tolist())), provenance
-
-    assert closure() == expected
-    assert n < 2 or len(expected[0]) == {Variant.NM: 48, Variant.NM_MINUS: 16}[variant]
-    # Small slabs split every round into many blocks and start the
-    # incremental scan mid-slab; slab 7 also straddles the boundary between
-    # old rows and new rows, and 2048 takes a whole round at once.  A dense
-    # bound of 0 sends the same grid down the vector-dict path.
-    for dense_bound in DENSE_BOUNDS:
-        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
-        for slab in (1, 3, 7, 2048):
-            monkeypatch.setattr(free_algebra, "_SLAB", slab)
-            assert closure() == expected
+        seed_rows = np.array(seeds, dtype=np.uint8)
+        expected = reference_closure(seeds, k)
+        assert n < 2 or len(expected) <= 48
+        for form in TABLE_FORMS:
+            use_table_form(monkeypatch, form)
+            monkeypatch.setattr(free_algebra, "_SLAB", 2048)
+            factors = free_algebra._factors(seed_rows, k, n) if n == 2 else None
+            # Small slabs split every round into many blocks and start the
+            # incremental scan mid-slab; slab 7 also straddles the boundary
+            # between old rows and new rows, and 2048 takes a whole round.
+            for slab in (1, 3, 7, 2048):
+                monkeypatch.setattr(free_algebra, "_SLAB", slab)
+                if n < 2:
+                    closed = build(n, variant)
+                    routes = [(closed.vectors, closed.provenance)]
+                else:
+                    cap = free_algebra.DEFAULT_ELEMENT_CAP
+                    routes = [free_algebra._close(seed_rows, records, k, cap),
+                              free_algebra._close_blocks(factors, records, cap)]
+                for vectors, got in routes:
+                    provenance = provenance or got
+                    assert list(map(tuple, vectors.tolist())) == expected
+                    assert got == provenance
+        assert replays(expected, provenance, k)
 
 
 @pytest.mark.parametrize("variant,size", [(Variant.NM, 48), (Variant.NM_MINUS, 16)])
@@ -204,7 +255,7 @@ def test_table_is_dense_on_one_generator_grids():
     # code of the j-th unit vector and one id slot per code; bytes at two.
     for n, variant in itertools.product((0, 1, 2), Variant):
         k = generic_chain_size(n, variant)
-        table = free_algebra._Table(k, k**n)
+        table = free_algebra._Table([k] * k**n)
         keys = table.keys(np.eye(k**n, dtype=np.uint8))
         assert (keys.dtype.kind == "V") == (n == 2)
         assert (table.lookup(keys) == -1).all()
@@ -214,16 +265,79 @@ def test_table_is_dense_on_one_generator_grids():
             with pytest.raises(IndexError):
                 table.lookup(np.array([k ** (k**n)]))
 
-    class Base(int):
-        def __pow__(self, exponent):
-            exponents.append(exponent)
-            return int(self) ** exponent
+    class Radix(int):
+        def __rmul__(self, other):
+            products.append(other * int(self))
+            return products[-1]
 
-    # A wide import gets a bytes table without raising 7 to a million-digit power.
-    exponents = []
-    table = free_algebra._Table(Base(7), 2**20)
+    # A wide import gets a bytes table without multiplying out its 7**(2**20) codes.
+    products = []
+    table = free_algebra._Table([Radix(7)] * 2**20)
     assert table.keys(np.zeros((1, 2**20), dtype=np.uint8)).dtype.kind == "V"
-    assert exponents and max(exponents) <= free_algebra._DENSE_CODES.bit_length()
+    assert 0 < len(products) <= free_algebra._HASHED_CODES.bit_length()
+
+
+@pytest.mark.parametrize("variant,sizes", [
+    (Variant.NM_MINUS, [36] * 4),
+    (Variant.NM, [36, 5, 36, 5, 3, 5, 36, 5, 36]),
+])
+def test_two_generator_factors(variant, sizes):
+    # Blocks in sign-pattern order; below-below, below-at, below-above, ...
+    # The product of the factor sizes is the size of the free algebra, so it
+    # bounds the codes: dense for nm-, hashed for nm.
+    k = generic_chain_size(2, variant)
+    factors = free_algebra._grid_factors(k, 2)
+    assert [len(v) for v in factors.vectors] == sizes
+    assert math.prod(sizes) == {Variant.NM: 3_149_280_000, Variant.NM_MINUS: 1_679_616}[variant]
+    assert isinstance(free_algebra._Table(sizes)._ids, np.ndarray) == (variant is Variant.NM_MINUS)
+    for cols, vectors, table in zip(factors.blocks, factors.vectors, factors.tables):
+        m = len(vectors)
+        assert vectors.shape == (m, len(cols)) and (table[:m, :m] < m).all()
+        assert (table[m:] == 0).all() and (table[:, m:] == 0).all()
+    scattered = np.empty((len(factors.seeds), k * k), dtype=np.uint8)
+    for cols, vectors, ids in zip(factors.blocks, factors.vectors, factors.seeds.T):
+        scattered[:, cols] = vectors[ids]
+    assert np.array_equal(scattered, free_algebra._grid_seeds(k, 2))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_two_generator_cap_errors_match_the_direct_route(variant):
+    # The factor route of build against the direct _close of the same seeds.
+    k = generic_chain_size(2, variant)
+    seeds = free_algebra._grid_seeds(k, 2)
+    records = [("bot",), ("top",), ("var", 1), ("var", 2)]
+    for cap in (1, 3, 4, 10, 35, 36, 37, 5000):
+        errors = []
+        for close in (lambda: build(2, variant, cap),
+                      lambda: free_algebra._close(seeds, records, k, cap)):
+            with pytest.raises(ElementCapExceeded) as err:
+                close()
+            errors.append((err.value.attained, err.value.cap, str(err.value)))
+        assert errors[0] == errors[1] == (cap + 1, cap, str(ElementCapExceeded(cap + 1, cap)))
+
+
+def test_code_map_matches_a_dict(monkeypatch):
+    # Two first slots force collisions, and 3000 codes force several doublings.
+    monkeypatch.setattr(free_algebra, "_HASH_SLOTS", 2)
+    rng = np.random.default_rng(18)
+    codes = np.unique(np.concatenate((rng.integers(0, 2**63 - 1, 3000, dtype=np.int64),
+                                      [0, 1, 2**63 - 1])))
+    rng.shuffle(codes)
+    present, absent = np.array_split(codes, [2000])
+    table, reference, slots = free_algebra._CodeMap(), {}, []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the uint64 hash product wraps by design
+        assert table[codes].tolist() == [-1] * len(codes)
+        for batch in np.array_split(present, [1, 2, 5, 40, 300, 1000]):
+            ids = rng.permutation(len(batch)).astype(np.int32) + len(reference)
+            table[batch] = ids
+            reference.update(zip(batch.tolist(), ids.tolist()))
+            slots.append(len(table._codes))
+            assert table[codes].tolist() == [reference.get(c, -1) for c in codes.tolist()]
+        held = np.flatnonzero(table._codes >= 0)
+        assert (table._home(table._codes[held]) != held).any()  # some code left its home
+    assert len(set(slots)) >= 4 and slots[-1] == 8192
+    assert table[absent].tolist() == [-1] * len(absent)
 
 
 def test_build_is_deterministic():
@@ -250,21 +364,21 @@ def test_closure_soundness(nm1, nmm1, nm0):
 def test_check_closed_rejects_non_closed_algebra(nm1, monkeypatch):
     data = nm1.export()
     messages = []
-    for dense_bound in DENSE_BOUNDS:
-        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+    for form in TABLE_FORMS:
+        use_table_form(monkeypatch, form)
         partial = FreeAlgebra.from_export({**data, "elements": data["elements"][:3]},
                                           validate=False)
         with pytest.raises(KeyError, match="not closed under") as err:
             partial.check_closed()
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
 
 
 @pytest.mark.parametrize("fixture", ["nmm1", "nm1"])
 def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
     # build and operation_table both walk _slabs and look its keys up in a
-    # _Table; pin the result rows, the key of each on both table forms, and
-    # the table's layout at every slab size on both forms against row-major pairs.
+    # _Table; pin the result rows, the key of each on every table form, and
+    # the table's layout at every slab size on every form against row-major pairs.
     algebra = request.getfixturevalue(fixture)
     size, width = algebra.vectors.shape
     k = algebra.chain.size
@@ -274,17 +388,18 @@ def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
                         residuum_block(k - 1, a, b)), axis=1).reshape(-1, width)
     expected = np.reshape([algebra.id_of_vector(r) for r in results.tolist()], (size, size, 4))
     assert np.array_equal(algebra.operation_table, expected)
-    for dense_bound in DENSE_BOUNDS:
-        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
-        keys = free_algebra._Table(k, width).keys(results).tolist()
-        if dense_bound:
+    ops = functools.partial(free_algebra._connectives, k - 1)
+    for form in TABLE_FORMS:
+        use_table_form(monkeypatch, form)
+        keys = free_algebra._Table([k] * width).keys(results).tolist()
+        if form[1]:
             assert keys == [sum(v * k**j for j, v in enumerate(r)) for r in results.tolist()]
         else:
             assert keys == [bytes(r) for r in results.tolist()]
         for slab in (1, 3, 7, 2048):
             monkeypatch.setattr(free_algebra, "_SLAB", slab)
             fresh = FreeAlgebra(algebra.n, algebra.variant, algebra.vectors, algebra.provenance)
-            walked = list(free_algebra._slabs(k - 1, fresh.vectors, 0, fresh._table))
+            walked = list(free_algebra._slabs(ops, fresh.vectors, 0, fresh._table))
             assert np.array_equal(np.concatenate([w[2] for w in walked]), results)
             assert [key for w in walked for key in w[3].tolist()] == keys
             assert np.array_equal(fresh.operation_table, expected)
@@ -481,8 +596,8 @@ def test_truth_vector_grid_order_is_lexicographic():
 
 
 def test_element_cap(monkeypatch):
-    for dense_bound in DENSE_BOUNDS:
-        monkeypatch.setattr(free_algebra, "_DENSE_CODES", dense_bound)
+    for form in TABLE_FORMS:
+        use_table_form(monkeypatch, form)
         with pytest.raises(ElementCapExceeded) as err:
             build(1, Variant.NM, element_cap=10)
         assert err.value.cap == 10
