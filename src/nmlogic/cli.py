@@ -57,6 +57,8 @@ def _bindings(pairs: list[str]) -> dict[int, Fraction]:
                 )
             try:
                 index, number = int(name[1:]), Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"malformed binding {item!r}: zero denominator") from None
             except ValueError as err:
                 # Past int()'s digit limit, Python's message is advice to raise it.
                 if "set_int_max_str_digits" not in str(err):

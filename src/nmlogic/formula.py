@@ -27,8 +27,8 @@ Concrete grammar (EBNF), loosest binding first::
 Whitespace is insignificant.  All binary connectives are left associative
 except ``->``.  :func:`parse` does not recurse: it is one operator-precedence
 loop with an explicit stack, driven by ``_BINARY``, the one table of the
-binary connectives' symbols, levels and associativity, which the tokenizer
-and the printer read too.  Parsing, evaluation and printing are all
+binary connectives' symbols, levels and associativity, which the token
+pattern and the printer read too.  Parsing, evaluation and printing are all
 iterative, so nesting depth is limited by memory alone.
 
 The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``) are kept as
@@ -138,8 +138,8 @@ class ParseError(ValueError):
 
 
 # Binary connectives, loosest first: the one table of their symbols,
-# precedence levels and associativity, read by the tokenizer, the parser and
-# the printer.
+# precedence levels and associativity, read by the token pattern, the parser
+# and the printer.
 _BINARY = {
     Iff: ("<->", 1, False),
     Implies: ("->", 2, True),
@@ -157,60 +157,50 @@ _INFIX = {symbol: (level, right, node) for node, (symbol, level, right) in _BINA
 # ")" and the end of input close every connective pending above the last "(".
 _CLOSE = (1, False, None)
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|x(?P<var>\d+)|"
-    + "|".join(map(re.escape, ("~", "^2", "(", ")", "0", "1", *_INFIX)))
-)
 _CONSTANTS = {"0": BOT, "1": TOP}
+# Each match is optional whitespace and then one token: a variable, a
+# constant, a connective or parenthesis, any other character (an error) or
+# the end of the text.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<var>x\d+)|(?P<symbol>"
+    + "|".join(map(re.escape, ("~", "^2", "(", ")", *_CONSTANTS, *_INFIX)))
+    + r")|(?P<bad>\S)|(?P<end>\Z))"
+)
 
 _ATOM_EXPECTED = ("'~'", "'0'", "'1'", "a variable 'xN'", "'('")
-
-
-def _tokenize(text: str) -> list[tuple[str, int, Formula | None]]:
-    """Return (kind, position, atom) triples, closed by an 'end' token.
-
-    ``0``, ``1`` and ``xN`` are of kind 'atom' and carry their node; every
-    other token's kind is its own text.
-    """
-    tokens: list[tuple[str, int, Formula | None]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "var":
-            try:
-                index = int(m.group("var"))
-            except ValueError:  # more digits than int() converts
-                raise ParseError("variable index is too long", pos) from None
-            if index < 1:
-                raise ParseError("variable index must be >= 1", pos)
-            tokens.append(("atom", pos, Var(index)))
-        elif m.group() in _CONSTANTS:
-            tokens.append(("atom", pos, _CONSTANTS[m.group()]))
-        elif m.lastgroup != "ws":
-            tokens.append((m.group(), pos, None))
-        pos = m.end()
-    tokens.append(("end", len(text), None))
-    return tokens
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula tree.
 
     Raises :class:`ParseError` on malformed input, reporting the character
-    position and the expected token classes.  One loop over the tokens keeps
-    an operand stack and a stack of pending connectives, so any nesting depth
-    parses.
+    position and the expected token classes of the leftmost error.  One loop
+    over the token matches keeps an operand stack and a stack of pending
+    connectives, so any nesting depth parses.
     """
     operands: list[Formula] = []
     # (level, node class) of each pending "~" and binary connective; every
     # "(" and the start of input sit at level 0, below all of them.
     pending: list[tuple[int, type | None]] = [(0, None)]
     want_operand = True
-    for kind, pos, atom in _tokenize(text):
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        kind, pos = m[group], m.start(group)
+        # Lexical errors are reported whether or not an operand is wanted.
+        if group == "var":
+            try:
+                index = int(kind[1:])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("variable index is too long", pos) from None
+            if index < 1:
+                raise ParseError("variable index must be >= 1", pos)
+            atom = Var(index)
+        elif group == "bad":
+            raise ParseError(f"unexpected character {kind!r}", pos)
+        else:
+            atom = _CONSTANTS.get(kind)
         if want_operand:
-            if kind == "atom":
+            if atom is not None:
                 operands.append(atom)
                 want_operand = False
             elif kind == "~":
@@ -239,11 +229,13 @@ def parse(text: str) -> Formula:
                 if kind != ")":
                     raise ParseError("unclosed parenthesis", pos, ("')'",))
                 pending.pop()
-            elif kind != "end":
+            elif group == "end":
+                # After trailing whitespace a second, empty end match follows.
+                return operands[0]
+            else:
                 raise ParseError(
                     "trailing input", pos, ("a binary connective", "end of input")
                 )
-    return operands[0]
 
 
 def format_formula(f: Formula) -> str:

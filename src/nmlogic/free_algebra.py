@@ -133,7 +133,7 @@ def truth_vector(n: int, variant: Variant, f: fm.Formula) -> tuple[int, ...]:
 def is_tautology(n: int, variant: Variant, f: fm.Formula) -> bool:
     """True iff ``f`` evaluates to top under every generic grid assignment."""
     top = generic_chain_size(n, variant) - 1
-    return all(v == top for v in truth_vector(n, variant, f))
+    return bool((eval_grid(f, NMChain(top + 1), n) == top).all())
 
 
 def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:

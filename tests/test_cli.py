@@ -215,11 +215,14 @@ def test_malformed_binding(capsys):
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "") and "exponent notation" in err
     assert run(capsys, "eval", "x1", "--assign", "x1=0.25")[:2] == (0, "1/4\n")
-    # More digits than int() converts, and a digit that is not decimal.
-    for binding, reason in ((f"{LONG_INDEX}=1", "too long"), ("x\u00b2=1", "expected xN")):
+    # More digits than int() converts, a digit that is not decimal and a zero
+    # denominator, which names the binding rather than Fraction's error text.
+    for binding, reason in ((f"{LONG_INDEX}=1", "too long"), ("x\u00b2=1", "expected xN"),
+                            ("x1=1/0", "'x1=1/0': zero denominator")):
         code, out, err = run(capsys, "eval", "x1", "--assign", binding)
         assert (code, out) == (3, "") and "malformed binding" in err and reason in err
         assert "set_int_max_str_digits" not in err and len(err) < 100
+        assert "Fraction(" not in err
     # A value with more digits than int() converts, on both carriers.
     for value in ("0." + "1" * 5000, "1" * 5000, "1/" + "3" * 5000):
         for carrier in (["--standard"], ["--chain", "3"]):

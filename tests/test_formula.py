@@ -89,11 +89,20 @@ def test_parse_rejects_trailing_and_garbage():
         ("x1 @ x2", "unexpected character '@'", 3, ()),
         ("x1 ^3", "unexpected character '^'", 3, ()),
         ("x1 & x" + "9" * 5000, "variable index is too long", 5, ()),
+        # Of several errors the leftmost in the text is reported, lexical or not.
+        ("x1 x2 @", "trailing input", 3, ("a binary connective", "end of input")),
+        ("x1 & @ x0", "unexpected character '@'", 5, ()),
+        ("x2x0", "variable index must be >= 1", 2, ()),
+        # Whitespace, newlines included, before the end of the text.
+        (" \n ", "expected a formula", 3, ("'~'", "'0'", "'1'", "a variable 'xN'", "'('")),
+        ("x1 ->\n", "expected a formula", 6, ("'~'", "'0'", "'1'", "a variable 'xN'", "'('")),
     ):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value).startswith(f"{message} at position {position}")
         assert (err.value.position, err.value.expected) == (position, expected)
+    for text in ("x1\n", "x1\t\n "):
+        assert parse(text) == Var(1)
 
 
 # Token pieces, some of them malformed, for generated parser input.
