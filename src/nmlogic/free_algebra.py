@@ -19,9 +19,11 @@ rounds, which only yield known vectors, and walks the rest as one flat
 row-major range (old rows with new columns, then new rows with all
 columns) in slabs of ``_SLAB`` pairs.  One loop, :func:`_close_rows`, runs
 it on rows of either kind: :func:`_close` on vectors and, at ``n = 2``,
-:func:`_close_blocks` on rows of factor ids.  Closure and
-:attr:`FreeAlgebra.operation_table`, which walks every pair, share one pair
-walk, :func:`_slabs`.
+:func:`_close_blocks` on rows of factor ids; it returns the rows, their
+table and an (op, row, col) triple per new row.  :func:`build` alone checks
+the grid and byte bounds, before any closure runs, and turns the triples
+into provenance.  Closure and :attr:`FreeAlgebra.operation_table`, which
+walks every pair, share one pair walk, :func:`_slabs`.
 
 At ``n = 2`` the grid splits into the sign blocks of
 :func:`nmlogic.chain.sign_blocks`, and the closure's projection onto each
@@ -569,7 +571,7 @@ class FreeAlgebra:
                     raise ValueError("stored idempotency flags disagree")
         except KeyError as err:
             raise ValueError(f"export document lacks the field {err}") from None
-        except TypeError as err:
+        except (TypeError, OverflowError) as err:  # OverflowError: int() of an infinite n
             raise ValueError(f"malformed export document: {err}") from None
         return algebra
 
@@ -583,23 +585,30 @@ def build(
 ) -> FreeAlgebra:
     """Construct the free ``n``-generated algebra of the given variant.
 
-    Runs the breadth-first closure described in the module docstring: the
-    grid rows of bottom, top and ``x1..xn`` seed :func:`_close`, or at
-    ``n = 2`` :func:`_close_blocks` over their sign-block factors.  The result
-    is identical across runs, slab sizes and table forms.  If the closure
-    would exceed ``element_cap`` elements, :class:`ElementCapExceeded` is
-    raised naming the size attained; growth for three or more generators is
-    explosive, so the cap is the intended way to probe it safely.  A cap of
-    more vector bytes than ``MAX_TABLE_BYTES`` raises ``ValueError`` at once.
+    A grid over ``MAX_GRID_POINTS``, or ``element_cap`` vectors over
+    ``MAX_TABLE_BYTES``, raises ``ValueError`` first, before anything is
+    allocated.  Then the grid rows of bottom, top and ``x1..xn`` seed
+    :func:`_close`, or at ``n = 2`` :func:`_close_blocks` over their sign-block
+    factors, and their records and the closure's triples become provenance.
+    The result is identical across runs, slab sizes and table forms.  Past
+    ``element_cap`` elements :class:`ElementCapExceeded` names the size
+    attained; growth for three or more generators is explosive, so the cap is
+    the intended way to probe it safely.
     """
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     k = generic_chain_size(n, variant)
-    records = [("bot",), ("top",), *(("var", v) for v in range(1, n + 1))]
+    width = grid_points(k, n)
+    _check_bytes(element_cap * width, f"closure to {element_cap} vectors of width {width}")
     # One generator's grid is dense already, and from three on the factor codes overflow int64.
     if n == 2:
-        return FreeAlgebra(n, variant, *_close_blocks(_grid_factors(k, n), records, element_cap))
-    return FreeAlgebra(n, variant, *_close(_grid_seeds(k, n), records, k, element_cap))
+        vectors, made = _close_blocks(_grid_factors(k, n), element_cap)
+    else:
+        vectors, _, made = _close(_grid_seeds(k, n), k, element_cap)
+    tags, rows, cols = made.T.tolist()
+    provenance = (("bot",), ("top",), *(("var", v) for v in range(1, n + 1)),
+                  *zip(map(_OP_TAGS.__getitem__, tags), rows, cols))
+    return FreeAlgebra(n, variant, vectors, provenance)
 
 
 def _grid_seeds(k: int, n: int) -> np.ndarray:
@@ -608,26 +617,21 @@ def _grid_seeds(k: int, n: int) -> np.ndarray:
     return np.vstack((np.full((2, grid.shape[1]), [[0], [k - 1]], dtype=np.uint8), grid))
 
 
-def _close(seeds: np.ndarray, records: list, k: int, element_cap: int) -> tuple:
-    """Vectors and provenance of the closure over a ``k``-chain of the distinct uint8
-    rows ``seeds``, whose own provenance is ``records``; ``ValueError`` first if
-    ``element_cap`` rows take over ``MAX_TABLE_BYTES``."""
-    width = seeds.shape[1]
-    _check_bytes(element_cap * width, f"closure to {element_cap} vectors of width {width}")
-    return _close_rows(seeds, records, functools.partial(_connectives, k - 1), [k] * width,
+def _close(seeds: np.ndarray, k: int, element_cap: int) -> tuple:
+    """:func:`_close_rows` of the distinct uint8 rows ``seeds`` over a ``k``-chain."""
+    return _close_rows(seeds, functools.partial(_connectives, k - 1), [k] * seeds.shape[1],
                        element_cap)
 
 
-def _close_rows(seeds: np.ndarray, records: list, ops, radices: Sequence[int],
-                element_cap: int) -> tuple:
-    """Rows and provenance of the closure under ``ops`` (as in :func:`_slabs`) of
-    the distinct ``seeds``, whose entry ``j`` lies in ``0..radices[j]-1``.
+def _close_rows(seeds: np.ndarray, ops, radices: Sequence[int], element_cap: int) -> tuple:
+    """Rows, :class:`_Table` and new rows' int32 (op, row, col) triples of the closure under
+    ``ops`` (as in :func:`_slabs`) of the distinct ``seeds``, entry ``j`` below ``radices[j]``.
 
     Per slab, the first position of each missing key in slab order is
     committed; ``np.unique`` finds it, as a slab can produce one new row
-    twice and repeated fancy-index writes have no guaranteed order.  New
-    provenance stays one int32 (op, row, col) array per slab until the
-    closure completes, so a capped build makes no tuple.
+    twice and repeated fancy-index writes have no guaranteed order.  The
+    triples stay one array per slab until the closure completes, so a capped
+    build makes no tuple.
     """
     if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
@@ -650,8 +654,7 @@ def _close_rows(seeds: np.ndarray, records: list, ops, radices: Sequence[int],
             pairs = first // 4
             made.append(np.stack((first % 4, rows[pairs], cols[pairs]), axis=1).astype(np.int32))
         if not found:
-            tags, rows, cols = np.concatenate(made).T.tolist()
-            return snapshot, (*records, *zip(map(_OP_TAGS.__getitem__, tags), rows, cols))
+            return snapshot, table, np.concatenate(made)
         previous, snapshot = len(snapshot), np.concatenate([snapshot, *found])
 
 
@@ -668,7 +671,7 @@ def _factors(seeds: np.ndarray, k: int, n: int) -> _Factors:
     """The sign-block factors of the closure of the ``n``-variable grid rows ``seeds``.
 
     Factor ``b`` is the :func:`_close` of the seeds projected onto block
-    ``b``'s columns, and its op table comes from the :func:`_pair_ids` walk.
+    ``b``'s columns, and its op table the :func:`_pair_ids` walk of its closure's table.
     """
     blocks = sign_blocks(k, n)
     ops = functools.partial(_connectives, k - 1)
@@ -676,9 +679,7 @@ def _factors(seeds: np.ndarray, k: int, n: int) -> _Factors:
     for cols in blocks:
         projected, inverse = np.unique(seeds[:, cols], axis=0, return_inverse=True)
         projected = np.ascontiguousarray(projected)  # a bytes-keyed table views rows whole
-        factor = _close(projected, [()] * len(projected), k, DEFAULT_ELEMENT_CAP)[0]
-        table = _Table([k] * len(cols))
-        table.add(table.keys(factor), 0)
+        factor, table, _ = _close(projected, k, DEFAULT_ELEMENT_CAP)
         vectors.append(factor)
         tables.append(_pair_ids(ops, factor, table))
         seed_ids.append(inverse)
@@ -706,22 +707,19 @@ def _gather(tables: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(tables.reshape(-1, 4).take(pairs, axis=0), 2, 1))
 
 
-def _close_blocks(factors: _Factors, records: list, element_cap: int) -> tuple:
-    """:func:`_close` of the seeds ``factors`` came from, run on rows of factor ids.
+def _close_blocks(factors: _Factors, element_cap: int) -> tuple:
+    """Vectors and triples of :func:`_close` of the seeds ``factors`` came from, on factor ids.
 
     A vector's projections onto its blocks name it and the operations act on
     each block alone, so this closure is that of the vectors renamed: the
-    same pairs in the same order, the same ids, provenance and cap errors.
+    same pairs in the same order, the same ids, triples and cap errors.
     The codes of these rows are fewer than the factor sizes' product, where
     a vector's are ``k**width``.  A complete closure scatters each block's
     factor rows back into the vectors.
     """
-    width = sum(map(len, factors.blocks))
-    _check_bytes(element_cap * width, f"closure to {element_cap} vectors of width {width}")
-    ids, provenance = _close_rows(factors.seeds, records,
-                                  functools.partial(_gather, factors.tables),
-                                  [len(v) for v in factors.vectors], element_cap)
-    vectors = np.empty((len(ids), width), dtype=np.uint8)
+    ids, _, made = _close_rows(factors.seeds, functools.partial(_gather, factors.tables),
+                               [len(v) for v in factors.vectors], element_cap)
+    vectors = np.empty((len(ids), sum(map(len, factors.blocks))), dtype=np.uint8)
     for cols, factor, column in zip(factors.blocks, factors.vectors, ids.T):
         vectors[:, cols] = factor[column]
-    return vectors, provenance
+    return vectors, made

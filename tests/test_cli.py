@@ -119,6 +119,8 @@ def test_grids_above_the_bound_are_refused_at_once(capsys):
         ("count-models", "x1", "--vars", "40", "--values", "2"),
         ("count-models", "x1", "--vars", "12"),
         ("count-models", "x1 & x2 -> ~x3 | x4", "--vars", "9"),
+        *((*command, "--vars", "1000000000000")
+          for command in (("build",), ("chi", "x1"), ("export",), ("filters",))),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)

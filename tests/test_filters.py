@@ -36,6 +36,9 @@ def test_generator_enumeration_matches_definitional_scan(fixture, request):
 @pytest.mark.parametrize("fixture", ["nm1", "nmm1", "nm0"])
 def test_prime_filters_are_principal_fusion_closed_upper_sets(fixture, request):
     algebra = request.getfixturevalue(fixture)
+    # Neither the empty set nor {bottom}, closed under fusion but not upward, is a filter.
+    assert not is_filter(algebra, frozenset())
+    assert not is_filter(algebra, frozenset({algebra.bottom_id}))
     for filt in prime_filters(algebra):
         assert is_filter(algebra, filt.elements)
         assert is_prime_filter(algebra, filt.elements)

@@ -116,10 +116,10 @@ def test_seeds_are_grid_rows(n, variant, monkeypatch):
     # factors, made and cached first, scatter back into vectors.
     k = generic_chain_size(n, variant)
 
-    def seeds_only(seeds, records, ops, radices, element_cap):
+    def seeds_only(seeds, ops, radices, element_cap):
         assert seeds.dtype == np.uint8 and len(radices) == seeds.shape[1]
         assert radices == ([k] * k**n if n < 2 else [len(v) for v in factors.vectors])
-        return seeds, tuple(records)
+        return seeds, None, np.empty((0, 3), dtype=np.int32)
 
     factors = free_algebra._grid_factors(k, n) if n == 2 else None
     monkeypatch.setattr(free_algebra, "_close_rows", seeds_only)
@@ -148,6 +148,11 @@ def test_cardinalities(nm1, nmm1, nm0, nmm0):
     assert nmm1.size == 16
     assert nm0.size == 2
     assert nmm0.size == 2
+
+
+def provenance_of(records, made):
+    """``records`` then one (tag, row, col) tuple per closure triple, as build assembles them."""
+    return (*records, *((free_algebra._OP_TAGS[op], row, col) for op, row, col in made.tolist()))
 
 
 def replays(vectors, provenance, k):
@@ -200,8 +205,10 @@ def test_build_matches_reference_closure(n, variant, monkeypatch):
                     routes = [(closed.vectors, closed.provenance)]
                 else:
                     cap = free_algebra.DEFAULT_ELEMENT_CAP
-                    routes = [free_algebra._close(seed_rows, records, k, cap),
-                              free_algebra._close_blocks(factors, records, cap)]
+                    direct, _, made = free_algebra._close(seed_rows, k, cap)
+                    blocks, block_made = free_algebra._close_blocks(factors, cap)
+                    routes = [(direct, provenance_of(records, made)),
+                              (blocks, provenance_of(records, block_made))]
                 for vectors, got in routes:
                     provenance = provenance or got
                     assert list(map(tuple, vectors.tolist())) == expected
@@ -227,27 +234,30 @@ def test_slabs_shrink_under_the_byte_bound(variant, size, monkeypatch):
 
     monkeypatch.setattr(free_algebra, "_slabs", counted)
     monkeypatch.setattr(free_algebra, "MAX_TABLE_BYTES", size * k**2)
-    vectors, provenance = free_algebra._close(np.array(seeds, dtype=np.uint8),
-                                              [("bot",), ("top",), ("var", 1)], k, size)
+    vectors, _, made = free_algebra._close(np.array(seeds, dtype=np.uint8), k, size)
+    provenance = provenance_of([("bot",), ("top",), ("var", 1)], made)
     assert (list(map(tuple, vectors.tolist())), provenance) == expected
     assert max(pairs) == {Variant.NM: 2, Variant.NM_MINUS: 1}[variant]
     with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
-        free_algebra._close(np.array(seeds, dtype=np.uint8), [], k, size + 1)
+        build(2, variant, size + 1)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_wide_default_cap_builds_are_refused_before_allocating(variant):
     import tracemalloc
 
-    # 100 000 vectors of width 14 641 or 10 000 would take over MAX_TABLE_BYTES.
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
-            build(4, variant)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # 100 000 vectors of width 14 641 or 10 000 would take over MAX_TABLE_BYTES;
+    # a million generators' grid is over MAX_GRID_POINTS, and their seed
+    # records alone would take tens of MiB.
+    for n, message in ((4, "MAX_TABLE_BYTES"), (10**6, "exceeds")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                build(n, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_table_is_dense_on_one_generator_grids():
@@ -305,11 +315,10 @@ def test_two_generator_cap_errors_match_the_direct_route(variant):
     # The factor route of build against the direct _close of the same seeds.
     k = generic_chain_size(2, variant)
     seeds = free_algebra._grid_seeds(k, 2)
-    records = [("bot",), ("top",), ("var", 1), ("var", 2)]
     for cap in (1, 3, 4, 10, 35, 36, 37, 5000):
         errors = []
         for close in (lambda: build(2, variant, cap),
-                      lambda: free_algebra._close(seeds, records, k, cap)):
+                      lambda: free_algebra._close(seeds, k, cap)):
             with pytest.raises(ElementCapExceeded) as err:
                 close()
             errors.append((err.value.attained, err.value.cap, str(err.value)))
@@ -694,26 +703,48 @@ def test_import_rejects_repeated_vectors(nmm1):
             FreeAlgebra.from_export(data, validate=validate)
 
 
+# Each mutation of an nm- one-generator export, and a piece of the message it is refused with.
 _MALFORMED_DOCUMENTS = {
-    "no elements": lambda d: {k: v for k, v in d.items() if k != "elements"},
-    "no covers": lambda d: {k: v for k, v in d.items() if k != "covers"},
-    "no bottom": lambda d: {k: v for k, v in d.items() if k != "bottom"},
-    "elements 5": lambda d: {**d, "elements": 5},
-    "string id": lambda d: {**d, "elements": [{**e, "id": "3"} if e["id"] == 3 else e
-                                              for e in d["elements"]]},
-    "covers of ints": lambda d: {**d, "covers": [1, 2]},
-    "top-level list": lambda d: [d],
-    "fractional n": lambda d: {**d, "n": 1.5},
-    "huge n": lambda d: {**d, "n": 10**6, "chain_size": 2 * 10**6 + 2},
+    "no elements": (lambda d: {k: v for k, v in d.items() if k != "elements"},
+                    "lacks the field 'elements'"),
+    "no covers": (lambda d: {k: v for k, v in d.items() if k != "covers"},
+                  "lacks the field 'covers'"),
+    "no bottom": (lambda d: {k: v for k, v in d.items() if k != "bottom"},
+                  "lacks the field 'bottom'"),
+    "elements 5": (lambda d: {**d, "elements": 5}, "malformed export document"),
+    "string id": (lambda d: {**d, "elements": [{**e, "id": "3"} if e["id"] == 3 else e
+                                               for e in d["elements"]]},
+                  "malformed export document"),
+    "covers of ints": (lambda d: {**d, "covers": [1, 2]}, "malformed export document"),
+    "top-level list": (lambda d: [d], "malformed export document"),
+    "fractional n": (lambda d: {**d, "n": 1.5}, "generator count must be an integer"),
+    "huge n": (lambda d: {**d, "n": 10**6, "chain_size": 2 * 10**6 + 2},
+               "exceeds 1048576 points"),
+    # json.loads reads Infinity, and int() of it raises OverflowError.
+    "infinite n": (lambda d: {**d, "n": float("inf")},
+                   "malformed export document: cannot convert float infinity to integer"),
+    "chain size": (lambda d: {**d, "chain_size": 5},
+                   "chain size does not match generator count and variant"),
+    "ids from 1": (lambda d: {**d, "elements": [{**e, "id": e["id"] + 1}
+                                                for e in d["elements"]]},
+                   "element ids must be 0..N-1"),
+    "bottom and top swapped": (lambda d: {**d, "bottom": 1, "top": 0},
+                               "bottom and top ids must be 0 and 1"),
+    "a cover dropped": (lambda d: {**d, "covers": d["covers"][:-1]},
+                        "stored covers disagree with the order"),
+    "an idempotent dropped": (lambda d: {**d, "idempotent": d["idempotent"][:-1]},
+                              "stored idempotency flags disagree"),
 }
 
 
-@pytest.mark.parametrize("mutate", _MALFORMED_DOCUMENTS.values(), ids=_MALFORMED_DOCUMENTS)
-def test_import_rejects_malformed_documents_with_value_error(nmm1, mutate):
+@pytest.mark.parametrize("mutate,message", _MALFORMED_DOCUMENTS.values(),
+                         ids=_MALFORMED_DOCUMENTS)
+def test_import_rejects_malformed_documents_with_value_error(nmm1, mutate, message):
     start = time.perf_counter()
     with pytest.raises(ValueError) as err:
         FreeAlgebra.from_export(mutate(nmm1.export()))
     assert time.perf_counter() - start < 1.0
+    assert message in str(err.value)
     assert "set_int_max_str_digits" not in str(err.value)
 
 
