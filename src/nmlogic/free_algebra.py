@@ -17,8 +17,10 @@ the elements known at its start in lexicographic id order, each pair as
 meet, join, fusion, implication.  A round skips the pairs of earlier
 rounds, which only yield known vectors, and walks the rest as one flat
 row-major range (old rows with new columns, then new rows with all
-columns) in slabs of ``_SLAB`` pairs.  One loop, :func:`_close_rows`, runs
-it on rows of either kind: :func:`_close` on vectors and, at ``n = 2``,
+columns) in slabs of ``_SLAB`` pairs.  A slab takes its operand rows with
+``take`` and holds its results as (pairs, 4, width): ``[p, op]`` is pair
+``p`` under ``_OP_TAGS[op]``.  One loop, :func:`_close_rows`, runs it on
+rows of either kind: :func:`_close` on vectors and, at ``n = 2``,
 :func:`_close_blocks` on rows of factor ids; it returns the rows, their
 table and an (op, row, col) triple per new row.  :func:`build` alone checks
 the grid and byte bounds, before any closure runs, and turns the triples
@@ -34,7 +36,9 @@ once per grid by :func:`_close` and tabulates its four operations.  A vector
 is named by its tuple of projections and the operations act on each block
 alone, so the closure of those tuples, with results gathered from the
 factor tables, finds the same ids in the same order as the closure of the
-vectors; a complete one scatters its factor rows back into vectors.
+vectors; a complete one scatters its factor rows back into vectors.  Its
+slab results stay in the memory of the tables' ``take``, (pairs, blocks, 4),
+seen as (pairs, 4, blocks) without a copy.
 
 The element table, :class:`_Table`, maps each row to its id and alone knows
 the key format; the closure and each algebra keep one.  A row's code is its
@@ -43,7 +47,8 @@ Below ``_DENSE_CODES`` codes (every grid with at most one generator, and
 nm-'s two-generator factor rows) a key is the code and the ids are one
 int32 array indexed by code, -1 where no element has that code; below
 ``_HASHED_CODES``, where codes fit int64 (nm's factor rows), a key is the
-code and the ids a vectorised open-addressing hash table, :class:`_CodeMap`;
+code and the ids a vectorised open-addressing hash table, :class:`_CodeMap`,
+whose lookups settle most codes at their home slot in one pass;
 above that (vectors from two generators on) a key is the row's bytes and
 the ids a dict.  Each way a slab is looked up, deduplicated and added in a
 few array calls.
@@ -152,7 +157,10 @@ class _CodeMap:
     first, grow to the least power of two that is at least four times the
     codes held, which keeps probe runs, and so the array calls a lookup
     takes, short.  ``m[codes]`` is -1 where a code is missing;
-    ``m[codes] = ids`` takes distinct missing codes.
+    ``m[codes] = ids`` takes distinct missing codes.  A lookup reads every
+    code's home slot in one pass, which settles the hits held there and the
+    misses at an empty slot, and probes on only for the codes whose home
+    slot holds another code.
     """
 
     def __init__(self):
@@ -165,14 +173,18 @@ class _CodeMap:
         return ((codes.view(np.uint64) * _GOLDEN) >> np.uint64(shift)).astype(np.intp)
 
     def __getitem__(self, codes: np.ndarray) -> np.ndarray:
-        ids = np.full(len(codes), -1, dtype=np.int32)
-        todo, slot, mask = np.arange(len(codes)), self._home(codes), len(self._codes) - 1
+        slot, mask = self._home(codes), len(self._codes) - 1
+        held = self._codes[slot]
+        ids = np.where(held == codes, self._ids[slot], -1)
+        todo = np.flatnonzero((held != codes) & (held >= 0))
+        codes, slot = codes[todo], slot[todo]
         while todo.size:
+            slot = (slot + 1) & mask
             held = self._codes[slot]
             hit = held == codes
             ids[todo[hit]] = self._ids[slot[hit]]
             go = ~hit & (held >= 0)
-            codes, todo, slot = codes[go], todo[go], (slot[go] + 1) & mask
+            codes, todo, slot = codes[go], todo[go], slot[go]
         return ids
 
     def __setitem__(self, codes: np.ndarray, ids: np.ndarray) -> None:
@@ -219,10 +231,19 @@ class _Table:
             self._ids = np.full(codes, -1, dtype=np.int32) if codes <= _DENSE_CODES else _CodeMap()
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        """One flat array of keys, one per contiguous uint8 row on ``rows``' last axis."""
+        """One flat array of keys, one per row on ``rows``' last axis, in C order.
+
+        Codes contract that axis in the order its memory favours: ``rows @
+        weights`` where the rows are contiguous (vector slabs), ``weights @``
+        the swapped axes where the last axis is strided (the factor route's
+        view of (pairs, blocks, 4) memory).  Bytes keys view each row whole,
+        so they copy a strided view first.
+        """
         if self._weights is None:
-            return rows.view(self._void).ravel()
-        return (rows @ self._weights).ravel()
+            return np.ascontiguousarray(rows).view(self._void).ravel()
+        if rows.strides[-1] == rows.itemsize:
+            return (rows @ self._weights).ravel()
+        return (self._weights @ rows.swapaxes(-1, -2)).ravel()
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """The id of each key, -1 where no element has it."""
@@ -251,12 +272,14 @@ def _slabs(ops, snapshot: np.ndarray, previous: int, table: _Table):
     at most ``_SLAB`` untried pairs.
 
     Untried pairs, row-major: old rows x new columns, then new rows x all.
-    With ``previous = 0`` that is every pair in row-major order.  ``ops(a,
-    b)`` stacks the four results of the row pairs as :func:`_connectives`
-    does, and result row ``4p + k`` is the slab's pair ``p`` under
-    ``_OP_TAGS[k]``.  A slab takes up to 17 bytes a pair per vector entry
-    (tracemalloc, n = 5 closures), so wide grids take fewer pairs to stay
-    within ``MAX_TABLE_BYTES``.
+    With ``previous = 0`` that is every pair in row-major order.  The
+    operand rows are ``snapshot.take(rows, axis=0)``, much faster than
+    fancy indexing on rows of a few bytes.  ``ops(a, b)`` stacks the four
+    results of the row pairs as :func:`_connectives` does, so ``results[p,
+    k]``, of shape (pairs, 4, width), is the slab's pair ``p`` under
+    ``_OP_TAGS[k]`` and has key ``4p + k``.  A slab takes up to 17 bytes a
+    pair per vector entry (tracemalloc, n = 5 closures), so wide grids take
+    fewer pairs to stay within ``MAX_TABLE_BYTES``.
     """
     current, width = snapshot.shape
     new = current - previous
@@ -268,7 +291,7 @@ def _slabs(ops, snapshot: np.ndarray, previous: int, table: _Table):
         late = flat - old_pairs
         rows = np.where(late < 0, flat // new, previous + late // current)
         cols = np.where(late < 0, previous + flat % new, late % current)
-        results = ops(snapshot[rows], snapshot[cols]).reshape(-1, width)
+        results = ops(snapshot.take(rows, axis=0), snapshot.take(cols, axis=0))
         yield rows, cols, results, table.keys(results)
 
 
@@ -650,9 +673,9 @@ def _close_rows(seeds: np.ndarray, ops, radices: Sequence[int], element_cap: int
                 raise ElementCapExceeded(element_cap + 1, element_cap)
             table.add(keys[first], count)
             count += len(first)
-            found.append(results[first])
-            pairs = first // 4
-            made.append(np.stack((first % 4, rows[pairs], cols[pairs]), axis=1).astype(np.int32))
+            pairs, op = np.divmod(first, 4)
+            found.append(results[pairs, op])
+            made.append(np.stack((op, rows[pairs], cols[pairs]), axis=1).astype(np.int32))
         if not found:
             return snapshot, table, np.concatenate(made)
         previous, snapshot = len(snapshot), np.concatenate([snapshot, *found])
@@ -700,11 +723,15 @@ def _grid_factors(k: int, n: int) -> _Factors:
 
 
 def _gather(tables: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_connectives` on rows of factor ids: each block's ids from its table,
-    contiguous, as a bytes-keyed table views each row whole."""
+    """:func:`_connectives` on rows of factor ids: each block's ids from its table.
+
+    ``[p, op, b]`` is factor ``b``'s ``op`` on pair ``p``.  The tables' ``take``
+    lays out (pairs, blocks, 4); the result is that memory seen as (pairs, 4,
+    blocks), with no copy, which :meth:`_Table.keys` contracts as it lies.
+    """
     blocks, size = tables.shape[:2]
     pairs = a * np.intp(size) + b + np.arange(0, blocks * size * size, size * size)
-    return np.ascontiguousarray(np.moveaxis(tables.reshape(-1, 4).take(pairs, axis=0), 2, 1))
+    return np.moveaxis(tables.reshape(-1, 4).take(pairs, axis=0), 2, 1)
 
 
 def _close_blocks(factors: _Factors, element_cap: int) -> tuple:

@@ -306,19 +306,25 @@ def test_table_keys_are_one_vector_wide(top, width, size, data):
     vectors = expected.reshape(-1, width).tolist()
     k = top + 1
     ops = functools.partial(free_algebra._connectives, top)
+    # The factor route's layout: (pairs, 4, width) over (pairs, width, 4) memory.
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(expected, 1, 2)), 2, 1)
+    assert width == 1 or not view.flags.c_contiguous
     for form in TABLE_FORMS:
         with pytest.MonkeyPatch.context() as patch:
             use_table_form(patch, form)
             table = free_algebra._Table([k] * width)
         [(_, _, results, keys)] = free_algebra._slabs(ops, snapshot, 0, table)
-        assert results.dtype == np.uint8 and results.tolist() == vectors
+        # Result [p, op] is pair p under _OP_TAGS[op]; key 4p + op is its key.
+        assert results.dtype == np.uint8 and results.shape == (size * size, 4, width)
+        assert results.tolist() == expected.tolist() and results.flags.c_contiguous
         if k**width > form[1]:
             assert keys.dtype.kind == "V"
             assert keys.tolist() == [bytes(v) for v in vectors]  # trailing zeros kept
         else:
             assert keys.tolist() == [sum(x * k**j for j, x in enumerate(v)) for v in vectors]
+        assert table.keys(view).tolist() == keys.tolist()
         # The distinct vectors but the last get ids from 5 on; the last has none.
-        distinct = np.unique(results, axis=0)
+        distinct = np.unique(results.reshape(-1, width), axis=0)
         table.add(table.keys(distinct[:-1]), 5)
         assert table.lookup(table.keys(distinct)).tolist() == [*range(5, 4 + len(distinct)), -1]
 

@@ -291,7 +291,7 @@ def test_table_is_dense_on_one_generator_grids():
     (Variant.NM_MINUS, [36] * 4),
     (Variant.NM, [36, 5, 36, 5, 3, 5, 36, 5, 36]),
 ])
-def test_two_generator_factors(variant, sizes):
+def test_two_generator_factors(variant, sizes, monkeypatch):
     # Blocks in sign-pattern order; below-below, below-at, below-above, ...
     # The product of the factor sizes is the size of the free algebra, so it
     # bounds the codes: dense for nm-, hashed for nm.
@@ -308,6 +308,18 @@ def test_two_generator_factors(variant, sizes):
     for cols, vectors, ids in zip(factors.blocks, factors.vectors, factors.seeds.T):
         scattered[:, cols] = vectors[ids]
     assert np.array_equal(scattered, free_algebra._grid_seeds(k, 2))
+    # _gather's [p, op, b] is factor b's op on pair p, seen in the memory of the
+    # tables' take, which is not C-contiguous; every table form keys it as its copy.
+    rng = np.random.default_rng(21)
+    a, b = (rng.integers(0, sizes, (500, len(sizes))).astype(factors.seeds.dtype)
+            for _ in range(2))
+    gathered = free_algebra._gather(factors.tables, a, b)
+    expected = np.moveaxis(factors.tables[np.arange(len(sizes)), a, b], 1, 2)
+    assert gathered.tolist() == expected.tolist() and not gathered.flags.c_contiguous
+    for form in TABLE_FORMS:
+        use_table_form(monkeypatch, form)
+        table = free_algebra._Table(sizes)
+        assert table.keys(gathered).tolist() == table.keys(expected.copy()).tolist()
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -327,12 +339,26 @@ def test_two_generator_cap_errors_match_the_direct_route(variant):
 
 def test_code_map_matches_a_dict(monkeypatch):
     # Two first slots force collisions, and 3000 codes force several doublings.
+    # Codes whose home is the last of the final 8192 slots force probe runs that
+    # wrap to slot 0: three of them held, three or more missing.
     monkeypatch.setattr(free_algebra, "_HASH_SLOTS", 2)
     rng = np.random.default_rng(18)
     codes = np.unique(np.concatenate((rng.integers(0, 2**63 - 1, 3000, dtype=np.int64),
                                       [0, 1, 2**63 - 1])))
+
+    def homed_last(c):
+        return c[(c.view(np.uint64) * free_algebra._GOLDEN) >> np.uint64(51) == 8191]
+
+    last = homed_last(codes)
+    wrapping = np.setdiff1d(homed_last(rng.integers(0, 2**63 - 1, 200_000, dtype=np.int64)),
+                            codes)[:6]
+    assert len(wrapping) == 6
+    codes = np.setdiff1d(codes, last)
     rng.shuffle(codes)
     present, absent = np.array_split(codes, [2000])
+    present = np.concatenate((present, wrapping[:3]))
+    absent = np.concatenate((absent, last, wrapping[3:]))
+    codes = np.concatenate((present, absent))
     table, reference, slots = free_algebra._CodeMap(), {}, []
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the uint64 hash product wraps by design
@@ -344,9 +370,45 @@ def test_code_map_matches_a_dict(monkeypatch):
             slots.append(len(table._codes))
             assert table[codes].tolist() == [reference.get(c, -1) for c in codes.tolist()]
         held = np.flatnonzero(table._codes >= 0)
-        assert (table._home(table._codes[held]) != held).any()  # some code left its home
+        home = table._home(table._codes[held])
+        assert (home != held).any()  # some code left its home
+        assert (home > held).any()  # and some probe run wrapped past the last slot
     assert len(set(slots)) >= 4 and slots[-1] == 8192
+    assert table._home(wrapping).tolist() == [8191] * 6
+    assert table[wrapping].tolist() == [reference[c] for c in wrapping[:3].tolist()] + [-1] * 3
     assert table[absent].tolist() == [-1] * len(absent)
+
+
+@pytest.mark.parametrize("form", TABLE_FORMS[1:], ids=["hashed", "bytes"])
+def test_closure_through_a_growing_table(form, monkeypatch):
+    # Bottom, top, x1 and x2 on two 9-point sign blocks of the nm- grid close to
+    # the product of the blocks' 36-element factors: 1296 rows from 1296**2 pairs,
+    # about 6.7 million candidates, past the hash table's first slot count.  The
+    # direct route on vectors and the factor route must commit the same rows.
+    k = generic_chain_size(2, Variant.NM_MINUS)
+    factors = free_algebra._grid_factors(k, 2)
+    two = [0, 1]
+    assert [len(factors.blocks[b]) for b in two] == [9, 9]
+    cols = np.concatenate([factors.blocks[b] for b in two])
+    seeds = np.ascontiguousarray(free_algebra._grid_seeds(k, 2)[:, cols])
+    pair = free_algebra._Factors([np.arange(9), np.arange(9, 18)],
+                                 [factors.vectors[b] for b in two], factors.tables[two],
+                                 factors.seeds[:, two])
+    use_table_form(monkeypatch, form)
+    closures = []
+    for slab in (2048, 509):
+        monkeypatch.setattr(free_algebra, "_SLAB", slab)
+        vectors, table, made = free_algebra._close(seeds, k, 2000)
+        closures.append((vectors, made))
+        if form[1]:
+            assert len(table._ids._codes) > free_algebra._HASH_SLOTS
+    closures.append(free_algebra._close_blocks(pair, 2000))
+    vectors, made = closures[0]
+    assert len(vectors) == 36 * 36 and len(np.unique(vectors, axis=0)) == 36 * 36
+    for half in (vectors[:, :9], vectors[:, 9:]):
+        assert len(np.unique(half, axis=0)) == 36
+    for other, other_made in closures[1:]:
+        assert np.array_equal(other, vectors) and np.array_equal(other_made, made)
 
 
 def test_build_is_deterministic():
@@ -393,22 +455,25 @@ def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
     k = algebra.chain.size
     rows, cols = np.divmod(np.arange(size * size), size)
     a, b = algebra.vectors[rows], algebra.vectors[cols]
+    # results[p, op] is pair p under _OP_TAGS[op], and flat row 4p + op of the slab.
     results = np.stack((np.minimum(a, b), np.maximum(a, b), tnorm_block(k - 1, a, b),
-                        residuum_block(k - 1, a, b)), axis=1).reshape(-1, width)
-    expected = np.reshape([algebra.id_of_vector(r) for r in results.tolist()], (size, size, 4))
+                        residuum_block(k - 1, a, b)), axis=1)
+    flat = results.reshape(-1, width).tolist()
+    expected = np.reshape([algebra.id_of_vector(r) for r in flat], (size, size, 4))
     assert np.array_equal(algebra.operation_table, expected)
     ops = functools.partial(free_algebra._connectives, k - 1)
     for form in TABLE_FORMS:
         use_table_form(monkeypatch, form)
         keys = free_algebra._Table([k] * width).keys(results).tolist()
         if form[1]:
-            assert keys == [sum(v * k**j for j, v in enumerate(r)) for r in results.tolist()]
+            assert keys == [sum(v * k**j for j, v in enumerate(r)) for r in flat]
         else:
-            assert keys == [bytes(r) for r in results.tolist()]
+            assert keys == [bytes(r) for r in flat]
         for slab in (1, 3, 7, 2048):
             monkeypatch.setattr(free_algebra, "_SLAB", slab)
             fresh = FreeAlgebra(algebra.n, algebra.variant, algebra.vectors, algebra.provenance)
             walked = list(free_algebra._slabs(ops, fresh.vectors, 0, fresh._table))
+            assert all(w[2].shape == (len(w[0]), 4, width) for w in walked)
             assert np.array_equal(np.concatenate([w[2] for w in walked]), results)
             assert [key for w in walked for key in w[3].tolist()] == keys
             assert np.array_equal(fresh.operation_table, expected)
