@@ -38,7 +38,9 @@ alone, so the closure of those tuples, with results gathered from the
 factor tables, finds the same ids in the same order as the closure of the
 vectors; a complete one scatters its factor rows back into vectors.  Its
 slab results stay in the memory of the tables' ``take``, (pairs, blocks, 4),
-seen as (pairs, 4, blocks) without a copy.
+seen as (pairs, 4, blocks) without a copy, and the index of that ``take`` is
+computed in the narrowest unsigned dtype that holds the flat tables' rows
+(uint16 for both variants).
 
 The element table, :class:`_Table`, maps each row to its id and alone knows
 the key format; the closure and each algebra keep one.  A row's code is its
@@ -48,7 +50,9 @@ nm-'s two-generator factor rows) a key is the code and the ids are one
 int32 array indexed by code, -1 where no element has that code; below
 ``_HASHED_CODES``, where codes fit int64 (nm's factor rows), a key is the
 code and the ids a vectorised open-addressing hash table, :class:`_CodeMap`,
-whose lookups settle most codes at their home slot in one pass;
+whose lookups settle most codes at their home slot in one pass and finish
+their last few probes in plain Python, and which grows at most once, straight
+to the slots of the closure's element cap;
 above that (vectors from two generators on) a key is the row's bytes and
 the ids a dict.  Each way a slab is looked up, deduplicated and added in a
 few array calls.
@@ -85,9 +89,11 @@ _SLAB = 2048
 _DENSE_CODES = 1 << 21
 _HASHED_CODES = 1 << 63
 
-# A hash table's first slot count, and the odd multiplier of its Fibonacci hash.
+# A hash table's first slot count, the odd multiplier of its Fibonacci hash,
+# and the codes left in a probe loop below which it goes on in plain Python.
 _HASH_SLOTS = 1 << 12
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_SCALAR_TAIL = 32
 
 _OP_TAGS = ("meet", "join", "tnorm", "imp")
 
@@ -154,19 +160,24 @@ class _CodeMap:
     A vectorised open-addressing table with linear probing: a code's probe
     sequence starts at its Fibonacci hash, the top bits of the uint64 product
     ``code * _GOLDEN``, which wraps by design.  The slots, ``_HASH_SLOTS`` at
-    first, grow to the least power of two that is at least four times the
-    codes held, which keeps probe runs, and so the array calls a lookup
-    takes, short.  ``m[codes]`` is -1 where a code is missing;
-    ``m[codes] = ids`` takes distinct missing codes.  A lookup reads every
-    code's home slot in one pass, which settles the hits held there and the
-    misses at an empty slot, and probes on only for the codes whose home
-    slot holds another code.
+    first, grow once they would be over a quarter full, straight to the least
+    power of two that is at least four times ``capacity`` (or the codes held,
+    if more), which keeps probe runs, and so the array calls a lookup takes,
+    short; a closure's map, sized by its element cap, so rehashes at most once,
+    and one that stays small never leaves its first slots.  ``m[codes]`` is
+    -1 where a code is missing; ``m[codes] = ids`` takes distinct missing
+    codes.  A lookup reads every code's home slot in one pass, which settles
+    the hits held there and the misses at an empty slot, and probes on only
+    for the codes whose home slot holds another code; both probe loops end in
+    plain Python once at most ``_SCALAR_TAIL`` codes remain, where one numpy
+    call a step would cost more than the steps themselves.
     """
 
-    def __init__(self):
+    def __init__(self, capacity: int):
         self._codes = np.full(_HASH_SLOTS, -1, dtype=np.int64)
         self._ids = np.empty(_HASH_SLOTS, dtype=np.int32)
         self._count = 0
+        self._capacity = capacity
 
     def _home(self, codes: np.ndarray) -> np.ndarray:
         shift = 65 - len(self._codes).bit_length()
@@ -178,13 +189,20 @@ class _CodeMap:
         ids = np.where(held == codes, self._ids[slot], -1)
         todo = np.flatnonzero((held != codes) & (held >= 0))
         codes, slot = codes[todo], slot[todo]
-        while todo.size:
+        while todo.size > _SCALAR_TAIL:
             slot = (slot + 1) & mask
             held = self._codes[slot]
             hit = held == codes
             ids[todo[hit]] = self._ids[slot[hit]]
             go = ~hit & (held >= 0)
             codes, todo, slot = codes[go], todo[go], slot[go]
+        held_at = self._codes.item
+        for i, code, s in zip(todo.tolist(), codes.tolist(), slot.tolist()):
+            s = (s + 1) & mask
+            while (held := held_at(s)) >= 0 and held != code:
+                s = (s + 1) & mask
+            if held == code:
+                ids[i] = self._ids[s]
         return ids
 
     def __setitem__(self, codes: np.ndarray, ids: np.ndarray) -> None:
@@ -193,11 +211,11 @@ class _CodeMap:
             held = self._codes >= 0
             codes = np.concatenate((self._codes[held], codes))
             ids = np.concatenate((self._ids[held], ids))
-            size = 1 << (4 * self._count - 1).bit_length()
+            size = 1 << (4 * max(self._count, self._capacity) - 1).bit_length()
             self._codes = np.full(size, -1, dtype=np.int64)
             self._ids = np.empty(size, dtype=np.int32)
         slot, mask = self._home(codes), len(self._codes) - 1
-        while codes.size:
+        while codes.size > _SCALAR_TAIL:
             free = self._codes[slot] < 0
             self._codes[slot[free]] = codes[free]
             # Of the codes claiming one free slot, the one written last holds it.
@@ -205,6 +223,11 @@ class _CodeMap:
             self._ids[slot[won]] = ids[won]
             lost = ~won
             codes, ids, slot = codes[lost], ids[lost], (slot[lost] + 1) & mask
+        held_at = self._codes.item
+        for code, i, s in zip(codes.tolist(), ids.tolist(), slot.tolist()):
+            while held_at(s) >= 0:
+                s = (s + 1) & mask
+            self._codes[s], self._ids[s] = code, i
 
 
 class _Table:
@@ -214,21 +237,23 @@ class _Table:
     ``_DENSE_CODES`` mixed-radix codes ``sum(row[j] * prod(radices[:j]))``, a
     key is the code and the ids are one int32 array indexed by code; where
     they have at most ``_HASHED_CODES`` and so fit int64, a key is the code
-    and the ids a :class:`_CodeMap`.  Above that a key is a void view of the
+    and the ids a :class:`_CodeMap` sized for the ``capacity`` rows the
+    table will hold at most.  Above that a key is a void view of the
     row's bytes, which keeps trailing zeros, and the ids are a dict from
     ``bytes``.  Every radix is at least 2, so 64 of them are over the int64
     bound; taking the product of at most 64 keeps a wide import from costing
     a huge number.
     """
 
-    def __init__(self, radices: Sequence[int]):
+    def __init__(self, radices: Sequence[int], capacity: int):
         self._void = np.dtype((np.void, len(radices)))
         codes = math.prod(radices[:64])
         if codes > _HASHED_CODES:
             self._weights, self._ids = None, {}
         else:
             self._weights = np.cumprod([1, *radices[:-1]], dtype=np.int64)
-            self._ids = np.full(codes, -1, dtype=np.int32) if codes <= _DENSE_CODES else _CodeMap()
+            self._ids = (np.full(codes, -1, dtype=np.int32) if codes <= _DENSE_CODES
+                         else _CodeMap(capacity))
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         """One flat array of keys, one per row on ``rows``' last axis, in C order.
@@ -272,7 +297,9 @@ def _slabs(ops, snapshot: np.ndarray, previous: int, table: _Table):
     at most ``_SLAB`` untried pairs.
 
     Untried pairs, row-major: old rows x new columns, then new rows x all.
-    With ``previous = 0`` that is every pair in row-major order.  The
+    With ``previous = 0`` that is every pair in row-major order.  A slab's
+    rows and columns are one ``divmod`` of its flat range per segment, so
+    only a slab that straddles the two segments joins two pieces.  The
     operand rows are ``snapshot.take(rows, axis=0)``, much faster than
     fancy indexing on rows of a few bytes.  ``ops(a, b)`` stacks the four
     results of the row pairs as :func:`_connectives` does, so ``results[p,
@@ -287,10 +314,16 @@ def _slabs(ops, snapshot: np.ndarray, previous: int, table: _Table):
     total = old_pairs + new * current
     slab = max(1, min(_SLAB, MAX_TABLE_BYTES // (17 * width)))
     for lo in range(0, total, slab):
-        flat = np.arange(lo, min(lo + slab, total))
-        late = flat - old_pairs
-        rows = np.where(late < 0, flat // new, previous + late // current)
-        cols = np.where(late < 0, previous + flat % new, late % current)
+        hi = min(lo + slab, total)
+        pieces = []
+        if lo < old_pairs:
+            rows, cols = np.divmod(np.arange(lo, min(hi, old_pairs)), new)
+            pieces.append((rows, cols + previous))
+        if hi > old_pairs:
+            rows, cols = np.divmod(np.arange(max(lo, old_pairs) - old_pairs, hi - old_pairs),
+                                   current)
+            pieces.append((rows + previous, cols))
+        rows, cols = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
         results = ops(snapshot.take(rows, axis=0), snapshot.take(cols, axis=0))
         yield rows, cols, results, table.keys(results)
 
@@ -364,7 +397,7 @@ class FreeAlgebra:
         self.provenance = provenance
         self.bottom_id = 0
         self.top_id = 1
-        self._table = _Table([k] * width)
+        self._table = _Table([k] * width, len(vectors))
         keys = self._table.keys(vectors)
         self._table.add(keys, 0)
         if (self._table.lookup(keys) != np.arange(len(vectors))).any():
@@ -658,7 +691,7 @@ def _close_rows(seeds: np.ndarray, ops, radices: Sequence[int], element_cap: int
     """
     if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
-    table = _Table(radices)
+    table = _Table(radices, element_cap)
     table.add(table.keys(seeds), 0)
     snapshot, previous, made = seeds, 0, [np.empty((0, 3), dtype=np.int32)]
     while True:
@@ -730,7 +763,11 @@ def _gather(tables: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     blocks), with no copy, which :meth:`_Table.keys` contracts as it lies.
     """
     blocks, size = tables.shape[:2]
-    pairs = a * np.intp(size) + b + np.arange(0, blocks * size * size, size * size)
+    index = np.min_scalar_type(blocks * size * size - 1)
+    pairs = a.astype(index)
+    pairs *= size
+    pairs += b
+    pairs += np.arange(0, blocks * size * size, size * size, dtype=index)
     return np.moveaxis(tables.reshape(-1, 4).take(pairs, axis=0), 2, 1)
 
 

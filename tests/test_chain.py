@@ -312,7 +312,7 @@ def test_table_keys_are_one_vector_wide(top, width, size, data):
     for form in TABLE_FORMS:
         with pytest.MonkeyPatch.context() as patch:
             use_table_form(patch, form)
-            table = free_algebra._Table([k] * width)
+            table = free_algebra._Table([k] * width, size * size)
         [(_, _, results, keys)] = free_algebra._slabs(ops, snapshot, 0, table)
         # Result [p, op] is pair p under _OP_TAGS[op]; key 4p + op is its key.
         assert results.dtype == np.uint8 and results.shape == (size * size, 4, width)

@@ -265,7 +265,7 @@ def test_table_is_dense_on_one_generator_grids():
     # code of the j-th unit vector and one id slot per code; bytes at two.
     for n, variant in itertools.product((0, 1, 2), Variant):
         k = generic_chain_size(n, variant)
-        table = free_algebra._Table([k] * k**n)
+        table = free_algebra._Table([k] * k**n, k**n)
         keys = table.keys(np.eye(k**n, dtype=np.uint8))
         assert (keys.dtype.kind == "V") == (n == 2)
         assert (table.lookup(keys) == -1).all()
@@ -282,7 +282,7 @@ def test_table_is_dense_on_one_generator_grids():
 
     # A wide import gets a bytes table without multiplying out its 7**(2**20) codes.
     products = []
-    table = free_algebra._Table([Radix(7)] * 2**20)
+    table = free_algebra._Table([Radix(7)] * 2**20, 1)
     assert table.keys(np.zeros((1, 2**20), dtype=np.uint8)).dtype.kind == "V"
     assert 0 < len(products) <= free_algebra._HASHED_CODES.bit_length()
 
@@ -299,7 +299,8 @@ def test_two_generator_factors(variant, sizes, monkeypatch):
     factors = free_algebra._grid_factors(k, 2)
     assert [len(v) for v in factors.vectors] == sizes
     assert math.prod(sizes) == {Variant.NM: 3_149_280_000, Variant.NM_MINUS: 1_679_616}[variant]
-    assert isinstance(free_algebra._Table(sizes)._ids, np.ndarray) == (variant is Variant.NM_MINUS)
+    dense = isinstance(free_algebra._Table(sizes, 1)._ids, np.ndarray)
+    assert dense == (variant is Variant.NM_MINUS)
     for cols, vectors, table in zip(factors.blocks, factors.vectors, factors.tables):
         m = len(vectors)
         assert vectors.shape == (m, len(cols)) and (table[:m, :m] < m).all()
@@ -318,8 +319,26 @@ def test_two_generator_factors(variant, sizes, monkeypatch):
     assert gathered.tolist() == expected.tolist() and not gathered.flags.c_contiguous
     for form in TABLE_FORMS:
         use_table_form(monkeypatch, form)
-        table = free_algebra._Table(sizes)
+        table = free_algebra._Table(sizes, len(gathered))
         assert table.keys(gathered).tolist() == table.keys(expected.copy()).tolist()
+
+
+def test_gather_index_fits_the_flat_table():
+    # _gather indexes the flat (blocks * size * size, 4) factor tables in the
+    # narrowest unsigned dtype that holds their last row: uint16 for the shapes
+    # of both two-generator grids and for exactly 2**16 rows, uint32 for 60
+    # synthetic blocks of 36-element factors, 77 760 rows, where a uint16 index
+    # would wrap.  Every block and op against the int64 formula; the first pairs
+    # reach every id of every block.
+    rng = np.random.default_rng(22)
+    for blocks, size in ((9, 36), (4, 36), (256, 16), (60, 36)):
+        ids = np.min_scalar_type(size - 1)
+        tables = rng.integers(0, size, (blocks, size, size, 4)).astype(ids)
+        a, b = (rng.integers(0, size, (400, blocks)).astype(ids) for _ in range(2))
+        a[:size, :], b[:size, :] = np.arange(size)[:, None], np.arange(size)[::-1, None]
+        flat = a.astype(np.int64) * size + b + np.arange(blocks) * size * size
+        expected = np.moveaxis(tables.reshape(-1, 4)[flat], 2, 1)
+        assert free_algebra._gather(tables, a, b).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -338,45 +357,70 @@ def test_two_generator_cap_errors_match_the_direct_route(variant):
 
 
 def test_code_map_matches_a_dict(monkeypatch):
-    # Two first slots force collisions, and 3000 codes force several doublings.
-    # Codes whose home is the last of the final 8192 slots force probe runs that
-    # wrap to slot 0: three of them held, three or more missing.
+    # A 36-element factor closure, made with the default cap, stays in its first slots.
+    k = generic_chain_size(2, Variant.NM)
+    cols = free_algebra._grid_factors(k, 2).blocks[0]
+    seeds = np.ascontiguousarray(np.unique(free_algebra._grid_seeds(k, 2)[:, cols], axis=0))
+    factor, table, _ = free_algebra._close(seeds, k, free_algebra.DEFAULT_ELEMENT_CAP)
+    assert len(factor) == 36 and isinstance(table._ids, free_algebra._CodeMap)
+    assert len(table._ids._codes) == free_algebra._HASH_SLOTS
+
+    # Two first slots force collisions.  A map sized for the 2003 codes held or
+    # more jumps once, straight to the slots of its capacity; one sized for a
+    # single code doubles as it fills.  Codes whose home is the last slot force
+    # probe runs that wrap to slot 0: three of them held, three or more missing.
+    # A scalar tail of 0 takes every probe step in numpy and one of 10**9 every
+    # step after the home slot in Python; the shipped one switches between them.
     monkeypatch.setattr(free_algebra, "_HASH_SLOTS", 2)
     rng = np.random.default_rng(18)
-    codes = np.unique(np.concatenate((rng.integers(0, 2**63 - 1, 3000, dtype=np.int64),
+    drawn = np.unique(np.concatenate((rng.integers(0, 2**63 - 1, 3000, dtype=np.int64),
                                       [0, 1, 2**63 - 1])))
+    spare = rng.integers(0, 2**63 - 1, 1_000_000, dtype=np.int64)
+    tails = (0, free_algebra._SCALAR_TAIL, 10**9)
+    for capacity, tail in itertools.product((1, 2003, 5000), tails):
+        monkeypatch.setattr(free_algebra, "_SCALAR_TAIL", tail)
+        size = 1 << (4 * max(capacity, 2003) - 1).bit_length()
 
-    def homed_last(c):
-        return c[(c.view(np.uint64) * free_algebra._GOLDEN) >> np.uint64(51) == 8191]
+        def homed_last(c):
+            shift = np.uint64(65 - size.bit_length())
+            return c[(c.view(np.uint64) * free_algebra._GOLDEN) >> shift == size - 1]
 
-    last = homed_last(codes)
-    wrapping = np.setdiff1d(homed_last(rng.integers(0, 2**63 - 1, 200_000, dtype=np.int64)),
-                            codes)[:6]
-    assert len(wrapping) == 6
-    codes = np.setdiff1d(codes, last)
-    rng.shuffle(codes)
-    present, absent = np.array_split(codes, [2000])
-    present = np.concatenate((present, wrapping[:3]))
-    absent = np.concatenate((absent, last, wrapping[3:]))
-    codes = np.concatenate((present, absent))
-    table, reference, slots = free_algebra._CodeMap(), {}, []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the uint64 hash product wraps by design
-        assert table[codes].tolist() == [-1] * len(codes)
-        for batch in np.array_split(present, [1, 2, 5, 40, 300, 1000]):
-            ids = rng.permutation(len(batch)).astype(np.int32) + len(reference)
-            table[batch] = ids
-            reference.update(zip(batch.tolist(), ids.tolist()))
-            slots.append(len(table._codes))
-            assert table[codes].tolist() == [reference.get(c, -1) for c in codes.tolist()]
-        held = np.flatnonzero(table._codes >= 0)
-        home = table._home(table._codes[held])
-        assert (home != held).any()  # some code left its home
-        assert (home > held).any()  # and some probe run wrapped past the last slot
-    assert len(set(slots)) >= 4 and slots[-1] == 8192
-    assert table._home(wrapping).tolist() == [8191] * 6
-    assert table[wrapping].tolist() == [reference[c] for c in wrapping[:3].tolist()] + [-1] * 3
-    assert table[absent].tolist() == [-1] * len(absent)
+        last = homed_last(drawn)
+        wrapping = np.setdiff1d(homed_last(spare), drawn)[:6]
+        assert len(wrapping) == 6
+        codes = np.setdiff1d(drawn, last)
+        rng.shuffle(codes)
+        present, absent = np.array_split(codes, [2000])
+        present = np.concatenate((present, wrapping[:3]))
+        absent = np.concatenate((absent, last, wrapping[3:]))
+        codes = np.concatenate((present, absent))
+        table, reference = free_algebra._CodeMap(capacity), {}
+        slots = [len(table._codes)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the uint64 hash product wraps by design
+            assert table[codes].tolist() == [-1] * len(codes)
+            for batch in np.array_split(present, [1, 2, 5, 40, 300, 1000]):
+                ids = rng.permutation(len(batch)).astype(np.int32) + len(reference)
+                table[batch] = ids
+                reference.update(zip(batch.tolist(), ids.tolist()))
+                slots.append(len(table._codes))
+                assert table[codes].tolist() == [reference.get(c, -1) for c in codes.tolist()]
+            held = np.flatnonzero(table._codes >= 0)
+            home = table._home(table._codes[held])
+            assert (home != held).any()  # some code left its home
+            assert (home > held).any()  # and some probe run wrapped past the last slot
+        if capacity > 1:
+            assert slots == [2] + [size] * 7
+            # Alone in a map, three codes homed at the last slot wrap to slots 0 and 1.
+            wrapped = free_algebra._CodeMap(capacity)
+            wrapped[wrapping[:3]] = np.arange(3, dtype=np.int32)
+            assert np.flatnonzero(wrapped._codes >= 0).tolist() == [0, 1, size - 1]
+            assert wrapped[wrapping].tolist() == [0, 1, 2, -1, -1, -1]
+        else:
+            assert len(set(slots)) >= 4 and slots[-1] == size
+        assert table._home(wrapping).tolist() == [size - 1] * 6
+        assert table[wrapping].tolist() == [reference[c] for c in wrapping[:3].tolist()] + [-1] * 3
+        assert table[absent].tolist() == [-1] * len(absent)
 
 
 @pytest.mark.parametrize("form", TABLE_FORMS[1:], ids=["hashed", "bytes"])
@@ -384,7 +428,10 @@ def test_closure_through_a_growing_table(form, monkeypatch):
     # Bottom, top, x1 and x2 on two 9-point sign blocks of the nm- grid close to
     # the product of the blocks' 36-element factors: 1296 rows from 1296**2 pairs,
     # about 6.7 million candidates, past the hash table's first slot count.  The
-    # direct route on vectors and the factor route must commit the same rows.
+    # direct route on vectors and the factor route must commit the same rows.  A
+    # hashed table grows once: with a cap of the closure's size to the slots its
+    # rows need, with a larger cap straight past them to the slots of the cap;
+    # both caps must commit the same rows and triples.
     k = generic_chain_size(2, Variant.NM_MINUS)
     factors = free_algebra._grid_factors(k, 2)
     two = [0, 1]
@@ -396,13 +443,14 @@ def test_closure_through_a_growing_table(form, monkeypatch):
                                  factors.seeds[:, two])
     use_table_form(monkeypatch, form)
     closures = []
-    for slab in (2048, 509):
+    caps = (36 * 36, 50_000) if form[1] else (2000,)
+    for slab, cap in itertools.product((2048, 509), caps):
         monkeypatch.setattr(free_algebra, "_SLAB", slab)
-        vectors, table, made = free_algebra._close(seeds, k, 2000)
+        vectors, table, made = free_algebra._close(seeds, k, cap)
         closures.append((vectors, made))
         if form[1]:
-            assert len(table._ids._codes) > free_algebra._HASH_SLOTS
-    closures.append(free_algebra._close_blocks(pair, 2000))
+            assert len(table._ids._codes) == {36 * 36: 8192, 50_000: 262_144}[cap]
+        closures.append(free_algebra._close_blocks(pair, cap))
     vectors, made = closures[0]
     assert len(vectors) == 36 * 36 and len(np.unique(vectors, axis=0)) == 36 * 36
     for half in (vectors[:, :9], vectors[:, 9:]):
@@ -450,6 +498,8 @@ def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
     # build and operation_table both walk _slabs and look its keys up in a
     # _Table; pin the result rows, the key of each on every table form, and
     # the table's layout at every slab size on every form against row-major pairs.
+    # A closure round walks the untried pairs, old rows x new columns, then new
+    # rows x all, in ceil(pairs / slab) slabs that straddle the boundary.
     algebra = request.getfixturevalue(fixture)
     size, width = algebra.vectors.shape
     k = algebra.chain.size
@@ -464,7 +514,7 @@ def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
     ops = functools.partial(free_algebra._connectives, k - 1)
     for form in TABLE_FORMS:
         use_table_form(monkeypatch, form)
-        keys = free_algebra._Table([k] * width).keys(results).tolist()
+        keys = free_algebra._Table([k] * width, size).keys(results).tolist()
         if form[1]:
             assert keys == [sum(v * k**j for j, v in enumerate(r)) for r in flat]
         else:
@@ -477,6 +527,15 @@ def test_operation_table_matches_closure_kernel(fixture, request, monkeypatch):
             assert np.array_equal(np.concatenate([w[2] for w in walked]), results)
             assert [key for w in walked for key in w[3].tolist()] == keys
             assert np.array_equal(fresh.operation_table, expected)
+            for previous in (1, 2, size // 2, size - 1, size):
+                untried = [*itertools.product(range(previous), range(previous, size)),
+                           *itertools.product(range(previous, size), range(size))]
+                walked = list(free_algebra._slabs(ops, fresh.vectors, previous, fresh._table))
+                assert len(walked) == math.ceil(len(untried) / slab)
+                assert [pair for w in walked for pair in zip(*w[0:2])] == untried
+                pairs = [row * size + col for row, col in untried]
+                assert np.array_equal(np.concatenate([w[2] for w in walked] or [results[:0]]),
+                                      results[pairs])
 
 
 @pytest.mark.parametrize("fixture", ["nm0", "nmm1", "nm1"])
