@@ -50,9 +50,9 @@ nm-'s two-generator factor rows) a key is the code and the ids are one
 int32 array indexed by code, -1 where no element has that code; below
 ``_HASHED_CODES``, where codes fit int64 (nm's factor rows), a key is the
 code and the ids a vectorised open-addressing hash table, :class:`_CodeMap`,
-whose lookups settle most codes at their home slot in one pass and finish
-their last few probes in plain Python, and which grows at most once, straight
-to the slots of the closure's element cap;
+whose lookups and inserts share one probe that settles most codes at their
+home slot in one pass and ends in plain Python, and which grows at most once,
+straight to the slots of the closure's cap, within ``MAX_TABLE_BYTES``;
 above that (vectors from two generators on) a key is the row's bytes and
 the ids a dict.  Each way a slab is looked up, deduplicated and added in a
 few array calls.
@@ -77,8 +77,8 @@ DEFAULT_ELEMENT_CAP = 100_000
 # Bytes an N x N structure or a closure may allocate: operation_table takes 16
 # per pair of elements, leq_matrix a vector width per pair while it compares,
 # a closure's rows a vector width per element up to its cap (its table keys as
-# much again), and one slab at most this.  Complete algebras stay far below
-# it; imports and big caps need not.
+# much again), a hashed element table 12 per slot, and one slab at most this.
+# Complete algebras stay far below it; imports and big caps need not.
 MAX_TABLE_BYTES = 1 << 28
 
 _SLAB = 2048
@@ -162,15 +162,17 @@ class _CodeMap:
     ``code * _GOLDEN``, which wraps by design.  The slots, ``_HASH_SLOTS`` at
     first, grow once they would be over a quarter full, straight to the least
     power of two that is at least four times ``capacity`` (or the codes held,
-    if more), which keeps probe runs, and so the array calls a lookup takes,
-    short; a closure's map, sized by its element cap, so rehashes at most once,
-    and one that stays small never leaves its first slots.  ``m[codes]`` is
-    -1 where a code is missing; ``m[codes] = ids`` takes distinct missing
-    codes.  A lookup reads every code's home slot in one pass, which settles
-    the hits held there and the misses at an empty slot, and probes on only
-    for the codes whose home slot holds another code; both probe loops end in
-    plain Python once at most ``_SCALAR_TAIL`` codes remain, where one numpy
-    call a step would cost more than the steps themselves.
+    if more), which keeps probe runs short; a closure's map, sized by its
+    element cap, so rehashes at most once, and one that stays small never
+    leaves its first slots.  Slots take 12 bytes each; a growth past
+    ``MAX_TABLE_BYTES`` raises ``ValueError`` before it allocates anything.
+    ``m[codes]`` is -1 where a code is missing; ``m[codes] = ids`` writes
+    distinct missing codes each at its slot and probes again for those that
+    lost a slot to another.  Both share one probe, :meth:`_slots`, which reads
+    every code's home slot in one pass and probes on only for the codes whose
+    home slot holds another code, in plain Python once at most
+    ``_SCALAR_TAIL`` remain, where one numpy call a step would cost more than
+    the steps themselves.
     """
 
     def __init__(self, capacity: int):
@@ -183,51 +185,47 @@ class _CodeMap:
         shift = 65 - len(self._codes).bit_length()
         return ((codes.view(np.uint64) * _GOLDEN) >> np.uint64(shift)).astype(np.intp)
 
-    def __getitem__(self, codes: np.ndarray) -> np.ndarray:
+    def _slots(self, codes: np.ndarray) -> np.ndarray:
+        """Each code's slot: the one holding it, else the empty slot ending its probe run."""
         slot, mask = self._home(codes), len(self._codes) - 1
         held = self._codes[slot]
-        ids = np.where(held == codes, self._ids[slot], -1)
         todo = np.flatnonzero((held != codes) & (held >= 0))
-        codes, slot = codes[todo], slot[todo]
+        codes, at = codes[todo], slot[todo]
         while todo.size > _SCALAR_TAIL:
-            slot = (slot + 1) & mask
-            held = self._codes[slot]
-            hit = held == codes
-            ids[todo[hit]] = self._ids[slot[hit]]
-            go = ~hit & (held >= 0)
-            codes, todo, slot = codes[go], todo[go], slot[go]
+            slot[todo] = at = (at + 1) & mask
+            held = self._codes[at]
+            go = (held != codes) & (held >= 0)
+            codes, todo, at = codes[go], todo[go], at[go]
         held_at = self._codes.item
-        for i, code, s in zip(todo.tolist(), codes.tolist(), slot.tolist()):
+        for i, code, s in zip(todo.tolist(), codes.tolist(), at.tolist()):
             s = (s + 1) & mask
             while (held := held_at(s)) >= 0 and held != code:
                 s = (s + 1) & mask
-            if held == code:
-                ids[i] = self._ids[s]
-        return ids
+            slot[i] = s
+        return slot
+
+    def __getitem__(self, codes: np.ndarray) -> np.ndarray:
+        slot = self._slots(codes)
+        return np.where(self._codes[slot] == codes, self._ids[slot], -1)
 
     def __setitem__(self, codes: np.ndarray, ids: np.ndarray) -> None:
-        self._count += len(codes)
-        if 4 * self._count > len(self._codes):
+        count = self._count + len(codes)
+        if 4 * count > len(self._codes):
+            size = 1 << (4 * max(count, self._capacity) - 1).bit_length()
+            _check_bytes(12 * size, f"hash table of {size} slots")
             held = self._codes >= 0
             codes = np.concatenate((self._codes[held], codes))
             ids = np.concatenate((self._ids[held], ids))
-            size = 1 << (4 * max(self._count, self._capacity) - 1).bit_length()
             self._codes = np.full(size, -1, dtype=np.int64)
             self._ids = np.empty(size, dtype=np.int32)
-        slot, mask = self._home(codes), len(self._codes) - 1
-        while codes.size > _SCALAR_TAIL:
-            free = self._codes[slot] < 0
-            self._codes[slot[free]] = codes[free]
-            # Of the codes claiming one free slot, the one written last holds it.
+        self._count = count
+        while codes.size:
+            slot = self._slots(codes)
+            self._codes[slot] = codes
+            # Of the codes claiming one empty slot, the one written last holds it.
             won = self._codes[slot] == codes
             self._ids[slot[won]] = ids[won]
-            lost = ~won
-            codes, ids, slot = codes[lost], ids[lost], (slot[lost] + 1) & mask
-        held_at = self._codes.item
-        for code, i, s in zip(codes.tolist(), ids.tolist(), slot.tolist()):
-            while held_at(s) >= 0:
-                s = (s + 1) & mask
-            self._codes[s], self._ids[s] = code, i
+            codes, ids = codes[~won], ids[~won]
 
 
 class _Table:
@@ -643,13 +641,14 @@ def build(
 
     A grid over ``MAX_GRID_POINTS``, or ``element_cap`` vectors over
     ``MAX_TABLE_BYTES``, raises ``ValueError`` first, before anything is
-    allocated.  Then the grid rows of bottom, top and ``x1..xn`` seed
-    :func:`_close`, or at ``n = 2`` :func:`_close_blocks` over their sign-block
-    factors, and their records and the closure's triples become provenance.
-    The result is identical across runs, slab sizes and table forms.  Past
-    ``element_cap`` elements :class:`ElementCapExceeded` names the size
-    attained; growth for three or more generators is explosive, so the cap is
-    the intended way to probe it safely.
+    allocated, as does a hashed table's growth to slots past it.  Then the
+    grid rows of bottom, top and ``x1..xn`` seed :func:`_close`, or at ``n =
+    2`` :func:`_close_blocks` over their sign-block factors, and their records
+    and the closure's triples become provenance.  The result is identical
+    across runs, slab sizes and table forms.  Past ``element_cap`` elements
+    :class:`ElementCapExceeded` names the size attained; growth for three or
+    more generators is explosive, so the cap is the intended way to probe it
+    safely.
     """
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
@@ -734,7 +733,6 @@ def _factors(seeds: np.ndarray, k: int, n: int) -> _Factors:
     vectors, tables, seed_ids = [], [], []
     for cols in blocks:
         projected, inverse = np.unique(seeds[:, cols], axis=0, return_inverse=True)
-        projected = np.ascontiguousarray(projected)  # a bytes-keyed table views rows whole
         factor, table, _ = _close(projected, k, DEFAULT_ELEMENT_CAP)
         vectors.append(factor)
         tables.append(_pair_ids(ops, factor, table))

@@ -409,6 +409,12 @@ def test_code_map_matches_a_dict(monkeypatch):
             home = table._home(table._codes[held])
             assert (home != held).any()  # some code left its home
             assert (home > held).any()  # and some probe run wrapped past the last slot
+            # The one probe both operations share: a held code's slot holds it, a
+            # missing code's slot is the empty one that ends its probe run.
+            assert (table._codes[table._slots(present)] == present).all()
+            assert (table._codes[table._slots(absent)] == -1).all()
+            assert (table._codes[table._slots(wrapping)]
+                    == np.concatenate((wrapping[:3], [-1] * 3))).all()
         if capacity > 1:
             assert slots == [2] + [size] * 7
             # Alone in a map, three codes homed at the last slot wrap to slots 0 and 1.
@@ -416,11 +422,41 @@ def test_code_map_matches_a_dict(monkeypatch):
             wrapped[wrapping[:3]] = np.arange(3, dtype=np.int32)
             assert np.flatnonzero(wrapped._codes >= 0).tolist() == [0, 1, size - 1]
             assert wrapped[wrapping].tolist() == [0, 1, 2, -1, -1, -1]
+            assert sorted(wrapped._slots(wrapping[:3]).tolist()) == [0, 1, size - 1]
+            assert wrapped._slots(wrapping[3:]).tolist() == [2, 2, 2]
         else:
             assert len(set(slots)) >= 4 and slots[-1] == size
         assert table._home(wrapping).tolist() == [size - 1] * 6
         assert table[wrapping].tolist() == [reference[c] for c in wrapping[:3].tolist()] + [-1] * 3
         assert table[absent].tolist() == [-1] * len(absent)
+
+
+def test_hash_table_slots_count_against_the_byte_bound():
+    import tracemalloc
+
+    # 1025 codes pass a quarter of the first 4096 slots.  Sized for the benchmark's
+    # nm cap the map grows to 2**19 slots (6 MiB); sized for 5,000,000 codes it
+    # would take 2**25 slots at 12 bytes each, 384 MiB, and is refused first.
+    codes = np.arange(1025, dtype=np.int64) * 7919
+    ids = np.arange(1025, dtype=np.int32)
+    grown = free_algebra._CodeMap(120_000)
+    grown[codes] = ids
+    assert len(grown._codes) == 2**19 and grown[codes].tolist() == ids.tolist()
+    refused = free_algebra._CodeMap(5_000_000)
+    refused[codes[:1000]] = ids[:1000]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+            refused[codes[1000:]] = ids[1000:]
+        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+            build(2, Variant.NM, 5_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23
+    # A refused insert leaves the map as it was.
+    assert len(refused._codes) == free_algebra._HASH_SLOTS
+    assert refused[codes].tolist() == ids[:1000].tolist() + [-1] * 25
 
 
 @pytest.mark.parametrize("form", TABLE_FORMS[1:], ids=["hashed", "bytes"])
