@@ -20,10 +20,10 @@ are exact in the operands' own dtype (uint8 in closure and on grids).
 
 On scalars the two formulas have one body, the namespace
 ``_index_algebra(top)`` over plain int indices, which each :class:`NMChain`
-builds and keeps, so no chain size outlives its chains; the chain's
-connectives check that their operands belong to the chain and wrap its
-results in :class:`ChainValue`, and :func:`eval_chain` checks the assignment
-once, evaluates on the bare indices and wraps only the result.
+builds and keeps; the chain's connectives check that their operands belong
+to the chain and return the chain's own :class:`ChainValue` of the result,
+each made once per chain, and :func:`eval_chain` checks the assignment once,
+evaluates on the bare indices and looks up only the result.
 
 A further algebra holds index arrays, one entry per grid point, under
 ``np.minimum``, ``np.maximum``, :func:`tnorm_block`, :func:`residuum_block`
@@ -33,6 +33,12 @@ and ``top - a``; :func:`eval_grid` evaluates in it.  All of them go through
 order and the index dtype (uint8 up to 256 elements), and
 :func:`grid_points` refuses grids above ``MAX_GRID_POINTS`` before anything
 is allocated.
+
+What no call changes is kept, not rebuilt per call: the read-only grids,
+the chains of :func:`shared_chain` and the array algebras used most
+recently, each table bounded in entries and bytes by
+:class:`nmlogic._recent.Recent`, so no chain size or grid outlives a few
+newer ones.
 """
 
 from __future__ import annotations
@@ -45,12 +51,23 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from ._recent import Recent
 from .formula import EvaluationError, Formula, evaluate
 
 # Reaches nm and nm- to five generators, {0, 1/2, 1} to twelve variables, {0, 1} to twenty.
 MAX_GRID_POINTS = 1 << 20
 
 _CHUNK = 4096
+
+# The read-only grids, chains and array algebras used most recently, by
+# (size, n), size and (top, dtype).  The generic grids of up to four
+# generators fit.  A grid weighs its bytes; a chain about 2 KiB plus 160
+# bytes for each value it may come to hold, and an array algebra 1 KiB
+# (measured: 1.9 KiB, 151 bytes and 0.9 KiB).
+_GRIDS = Recent(entries=16, nbytes=1 << 18)
+_CHAINS = Recent(entries=16, nbytes=1 << 16)
+_GRID_ALGEBRAS = Recent(entries=16, nbytes=1 << 16)
+_CHAIN_BYTES, _VALUE_BYTES, _ALGEBRA_BYTES = 2048, 160, 1024
 
 
 @dataclass(frozen=True)
@@ -79,8 +96,9 @@ class NMChain:
 
     def __init__(self, size: int):
         self.size = size
-        self.bottom = ChainValue(0, size)  # raises ValueError for size < 2
-        self.top = ChainValue(size - 1, size)
+        self._values: dict[int, ChainValue] = {}
+        self.bottom = self.value(0)  # raises ValueError for size < 2
+        self.top = self.value(size - 1)
         self._ops = _index_algebra(size - 1)
 
     def __repr__(self) -> str:
@@ -100,10 +118,15 @@ class NMChain:
         return None
 
     def value(self, index: int) -> ChainValue:
-        return ChainValue(index, self.size)
+        """The chain's own element of this index, made on first use;
+        ``ValueError`` outside ``0..size-1``."""
+        value = self._values.get(index)
+        if value is None:
+            value = self._values[index] = ChainValue(index, self.size)
+        return value
 
     def values(self) -> list[ChainValue]:
-        return [ChainValue(i, self.size) for i in range(self.size)]
+        return [self.value(i) for i in range(self.size)]
 
     def _own(self, *xs: ChainValue) -> None:
         for x in xs:
@@ -114,7 +137,7 @@ class NMChain:
 
     def _lift(self, op, *xs: ChainValue) -> ChainValue:
         self._own(*xs)
-        return ChainValue(op(*(x.index for x in xs)), self.size)
+        return self.value(op(*(x.index for x in xs)))
 
     def neg(self, x: ChainValue) -> ChainValue:
         return self._lift(self._ops.neg, x)
@@ -132,6 +155,15 @@ class NMChain:
     def residuum(self, x: ChainValue, y: ChainValue) -> ChainValue:
         """Implication: top when x <= y, else max(~x, y)."""
         return self._lift(self._ops.residuum, x, y)
+
+
+def shared_chain(size: int) -> NMChain:
+    """An :class:`NMChain` of this size, shared with other callers asking for it
+    recently; ``ValueError`` for a size below 2."""
+    chain = _CHAINS.get(size)
+    if chain is None:
+        chain = _CHAINS.add(size, NMChain(size), _CHAIN_BYTES + _VALUE_BYTES * size)
+    return chain
 
 
 def _index_algebra(top: int) -> SimpleNamespace:
@@ -165,10 +197,16 @@ def grid_coordinates(size: int, n: int) -> np.ndarray:
 
     This is the one place the grid order is fixed: position ``j`` of a truth
     vector, of an exported vector and of a model enumeration is column
-    ``j``, in lexicographic order with ``x1`` the most significant.
+    ``j``, in lexicographic order with ``x1`` the most significant.  The
+    array is read-only and may be shared with other callers.
     """
     points = grid_points(size, n)
-    return np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, points)
+    grid = _GRIDS.get((size, n))
+    if grid is None:
+        grid = np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, points)
+        grid.flags.writeable = False
+        _GRIDS.add((size, n), grid, grid.nbytes)
+    return grid
 
 
 def sign_blocks(size: int, n: int) -> list[np.ndarray]:
@@ -185,10 +223,12 @@ def sign_blocks(size: int, n: int) -> list[np.ndarray]:
 
 
 def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
-    """Every assignment of ``chain`` values to ``x1..xn``, in grid order."""
+    """Every assignment of ``chain`` values to ``x1..xn``, in grid order,
+    listed from the grid ``_CHUNK`` points at a time."""
     values = chain.values()
-    points = grid_coordinates(chain.size, n).T
-    return (dict(enumerate(map(values.__getitem__, p.tolist()), 1)) for p in points)
+    grid = grid_coordinates(chain.size, n)
+    points = (p for lo in range(0, grid.shape[1], _CHUNK) for p in grid[:, lo:lo + _CHUNK].T.tolist())
+    return (dict(enumerate(map(values.__getitem__, p), 1)) for p in points)
 
 
 def tnorm_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,23 +243,28 @@ def residuum_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return top - np.minimum(a, top - b) * (a > b)
 
 
-# The algebra on [0, 1] over exact rationals.
+# The algebra on [0, 1] over exact rationals.  Its constants are made once:
+# a connective returns them rather than building a new Fraction.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 STANDARD = SimpleNamespace(
-    bottom=Fraction(0), top=Fraction(1), neg=lambda x: 1 - x, meet=min, join=max,
-    tnorm=lambda x, y: min(x, y) if x + y > 1 else Fraction(0),
-    residuum=lambda x, y: Fraction(1) if x <= y else max(1 - x, y),
+    bottom=_ZERO, top=_ONE, neg=lambda x: 1 - x, meet=min, join=max,
+    tnorm=lambda x, y: min(x, y) if x + y > 1 else _ZERO,
+    residuum=lambda x, y: _ONE if x <= y else max(1 - x, y),
 )
 
 
-@functools.cache
 def _grid_algebra(top: int, dtype: np.dtype) -> SimpleNamespace:
-    """The chain with top index ``top`` acting entrywise on index arrays of ``dtype``."""
-    bottom, top_value = np.array((0, top), dtype=dtype)
-    return SimpleNamespace(
-        bottom=bottom, top=top_value, neg=functools.partial(np.subtract, top_value),
-        meet=np.minimum, join=np.maximum, tnorm=functools.partial(tnorm_block, top),
-        residuum=functools.partial(residuum_block, top),
-    )
+    """The chain with top index ``top`` acting entrywise on index arrays of
+    ``dtype``, shared with recent callers."""
+    algebra = _GRID_ALGEBRAS.get((top, dtype))
+    if algebra is None:
+        bottom, top_value = np.array((0, top), dtype=dtype)
+        algebra = _GRID_ALGEBRAS.add((top, dtype), SimpleNamespace(
+            bottom=bottom, top=top_value, neg=functools.partial(np.subtract, top_value),
+            meet=np.minimum, join=np.maximum, tnorm=functools.partial(tnorm_block, top),
+            residuum=functools.partial(residuum_block, top),
+        ), _ALGEBRA_BYTES)
+    return algebra
 
 
 def eval_grid(f: Formula, chain: NMChain, n: int) -> np.ndarray:
@@ -246,7 +291,7 @@ def eval_chain(
     """
     chain._own(*assignment.values())
     env = {var: value.index for var, value in assignment.items()}
-    return ChainValue(evaluate(f, chain._ops, env), chain.size)
+    return chain.value(evaluate(f, chain._ops, env))
 
 
 def eval_standard(f: Formula, assignment: Mapping[int, Fraction]) -> Fraction:

@@ -33,10 +33,13 @@ iterative, so nesting depth is limited by memory alone.
 
 The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``) are kept as
 explicit tree nodes.  :func:`program` compiles a formula in one walk into a
-flat tuple of steps, one per distinct node, and remembers the last formula
-it compiled, matched by identity; :func:`evaluate`, the one interpreter,
-runs that program in any algebra.  So evaluating one formula at many points
-walks its tree once.  :func:`desugar`, the rewrite into the core fragment
+flat tuple of steps, one per distinct node, and keeps the programs of the
+last few formulas it compiled, matched by identity and bounded in count and
+bytes by :class:`nmlogic._recent.Recent`; :func:`evaluate`, the one
+interpreter, runs that program in any algebra.  So evaluating one formula at
+many points walks its tree once, even when a formula built on it (as
+:func:`nmlogic.free_algebra.proves` builds ``phi^2 -> psi``) is compiled
+in between.  :func:`desugar`, the rewrite into the core fragment
 {Var, Bot, And, Strong, Implies}, is evaluation in the algebra of core
 formulas.
 """
@@ -48,6 +51,8 @@ from dataclasses import dataclass
 from random import Random
 from types import SimpleNamespace
 from typing import Iterator, Mapping, Union
+
+from ._recent import Recent
 
 
 @dataclass(frozen=True)
@@ -277,11 +282,13 @@ class EvaluationError(ValueError):
     """An assignment is missing a binding or holds an out-of-range value."""
 
 
-# The last formula compiled and its program, starting from a sentinel no
-# caller holds.  One assignment replaces the pair, so no reader sees a
-# mismatched one; it is matched by identity alone, as dataclass equality
-# recurses, and holding ``f`` keeps its id from being reused.
-_last: tuple = (object(), ())
+# The formulas compiled most recently and their programs, by ``id``: an entry
+# holds its formula, so while it is kept no other object has that id.  They
+# are matched by identity alone, as dataclass equality recurses.  A step
+# weighs 256 bytes with its node (measured: 110 and 85), so a 10001-step
+# program fits.
+_PROGRAMS = Recent(entries=8, nbytes=1 << 22)
+_STEP_BYTES = 256
 
 
 def program(f: Formula) -> tuple:
@@ -290,14 +297,14 @@ def program(f: Formula) -> tuple:
 
     A step's slots index earlier steps; ``Not`` and ``Square`` repeat their
     one slot, a ``Var`` step carries the variable index instead and the
-    constants carry nothing.  The last formula compiled is remembered, so
-    evaluating one formula many times walks it once.  Raises ``TypeError``
-    on a node that is not a formula.
+    constants carry nothing.  The programs of the last eight formulas
+    compiled are kept, within 4 MiB, so evaluating one formula many times
+    walks it once, also when others are compiled in between.  Raises
+    ``TypeError`` on a node that is not a formula.
     """
-    global _last
-    last, code = _last
-    if last is f:
-        return code
+    held = _PROGRAMS.get(id(f))
+    if held is not None:
+        return held[1]
     slots: dict[int, int] = {}
     steps = []
     for node in subformulas(f):
@@ -315,7 +322,7 @@ def program(f: Formula) -> tuple:
         slots[id(node)] = len(steps)
         steps.append(step)
     code = tuple(steps)
-    _last = (f, code)
+    _PROGRAMS.add(id(f), (f, code), _STEP_BYTES * len(code))
     return code
 
 
@@ -370,6 +377,9 @@ def desugar(f: Formula) -> Formula:
     return evaluate(f, _CORE, {i: Var(i) for i in variables(f)})
 
 
+_EMIT = object()
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Yield each distinct node of ``f`` once, children before parents.
 
@@ -377,17 +387,20 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     so the traversal is linear in the number of distinct nodes.
     """
     seen: set[int] = set()
-    stack: list[tuple[Formula, bool]] = [(f, False)]
+    # Nodes still to visit.  An expanded node waits under _EMIT, below its
+    # children, and is yielded when the walk pops back down to it.
+    stack: list = [f]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
+        node = stack.pop()
+        if node is _EMIT:
+            yield stack.pop()
         elif id(node) not in seen:
             seen.add(id(node))
-            if isinstance(node, (And, Or, Strong, Implies, Iff)):
-                stack += ((node, True), (node.right, False), (node.left, False))
-            elif isinstance(node, (Not, Square)):
-                stack += ((node, True), (node.child, False))
+            kind = type(node)
+            if kind in _BINARY:
+                stack += (node, _EMIT, node.right, node.left)
+            elif kind is Not or kind is Square:
+                stack += (node, _EMIT, node.child)
             else:
                 yield node
 

@@ -70,7 +70,7 @@ import numpy as np
 
 from . import formula as fm
 from .chain import (NMChain, eval_grid, grid_coordinates, grid_points, residuum_block,
-                    sign_blocks, tnorm_block)
+                    shared_chain, sign_blocks, tnorm_block)
 
 DEFAULT_ELEMENT_CAP = 100_000
 
@@ -140,13 +140,13 @@ def truth_vector(n: int, variant: Variant, f: fm.Formula) -> tuple[int, ...]:
     binding and raises :class:`nmlogic.chain.EvaluationError`, a
     ``ValueError``, as does a grid above ``nmlogic.chain.MAX_GRID_POINTS``.
     """
-    return tuple(eval_grid(f, NMChain(generic_chain_size(n, variant)), n).tolist())
+    return tuple(eval_grid(f, shared_chain(generic_chain_size(n, variant)), n).tolist())
 
 
 def is_tautology(n: int, variant: Variant, f: fm.Formula) -> bool:
     """True iff ``f`` evaluates to top under every generic grid assignment."""
     top = generic_chain_size(n, variant) - 1
-    return bool((eval_grid(f, NMChain(top + 1), n) == top).all())
+    return bool((eval_grid(f, shared_chain(top + 1), n) == top).all())
 
 
 def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
@@ -371,6 +371,10 @@ class FreeAlgebra:
     grid width (``k**n``, within ``MAX_GRID_POINTS``) and integers in
     ``0..k-1``, else ``ValueError``; :meth:`check_closed` checks closure.
     """
+
+    # True on build's results, which are closed by construction; read by
+    # filters.quotient_by_maximal, which then skips its closure check.
+    _built = False
 
     def __init__(
         self,
@@ -663,7 +667,9 @@ def build(
     tags, rows, cols = made.T.tolist()
     provenance = (("bot",), ("top",), *(("var", v) for v in range(1, n + 1)),
                   *zip(map(_OP_TAGS.__getitem__, tags), rows, cols))
-    return FreeAlgebra(n, variant, vectors, provenance)
+    algebra = FreeAlgebra(n, variant, vectors, provenance)
+    algebra._built = True
+    return algebra
 
 
 def _grid_seeds(k: int, n: int) -> np.ndarray:

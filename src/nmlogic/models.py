@@ -5,16 +5,18 @@ Assignments draw values from one of two carriers: the three-element chain
 purpose, one :func:`nmlogic.chain.eval_chain` per grid point, so this route
 is independent of the array evaluation, free-algebra and valuation
 machinery it is used to cross-check.  The formula is compiled once by
-:func:`nmlogic.formula.program`, and each point runs that program.  The
-cost is grid points times formula nodes, so a request above
-``MAX_SCALAR_WORK`` is refused before the grid is built.
+:func:`nmlogic.formula.program`, and each point runs that program.  A
+carrier is the :func:`nmlogic.chain.shared_chain` of its size, so its
+values and its grid are made once, not per request.  The cost is grid
+points times formula nodes, so a request above ``MAX_SCALAR_WORK`` is
+refused before the grid is built.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .chain import ChainValue, NMChain, eval_chain, grid_assignments, grid_points
+from .chain import ChainValue, NMChain, eval_chain, grid_assignments, grid_points, shared_chain
 from .formula import Formula, program
 
 # Grid points times distinct formula nodes allowed on the scalar route.  The
@@ -31,7 +33,7 @@ class AssignmentSpace(Enum):
 
     @property
     def chain(self) -> NMChain:
-        return NMChain(self.value)
+        return shared_chain(self.value)
 
 
 def enumerate_models(

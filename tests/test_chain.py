@@ -12,6 +12,7 @@ from test_formula import formulas
 from test_free_algebra import TABLE_FORMS, use_table_form
 
 from nmlogic import (
+    TOP,
     ChainValue,
     NMChain,
     Variant,
@@ -20,6 +21,7 @@ from nmlogic import (
     generic_chain_size,
     parse,
     random_formula,
+    truth_vector,
     variables,
 )
 from nmlogic import chain as chain_module
@@ -31,7 +33,9 @@ from nmlogic.chain import (
     eval_grid,
     grid_assignments,
     grid_coordinates,
+    grid_points,
     residuum_block,
+    shared_chain,
     sign_blocks,
     tnorm_block,
 )
@@ -190,6 +194,8 @@ def test_eval_chain_missing_binding():
 def test_eval_chain_foreign_value_rejected():
     with pytest.raises(ValueError):
         eval_chain(parse("x1"), NMChain(3), {1: ChainValue(1, 4)})
+    with pytest.raises(ValueError):
+        eval_chain(parse("x1"), shared_chain(3), {1: shared_chain(4).value(1)})
     with pytest.raises(ValueError):
         NMChain(4).tnorm(ChainValue(1, 4), ChainValue(1, 5))
 
@@ -395,6 +401,47 @@ def test_grid_coordinates_follow_product_order_and_bound():
         with pytest.raises(ValueError):
             grid_coordinates(size, n)
     assert grid_coordinates(2**20, 1).shape == (1, 2**20)
+
+
+def test_grids_are_shared_read_only_and_in_grid_order():
+    for size, n in ((9, 3), (8, 3), (3, 3), (2, 3), (3, 0), (300, 2), (2, 16)):
+        grid = grid_coordinates(size, n)
+        assert grid.dtype == np.min_scalar_type(size - 1)
+        assert np.array_equal(grid, np.indices((size,) * n, grid.dtype).reshape(n, size**n))
+        # A grid over the shared table's byte bound is made afresh, and read-only too.
+        assert (grid_coordinates(size, n) is grid) == (grid.nbytes <= chain_module._GRIDS.nbytes)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[..., 0] = 1
+    assert shared_chain(9) is shared_chain(9) == NMChain(9)
+    assert shared_chain(9).value(4) is shared_chain(9).value(4)
+
+
+def test_shared_grids_chains_and_programs_stay_bounded():
+    import gc
+    import tracemalloc
+
+    # The shared tables keep a few recent entries within their byte bounds:
+    # not the 20 MiB grid, not one chain, grid or algebra per size, and not
+    # the 1.9 MiB five-generator grid of either variant.
+    f = parse("(x1 -> ~x1) & x1^2 | 1")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid_coordinates(2, 20)
+        for k in range(2, 2002):
+            eval_grid(f, NMChain(k), 1)
+        for variant in Variant:
+            for n in itertools.count():
+                try:
+                    grid_points(generic_chain_size(n, variant), n)
+                except ValueError:
+                    break
+                truth_vector(n, variant, f if n else TOP)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
 
 
 @settings(max_examples=60, deadline=None)

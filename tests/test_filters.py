@@ -6,12 +6,14 @@ from nmlogic import (
     Filter,
     FreeAlgebra,
     PrimeFilterForest,
+    build,
     forest,
     is_filter,
     is_prime_filter,
     prime_filters,
     quotient_by_maximal,
 )
+from nmlogic import free_algebra
 from nmlogic.filters import principal_upset
 from nmlogic.formula import Iff, Implies
 
@@ -204,11 +206,28 @@ def test_quotients_of_an_imported_boolean_algebra_match_its_operations():
 
 def test_quotient_of_an_unclosed_import_raises_key_error():
     # The idempotent join-irreducible [4, 0, 0, 0, 0] generates the one
-    # maximal filter, but its negation is missing.
-    algebra = _nm1_import([[4, 0, 0, 0, 0]])
-    assert algebra.minimal_idempotent_ji_ids == (2,)
-    with pytest.raises(KeyError, match="not closed under imp"):
-        quotient_by_maximal(algebra, Filter(principal_upset(algebra, 2), 2))
+    # maximal filter, but its negation is missing; an unvalidated import and
+    # the constructor both take the set, and only build's results skip the check.
+    vectors = [[0] * 5, [4] * 5, [4, 0, 0, 0, 0]]
+    for algebra in (_nm1_import(vectors[2:]), FreeAlgebra(1, "nm", vectors, None)):
+        assert algebra.minimal_idempotent_ji_ids == (2,)
+        with pytest.raises(KeyError, match="not closed under imp"):
+            quotient_by_maximal(algebra, Filter(principal_upset(algebra, 2), 2))
+
+
+def test_quotients_of_a_build_skip_the_closure_walk(monkeypatch):
+    # A build is closed by construction, so its quotients walk no pairs; an
+    # explicit check_closed still walks every pair once.
+    walks = []
+    pair_ids = free_algebra._pair_ids
+    monkeypatch.setattr(free_algebra, "_pair_ids",
+                        lambda *args: walks.append(args) or pair_ids(*args))
+    algebra = build(1, "nm")
+    fst = forest(algebra)
+    sizes = sorted(quotient_by_maximal(algebra, fst.filters[r]).size for r in fst.roots)
+    assert sizes == [2, 2, 3] and walks == []
+    algebra.check_closed()
+    assert len(walks) == 1 and walks[0][1] is algebra.vectors
 
 
 def test_quotient_rejects_non_maximal(nmm1):

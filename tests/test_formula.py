@@ -278,6 +278,31 @@ def test_memo_matches_equal_deep_formulas_by_identity():
     assert program(f) is program(f)
 
 
+def test_program_survives_compiling_a_formula_built_on_it():
+    # proves compiles phi^2 -> psi between the truth vector of phi and its
+    # model count; phi's program must still be the one compiled first.
+    g, h = parse("(x1 -> x2) & ~x3"), parse("x2 | x3^2")
+    code = program(g)
+    program(Implies(Square(g), h))
+    assert program(g) is code
+
+
+def test_a_reused_id_never_gets_a_stale_program():
+    # Each formula is dropped once compiled, so its id can come back as soon
+    # as the program table lets go of it; shapes vary with i, so a program
+    # matched by a stale id would have the wrong length or variable.
+    ids = []
+    for i in range(400):
+        f = Var(i % 3 + 1)
+        for _ in range(i % 5):
+            f = Not(f)
+        ids.append(id(f))
+        expected = ((Var, i % 3 + 1, None), *((Not, j, j) for j in range(i % 5)))
+        assert program(f) == expected
+        del f
+    assert len(set(ids)) < len(ids)
+
+
 def test_memoised_program_still_names_an_unbound_variable():
     chain = NMChain(3)
     f = parse("x1 & x12345")

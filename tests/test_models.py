@@ -1,20 +1,29 @@
+import itertools
+from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from nmlogic import (
     AssignmentSpace,
     And,
+    Implies,
     Not,
     Or,
     Var,
+    Variant,
     count_models,
     enumerate_models,
     eval_chain,
+    eval_standard,
+    is_tautology,
     parse,
+    proves,
     random_formula,
+    truth_vector,
 )
-from nmlogic import models
+from nmlogic import free_algebra, models
 from nmlogic.models import MAX_SCALAR_WORK
 
 THREE = AssignmentSpace.THREE
@@ -98,3 +107,35 @@ def test_counting_is_modular_over_join_and_meet():
             both = count_models(And(f, g), 2, space)
             either = count_models(Or(f, g), 2, space)
             assert count_models(f, 2, space) + count_models(g, 2, space) == both + either
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6, 7])
+def test_three_variable_routes_agree_without_a_build(depth, monkeypatch):
+    # The benchmark's grid_eval oracle: model counts, tautologies, local
+    # deduction and exact [0, 1] values, each read off the generic truth
+    # vectors of nm (9-chain) and nm- (8-chain) at three variables.
+    def no_build(*args, **kwargs):
+        raise AssertionError("no free algebra is built")
+
+    monkeypatch.setattr(free_algebra, "build", no_build)
+    grid = list(itertools.product(range(9), repeat=3))
+    three = [j for j, p in enumerate(grid) if set(p) <= {0, 4, 8}]
+    two = [j for j, p in enumerate(itertools.product(range(8), repeat=3)) if set(p) <= {0, 7}]
+    rng = Random(f"three variables/{depth}")
+    for _ in range(4):
+        phi, psi = random_formula(rng, 3, depth), random_formula(rng, 3, depth)
+        for f in (phi, Implies(phi, Or(phi, psi))):
+            a = np.array(truth_vector(3, Variant.NM, f))
+            b = np.array(truth_vector(3, Variant.NM_MINUS, f))
+            assert count_models(f, 3, THREE) == (a[three] == 8).sum()
+            assert count_models(f, 3, TWO) == (b[two] == 7).sum()
+            assert is_tautology(3, Variant.NM, f) == (a == 8).all()
+            assert is_tautology(3, Variant.NM_MINUS, f) == (b == 7).all()
+            # f proves g iff f^2 <= g pointwise; f^2 is f above the midpoint, else 0.
+            square = np.where(2 * a > 8, a, 0)
+            for g in (psi, Or(f, psi)):
+                c = np.array(truth_vector(3, Variant.NM, g))
+                assert proves(3, Variant.NM, f, g) == (square <= c).all()
+            for j in rng.sample(range(len(grid)), 12):
+                point = {v + 1: Fraction(grid[j][v], 8) for v in range(3)}
+                assert eval_standard(f, point) == Fraction(int(a[j]), 8)
