@@ -18,10 +18,13 @@ meet, join, fusion, implication.  A round skips the pairs of earlier
 rounds, which only yield known vectors, and walks the rest as one flat
 row-major range (old rows with new columns, then new rows with all
 columns) in slabs of ``_SLAB`` pairs.  A slab takes its operand rows with
-``take`` and holds its results as (pairs, 4, width): ``[p, op]`` is pair
-``p`` under ``_OP_TAGS[op]``.  One loop, :func:`_close_rows`, runs it on
-rows of either kind: :func:`_close` on vectors and, at ``n = 2``,
-:func:`_close_blocks` on rows of factor ids; it returns the rows, their
+``take`` and writes its results into one (pairs, 4, width) array: ``[p,
+op]`` is pair ``p`` under ``_OP_TAGS[op]``.  It commits the first
+occurrence of each new key, found by one stable ``argsort`` of the missing
+keys.  A one-generator build is four (nm-) or five (nm) rounds of one slab
+each, so a slab keeps to few numpy calls.  One loop, :func:`_close_rows`,
+runs it on rows of either kind: :func:`_close` on vectors and, at ``n =
+2``, :func:`_close_blocks` on rows of factor ids; it returns the rows, their
 table and an (op, row, col) triple per new row.  :func:`build` alone checks
 the grid and byte bounds, before any closure runs, and turns the triples
 into provenance.  Closure and :attr:`FreeAlgebra.operation_table`, which
@@ -75,13 +78,18 @@ from .chain import (NMChain, eval_grid, grid_coordinates, grid_points, residuum_
 DEFAULT_ELEMENT_CAP = 100_000
 
 # Bytes an N x N structure or a closure may allocate: operation_table takes 16
-# per pair of elements, leq_matrix a vector width per pair while it compares,
-# a closure's rows a vector width per element up to its cap (its table keys as
-# much again), a hashed element table 12 per slot, and one slab at most this.
-# Complete algebras stay far below it; imports and big caps need not.
+# per pair of elements; leq_matrix is checked at a vector width per pair, which
+# keeps N below 2**14, as cover_matrix's float32 product needs to count exactly,
+# though it takes 2 per pair and one block of columns; a closure's rows take a
+# vector width per element up to its cap (its table keys as much again), a
+# hashed element table 12 per slot, and one slab at most this.  Complete
+# algebras stay far below it; imports and big caps need not.
 MAX_TABLE_BYTES = 1 << 28
 
 _SLAB = 2048
+
+# Bytes of one block of leq_matrix's column comparisons, when N**2 is below it.
+_ORDER_BLOCK_BYTES = 1 << 20
 
 # Rows with at most this many possible codes keep their element table as one
 # dense int32 array indexed by code (8 MiB at the bound); rows with at most
@@ -249,7 +257,7 @@ class _Table:
         if codes > _HASHED_CODES:
             self._weights, self._ids = None, {}
         else:
-            self._weights = np.cumprod([1, *radices[:-1]], dtype=np.int64)
+            self._weights = np.array([1, *radices[:-1]], dtype=np.int64).cumprod()
             self._ids = (np.full(codes, -1, dtype=np.int32) if codes <= _DENSE_CODES
                          else _CodeMap(capacity))
 
@@ -285,9 +293,18 @@ class _Table:
 
 def _connectives(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Meet, join, fusion and implication of the row pairs ``a``, ``b`` over the
-    chain with top index ``top``, stacked on axis 1 in ``_OP_TAGS`` order."""
-    return np.stack((np.minimum(a, b), np.maximum(a, b), tnorm_block(top, a, b),
-                     residuum_block(top, a, b)), axis=1)
+    chain with top index ``top``, on axis 1 in ``_OP_TAGS`` order.
+
+    Each result is written straight into one (pairs, 4, width) array, as
+    ``np.stack``'s per-operand wrapping costs more than the arithmetic on a
+    one-generator slab.
+    """
+    out = np.empty((len(a), 4, a.shape[1]), dtype=a.dtype)
+    np.minimum(a, b, out=out[:, 0])
+    np.maximum(a, b, out=out[:, 1])
+    out[:, 2] = tnorm_block(top, a, b)
+    out[:, 3] = residuum_block(top, a, b)
+    return out
 
 
 def _slabs(ops, snapshot: np.ndarray, previous: int, table: _Table):
@@ -477,11 +494,21 @@ class FreeAlgebra:
     def leq_matrix(self) -> np.ndarray:
         """Boolean matrix of the pointwise order: leq[x, y] iff x <= y.
 
-        ``ValueError`` if the comparison would take over ``MAX_TABLE_BYTES``.
+        The grid columns are compared in blocks of ``_ORDER_BLOCK_BYTES //
+        N**2`` of them, at least one, each reduced over the block's columns
+        and ANDed into the result, so temporaries stay within the larger of
+        that bound and N x N bytes.  A reduction over a short last axis, one
+        per pair, would cost far more.  ``ValueError`` if a vector width per
+        pair of elements would be over ``MAX_TABLE_BYTES``.
         """
-        v = self.vectors
-        _check_bytes(v.shape[1] * self.size**2, f"order matrix of {self.size} elements")
-        leq = (v[:, None, :] <= v[None, :, :]).all(axis=2)
+        size = self.size
+        _check_bytes(self.vectors.shape[1] * size**2, f"order matrix of {size} elements")
+        columns = np.ascontiguousarray(self.vectors.T)
+        step = max(1, _ORDER_BLOCK_BYTES // size**2)
+        leq = np.ones((size, size), dtype=bool)
+        for lo in range(0, len(columns), step):
+            block = columns[lo:lo + step]
+            leq &= (block[:, :, None] <= block[:, None, :]).all(axis=0)
         leq.flags.writeable = False
         return leq
 
@@ -579,7 +606,7 @@ class FreeAlgebra:
             "chain_size": self.chain.size,
             "grid_order": "lex-by-index",
             "elements": [
-                {"id": x, "vector": list(self.vector(x))} for x in self.element_ids()
+                {"id": x, "vector": vector} for x, vector in enumerate(self.vectors.tolist())
             ],
             "bottom": self.bottom_id,
             "top": self.top_id,
@@ -684,38 +711,60 @@ def _close(seeds: np.ndarray, k: int, element_cap: int) -> tuple:
                        element_cap)
 
 
+def _first_positions(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of each distinct key's first occurrence in the non-empty
+    ``keys``: ``np.sort(np.unique(keys, return_index=True)[1])`` in fewer calls.
+
+    One stable ``argsort`` puts each key's first position first among its
+    equals, and a sorted key starts a run where it differs from the one
+    before it.  That test is the ``!=`` operator, as ``np.not_equal`` with
+    ``out=`` has no loop for the void dtype of bytes keys.
+    """
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    positions = order[starts]
+    positions.sort()
+    return positions
+
+
 def _close_rows(seeds: np.ndarray, ops, radices: Sequence[int], element_cap: int) -> tuple:
     """Rows, :class:`_Table` and new rows' int32 (op, row, col) triples of the closure under
     ``ops`` (as in :func:`_slabs`) of the distinct ``seeds``, entry ``j`` below ``radices[j]``.
 
     Per slab, the first position of each missing key in slab order is
-    committed; ``np.unique`` finds it, as a slab can produce one new row
-    twice and repeated fancy-index writes have no guaranteed order.  The
-    triples stay one array per slab until the closure completes, so a capped
-    build makes no tuple.
+    committed; :func:`_first_positions` finds it, as a slab can produce one
+    new row twice and repeated fancy-index writes have no guaranteed order.
+    A slab writes its ops, rows and columns straight into one (3, new rows)
+    int32 block; the blocks are joined once the closure completes, so a
+    capped build makes no tuple.
     """
     if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
     table = _Table(radices, element_cap)
     table.add(table.keys(seeds), 0)
-    snapshot, previous, made = seeds, 0, [np.empty((0, 3), dtype=np.int32)]
+    snapshot, previous, made = seeds, 0, [np.empty((3, 0), dtype=np.int32)]
     while True:
         found = []
         count = len(snapshot)
         for rows, cols, results, keys in _slabs(ops, snapshot, previous, table):
-            missing = np.flatnonzero(table.lookup(keys) < 0)
+            missing = (table.lookup(keys) < 0).nonzero()[0]
             if not missing.size:
                 continue
-            first = missing[np.sort(np.unique(keys[missing], return_index=True)[1])]
+            first = missing[_first_positions(keys[missing])]
             if count + len(first) > element_cap:
                 raise ElementCapExceeded(element_cap + 1, element_cap)
             table.add(keys[first], count)
             count += len(first)
             pairs, op = np.divmod(first, 4)
             found.append(results[pairs, op])
-            made.append(np.stack((op, rows[pairs], cols[pairs]), axis=1).astype(np.int32))
+            triples = np.empty((3, len(first)), dtype=np.int32)
+            triples[0], triples[1], triples[2] = op, rows[pairs], cols[pairs]
+            made.append(triples)
         if not found:
-            return snapshot, table, np.concatenate(made)
+            return snapshot, table, np.concatenate(made, axis=1).T
         previous, snapshot = len(snapshot), np.concatenate([snapshot, *found])
 
 

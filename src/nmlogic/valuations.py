@@ -55,7 +55,9 @@ def weights(lattice, spec: ValuationSpec) -> dict[int, Fraction]:
 
     Join-irreducibles are processed in a linear extension of their order;
     each weight is what remains of the prescribed value after the base and
-    all strictly smaller weights are accounted for.
+    all strictly smaller weights are accounted for.  The subtraction runs on
+    integers, every value times the lcm of their denominators, and each
+    weight is divided by it at the end.
     """
     jis = list(lattice.join_irreducible_ids)
     if set(spec.ji_values) != set(jis):
@@ -63,10 +65,14 @@ def weights(lattice, spec: ValuationSpec) -> dict[int, Fraction]:
     below = lattice.leq_matrix[np.ix_(jis, jis)]
     np.fill_diagonal(below, False)
     lower = {g: list(compress(jis, column)) for g, column in zip(jis, below.T.tolist())}
-    table: dict[int, Fraction] = {}
+    values = [spec.base, *(spec.ji_values[g] for g in jis)]
+    scale = math.lcm(*(v.denominator for v in values))
+    base, *scaled = (v.numerator * (scale // v.denominator) for v in values)
+    prescribed = dict(zip(jis, scaled))
+    table: dict[int, int] = {}
     for g in sorted(jis, key=lambda g: len(lower[g])):
-        table[g] = spec.ji_values[g] - sum((table[p] for p in lower[g]), spec.base)
-    return table
+        table[g] = prescribed[g] - sum((table[p] for p in lower[g]), base)
+    return {g: Fraction(w, scale) for g, w in table.items()}
 
 
 def evaluate(lattice, spec: ValuationSpec, table: Mapping | None = None) -> tuple:
@@ -79,8 +85,8 @@ def evaluate(lattice, spec: ValuationSpec, table: Mapping | None = None) -> tupl
     if table is None:
         table = weights(lattice, spec)
     scale = math.lcm(spec.base.denominator, *(w.denominator for w in table.values()))
-    base = int(spec.base * scale)
-    row = [int(w * scale) for w in table.values()]
+    base = spec.base.numerator * (scale // spec.base.denominator)
+    row = [w.numerator * (scale // w.denominator) for w in table.values()]
     # Python ints once a sum could pass int64; the values stay exact either way.
     wide = abs(base) + sum(map(abs, row)) >= 2**63
     sums = np.array(row, dtype=object if wide else np.int64) @ lattice.leq_matrix[list(table)]

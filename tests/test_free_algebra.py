@@ -495,6 +495,80 @@ def test_closure_through_a_growing_table(form, monkeypatch):
         assert np.array_equal(other, vectors) and np.array_equal(other_made, made)
 
 
+def test_first_positions_match_unique():
+    # The closure commits each missing key's first position in slab order; the
+    # argsort route must agree with np.unique's on every kind of key it meets.
+    rng = np.random.default_rng(61)
+    rows = rng.integers(0, 3, size=(900, 6), dtype=np.uint8)
+    slabs = {
+        "int64 codes": [rng.integers(0, spread, size=size, dtype=np.int64)
+                        for size in (2, 17, 300, 2048) for spread in (3, size, 2**62)],
+        "bytes keys": [np.ascontiguousarray(rows[:size]).view(np.dtype((np.void, 6))).ravel()
+                       for size in (2, 17, 300, 900)],
+        "all equal": [np.full(size, 7, dtype=np.int64) for size in (1, 2, 50)]
+                     + [np.zeros((40, 5), dtype=np.uint8).view(np.dtype((np.void, 5))).ravel()],
+        "single key": [np.array([12345], dtype=np.int64),
+                       np.zeros((1, 5), dtype=np.uint8).view(np.dtype((np.void, 5))).ravel()],
+    }
+    # One pair's four results can repeat a row: x op x is x for meet and join,
+    # and bottom with anything meets and fuses to bottom.
+    k = 5
+    a = rng.integers(0, k, size=(64, 5), dtype=np.uint8)
+    b = a.copy()
+    b[::2] = rng.integers(0, k, size=(32, 5), dtype=np.uint8)
+    a[::3] = 0
+    results = free_algebra._connectives(k - 1, a, b)
+    slabs["repeats across ops"] = [free_algebra._Table([k] * 5, 64).keys(results),
+                                   free_algebra._Table([k] * 70, 64).keys(results.repeat(14, 2))]
+    for kind, keys in slabs.items():
+        for slab in keys:
+            reference = np.sort(np.unique(slab, return_index=True)[1])
+            assert np.array_equal(free_algebra._first_positions(slab), reference), kind
+    assert slabs["bytes keys"][0].dtype.kind == "V"
+    assert slabs["repeats across ops"][0].dtype == np.int64
+    assert slabs["repeats across ops"][1].dtype.kind == "V"
+
+
+@pytest.mark.parametrize("n,variant,width,size", [
+    (0, Variant.NM, 1, 3), (1, Variant.NM, 5, 300), (2, Variant.NM, 49, 400)])
+def test_leq_matrix_is_the_pointwise_order(n, variant, width, size, nm0, nmm0, nm1, nmm1,
+                                           monkeypatch):
+    # On every n <= 1 build and on random imported sets of each width, the order
+    # is the all-columns comparison in blocks of any size, read-only, and
+    # refused at the same sizes.
+    k = generic_chain_size(n, variant)
+    rng = np.random.default_rng(61 + width)
+    rows = np.unique(rng.integers(0, k, size=(size, width)), axis=0)
+    rows = rows[~((rows == 0).all(axis=1) | (rows == k - 1).all(axis=1))]
+    vectors = np.vstack((np.zeros(width, dtype=int), np.full(width, k - 1), rows))
+    elements = [{"id": i, "vector": v} for i, v in enumerate(vectors.tolist())]
+    imported = FreeAlgebra.from_export(
+        {"n": n, "variant": variant.value, "chain_size": k, "elements": elements},
+        validate=False)
+    for algebra in (nm0, nmm0, nm1, nmm1, imported):
+        v = algebra.vectors
+        leq = algebra.leq_matrix
+        assert leq.dtype == bool and not leq.flags.writeable
+        assert np.array_equal(leq, (v[:, None, :] <= v[None, :, :]).all(axis=2))
+        with pytest.raises(ValueError):
+            leq[0, 0] = False
+        # One column a block, three columns a block, and one block.
+        for columns in (1, 3, v.shape[1]):
+            monkeypatch.setattr(free_algebra, "_ORDER_BLOCK_BYTES", columns * algebra.size**2)
+            fresh = FreeAlgebra(algebra.n, algebra.variant, v, None)
+            assert np.array_equal(fresh.leq_matrix, leq)
+        monkeypatch.undo()
+    need = width * imported.size**2
+    for bound, refused in ((need, False), (need - 1, True)):
+        monkeypatch.setattr(free_algebra, "MAX_TABLE_BYTES", bound)
+        fresh = FreeAlgebra(n, variant, imported.vectors, None)
+        if refused:
+            with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+                fresh.leq_matrix
+        else:
+            assert np.array_equal(fresh.leq_matrix, imported.leq_matrix)
+
+
 def test_build_is_deterministic():
     first = build(1, Variant.NM)
     second = build(1, Variant.NM)
@@ -945,8 +1019,10 @@ def test_import_memory_is_bounded_by_the_tables():
     import tracemalloc
 
     data = boolean_nm2_export()
-    # The operation table and the order comparison take (16 + 49) * 512**2
-    # bytes, 16 MiB; a set of the N**2 pair keys would take over 30 MiB.
+    # The operation table takes 16 * 512**2 bytes, 4 MiB, and the order 2 *
+    # 512**2 and a 1 MiB block of column comparisons, where comparing all 49
+    # columns of every pair at once would take 12 MiB; a set of the N**2 pair
+    # keys would take over 30 MiB.
     tracemalloc.start()
     try:
         algebra = FreeAlgebra.from_export(data)
@@ -954,7 +1030,7 @@ def test_import_memory_is_bounded_by_the_tables():
     finally:
         tracemalloc.stop()
     assert algebra.size == 512
-    assert peak < 24 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_vector_access(nm1):

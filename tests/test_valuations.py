@@ -86,7 +86,11 @@ def test_weights_requires_exactly_the_join_irreducibles():
 def test_evaluate_agrees_with_spec_on_stub():
     spec = ValuationSpec.of(Fraction(1, 3), {1: Fraction(3, 2), 2: -1, 4: 7})
     values = evaluate(V_SHAPE, spec)
-    assert values == evaluate(V_SHAPE, spec, weights(V_SHAPE, spec))
+    table = weights(V_SHAPE, spec)
+    assert values == evaluate(V_SHAPE, spec, table)
+    # Each weight is its value less the base and the weights below it, as a Fraction.
+    assert table == {1: Fraction(7, 6), 2: Fraction(-4, 3), 4: Fraction(41, 6)}
+    assert all(type(w) is Fraction for w in table.values())
     assert values[0] == Fraction(1, 3)
     for g in V_SHAPE.join_irreducible_ids:
         assert values[g] == spec.ji_values[g]
