@@ -27,18 +27,17 @@ evaluates on the bare indices and looks up only the result.
 
 A further algebra holds index arrays, one entry per grid point, under
 ``np.minimum``, ``np.maximum``, :func:`tnorm_block`, :func:`residuum_block`
-and ``top - a``; :func:`eval_grid` evaluates in it.  All of them go through
-:func:`nmlogic.formula.evaluate`, which runs each formula's compiled
-:func:`nmlogic.formula.program`.  :func:`grid_coordinates` owns the grid
-order and the index dtype (uint8 up to 256 elements), and
-:func:`grid_points` refuses grids above ``MAX_GRID_POINTS`` before anything
-is allocated.
+and ``top - a``, which each chain makes on first use and :func:`eval_grid`
+evaluates in.  All of them go through :func:`nmlogic.formula.evaluate`,
+which runs each formula's compiled :func:`nmlogic.formula.program`.
+:func:`grid_coordinates` owns the grid order and the index dtype (uint8 up
+to 256 elements), and :func:`grid_points` refuses grids above
+``MAX_GRID_POINTS`` before anything is allocated.
 
-What no call changes is kept, not rebuilt per call: the read-only grids,
-the chains of :func:`shared_chain` and the array algebras used most
-recently, each table bounded in entries and bytes by
-:class:`nmlogic._recent.Recent`, so no chain size or grid outlives a few
-newer ones.
+What no call changes is kept, not rebuilt per call: the read-only grids
+and the chains of :func:`shared_chain` used most recently, each table
+bounded in entries and bytes by :class:`nmlogic._recent.Recent`, so no
+chain size or grid outlives a few newer ones.
 """
 
 from __future__ import annotations
@@ -59,15 +58,13 @@ MAX_GRID_POINTS = 1 << 20
 
 _CHUNK = 4096
 
-# The read-only grids, chains and array algebras used most recently, by
-# (size, n), size and (top, dtype).  The generic grids of up to four
-# generators fit.  A grid weighs its bytes; a chain about 2 KiB plus 160
-# bytes for each value it may come to hold, and an array algebra 1 KiB
-# (measured: 1.9 KiB, 151 bytes and 0.9 KiB).
+# The read-only grids and chains used most recently, by (size, n) and size.
+# The generic grids of up to four generators fit.  A grid weighs its bytes; a
+# chain, its array algebra built, about 3 KiB plus 160 bytes for each value it
+# may come to hold (measured: 2.3 KiB and 0.6 KiB at size 9, 143 bytes).
 _GRIDS = Recent(entries=16, nbytes=1 << 18)
 _CHAINS = Recent(entries=16, nbytes=1 << 16)
-_GRID_ALGEBRAS = Recent(entries=16, nbytes=1 << 16)
-_CHAIN_BYTES, _VALUE_BYTES, _ALGEBRA_BYTES = 2048, 160, 1024
+_CHAIN_BYTES, _VALUE_BYTES = 3072, 160
 
 
 @dataclass(frozen=True)
@@ -100,6 +97,17 @@ class NMChain:
         self.bottom = self.value(0)  # raises ValueError for size < 2
         self.top = self.value(size - 1)
         self._ops = _index_algebra(size - 1)
+
+    @functools.cached_property
+    def _grid_ops(self) -> SimpleNamespace:
+        """The chain acting entrywise on index arrays in the grid's dtype, made on first use."""
+        top = self.size - 1
+        bottom, top_value = np.array((0, top), dtype=np.min_scalar_type(top))
+        return SimpleNamespace(
+            bottom=bottom, top=top_value, neg=functools.partial(np.subtract, top_value),
+            meet=np.minimum, join=np.maximum, tnorm=functools.partial(tnorm_block, top),
+            residuum=functools.partial(residuum_block, top),
+        )
 
     def __repr__(self) -> str:
         return f"NMChain({self.size})"
@@ -253,25 +261,11 @@ STANDARD = SimpleNamespace(
 )
 
 
-def _grid_algebra(top: int, dtype: np.dtype) -> SimpleNamespace:
-    """The chain with top index ``top`` acting entrywise on index arrays of
-    ``dtype``, shared with recent callers."""
-    algebra = _GRID_ALGEBRAS.get((top, dtype))
-    if algebra is None:
-        bottom, top_value = np.array((0, top), dtype=dtype)
-        algebra = _GRID_ALGEBRAS.add((top, dtype), SimpleNamespace(
-            bottom=bottom, top=top_value, neg=functools.partial(np.subtract, top_value),
-            meet=np.minimum, join=np.maximum, tnorm=functools.partial(tnorm_block, top),
-            residuum=functools.partial(residuum_block, top),
-        ), _ALGEBRA_BYTES)
-    return algebra
-
-
 def eval_grid(f: Formula, chain: NMChain, n: int) -> np.ndarray:
     """The index of ``f`` on ``chain`` at every grid point, ``_CHUNK`` points
     at a time, so memory stays at distinct nodes times chunk bytes."""
     points = grid_coordinates(chain.size, n)
-    algebra = _grid_algebra(chain.size - 1, points.dtype)
+    algebra = chain._grid_ops
     values = np.empty(points.shape[1], dtype=points.dtype)
     for lo in range(0, len(values), _CHUNK):
         env = dict(enumerate(points[:, lo:lo + _CHUNK], 1))

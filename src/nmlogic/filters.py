@@ -9,12 +9,13 @@ rather than from the power set.
 
 Ordered by reverse inclusion the prime filters form a forest whose roots
 are the inclusion-maximal filters, generated by the minimal idempotent
-join-irreducibles.  Quotienting by a root collapses the algebra to a chain
-with two or three elements; three happens exactly when the relevant
-subdirect factor has a negation fixpoint.  Every algebra is stored as a
-subdirect product of chains, one truth-vector column per grid point, so a
-quotient reads one column: a maximal filter is the positive set of some
-grid point's chain.  The two filter predicates stay definitional scans.
+join-irreducibles, and is read from the covers of their order.  Quotienting
+by a root collapses the algebra to a chain with two or three elements; three
+happens exactly when the relevant subdirect factor has a negation fixpoint.
+Every algebra is stored as a subdirect product of chains, one truth-vector
+column per grid point, so a quotient reads one column: a maximal filter is
+the positive set of some grid point's chain.  The two filter predicates stay
+definitional scans.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_algebra import FreeAlgebra
+from .free_algebra import FreeAlgebra, _cover_matrix
 
 
 @dataclass(frozen=True)
@@ -108,21 +109,17 @@ def forest(algebra: FreeAlgebra) -> PrimeFilterForest:
     """The prime filters under reverse inclusion, with parent links.
 
     Reverse inclusion of the upper sets is the element order of the
-    generators, so the forest is computed on generators.  The ancestors of
-    every node are checked to form a chain: two generators strictly below a
-    common generator must be comparable.  A node's parent is the largest
-    generator strictly below its own.
+    generators, so the forest is read from its covers.  The generators below
+    each one form a chain exactly when none has two lower covers, as two such
+    covers are incomparable; a node's parent is its one lower cover.
     """
     filters = tuple(sorted(prime_filters(algebra), key=lambda f: f.generator))
     gens = [f.generator for f in filters]
-    leq = algebra.leq_matrix[np.ix_(gens, gens)]
-    below = leq & ~np.eye(len(gens), dtype=bool)  # below[a, b]: gens[a] < gens[b]
-    strict = below.astype(np.float32)
-    if (((strict @ strict.T) > 0) & ~leq & ~leq.T).any():
+    # lower[a, b]: gens[a] is a lower cover of gens[b].
+    lower = _cover_matrix(algebra.leq_matrix[np.ix_(gens, gens)])
+    if (lower.sum(axis=0) > 1).any():
         raise RuntimeError("prime filter order is not a forest")
-    # The generators strictly below one form a chain; its top has the most below it.
-    score = np.where(below, below.sum(axis=0)[:, None], -1)
-    parent = tuple(int(column.argmax()) if column.max() >= 0 else None for column in score.T)
+    parent = tuple(int(column.argmax()) if column.any() else None for column in lower.T)
     return PrimeFilterForest(filters, parent)
 
 

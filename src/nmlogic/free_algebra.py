@@ -54,11 +54,10 @@ int32 array indexed by code, -1 where no element has that code; below
 ``_HASHED_CODES``, where codes fit int64 (nm's factor rows), a key is the
 code and the ids a vectorised open-addressing hash table, :class:`_CodeMap`,
 whose lookups and inserts share one probe that settles most codes at their
-home slot in one pass and ends in plain Python, and which grows at most once,
-straight to the slots of the closure's cap, within ``MAX_TABLE_BYTES``;
-above that (vectors from two generators on) a key is the row's bytes and
-the ids a dict.  Each way a slab is looked up, deduplicated and added in a
-few array calls.
+home slot in one pass, and which grows at most once, straight to the slots
+of the closure's cap, within ``MAX_TABLE_BYTES``; above that (vectors from
+two generators on) a key is the row's bytes and the ids a dict.  Each way a
+slab is looked up, deduplicated and added in a few array calls.
 """
 
 from __future__ import annotations
@@ -86,6 +85,10 @@ DEFAULT_ELEMENT_CAP = 100_000
 # algebras stay far below it; imports and big caps need not.
 MAX_TABLE_BYTES = 1 << 28
 
+# Pairs a closure may walk in all its rounds: about 7 s of nm-'s two-generator
+# closure and 26 s of nm's, on the hashed table (2 vCPUs).
+MAX_CLOSURE_PAIRS = 1 << 26
+
 _SLAB = 2048
 
 # Bytes of one block of leq_matrix's column comparisons, when N**2 is below it.
@@ -97,11 +100,9 @@ _ORDER_BLOCK_BYTES = 1 << 20
 _DENSE_CODES = 1 << 21
 _HASHED_CODES = 1 << 63
 
-# A hash table's first slot count, the odd multiplier of its Fibonacci hash,
-# and the codes left in a probe loop below which it goes on in plain Python.
+# A hash table's first slot count and the odd multiplier of its Fibonacci hash.
 _HASH_SLOTS = 1 << 12
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_SCALAR_TAIL = 32
 
 _OP_TAGS = ("meet", "join", "tnorm", "imp")
 
@@ -177,10 +178,8 @@ class _CodeMap:
     ``m[codes]`` is -1 where a code is missing; ``m[codes] = ids`` writes
     distinct missing codes each at its slot and probes again for those that
     lost a slot to another.  Both share one probe, :meth:`_slots`, which reads
-    every code's home slot in one pass and probes on only for the codes whose
-    home slot holds another code, in plain Python once at most
-    ``_SCALAR_TAIL`` remain, where one numpy call a step would cost more than
-    the steps themselves.
+    every code's home slot in one pass and probes on, a step for all of them
+    at once, only for the codes whose home slot holds another code.
     """
 
     def __init__(self, capacity: int):
@@ -199,17 +198,11 @@ class _CodeMap:
         held = self._codes[slot]
         todo = np.flatnonzero((held != codes) & (held >= 0))
         codes, at = codes[todo], slot[todo]
-        while todo.size > _SCALAR_TAIL:
+        while todo.size:
             slot[todo] = at = (at + 1) & mask
             held = self._codes[at]
             go = (held != codes) & (held >= 0)
             codes, todo, at = codes[go], todo[go], at[go]
-        held_at = self._codes.item
-        for i, code, s in zip(todo.tolist(), codes.tolist(), at.tolist()):
-            s = (s + 1) & mask
-            while (held := held_at(s)) >= 0 and held != code:
-                s = (s + 1) & mask
-            slot[i] = s
         return slot
 
     def __getitem__(self, codes: np.ndarray) -> np.ndarray:
@@ -358,6 +351,14 @@ def _check_bytes(need: int, what: str) -> None:
     """``ValueError`` before the ``what`` allocates ``need`` bytes over ``MAX_TABLE_BYTES``."""
     if need > MAX_TABLE_BYTES:
         raise ValueError(f"the {what} needs {need} bytes, over MAX_TABLE_BYTES = {MAX_TABLE_BYTES}")
+
+
+def _cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """cover[x, y] iff x < y with nothing strictly between, in the boolean order ``leq``."""
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    # float32 goes to BLAS and counts exactly: N < 2**14 under MAX_TABLE_BYTES.
+    strict = lt.astype(np.float32)
+    return lt & ~((strict @ strict) > 0)
 
 
 def _cached(compute):
@@ -518,10 +519,7 @@ class FreeAlgebra:
     @_cached
     def cover_matrix(self) -> np.ndarray:
         """cover[x, y] iff y covers x: x < y with nothing strictly between."""
-        lt = self.leq_matrix & ~np.eye(self.size, dtype=bool)
-        # float32 goes to BLAS and counts exactly: N < 2**14 under MAX_TABLE_BYTES.
-        strict = lt.astype(np.float32)
-        cover = lt & ~((strict @ strict) > 0)
+        cover = _cover_matrix(self.leq_matrix)
         cover.flags.writeable = False
         return cover
 
@@ -679,7 +677,8 @@ def build(
     across runs, slab sizes and table forms.  Past ``element_cap`` elements
     :class:`ElementCapExceeded` names the size attained; growth for three or
     more generators is explosive, so the cap is the intended way to probe it
-    safely.
+    safely.  A closure that would walk over ``MAX_CLOSURE_PAIRS`` pairs, as
+    a two-generator one does long before it completes, raises ``ValueError``.
     """
     if element_cap <= 0:
         raise ValueError(f"element cap must be positive, got {element_cap}")
@@ -739,17 +738,22 @@ def _close_rows(seeds: np.ndarray, ops, radices: Sequence[int], element_cap: int
     new row twice and repeated fancy-index writes have no guaranteed order.
     A slab writes its ops, rows and columns straight into one (3, new rows)
     int32 block; the blocks are joined once the closure completes, so a
-    capped build makes no tuple.
+    capped build makes no tuple.  A slab that takes the pairs walked in all
+    rounds past ``MAX_CLOSURE_PAIRS`` raises ``ValueError`` before any lookup.
     """
     if len(seeds) > element_cap:
         raise ElementCapExceeded(element_cap + 1, element_cap)
     table = _Table(radices, element_cap)
     table.add(table.keys(seeds), 0)
-    snapshot, previous, made = seeds, 0, [np.empty((3, 0), dtype=np.int32)]
+    snapshot, previous, walked, made = seeds, 0, 0, [np.empty((3, 0), dtype=np.int32)]
     while True:
         found = []
         count = len(snapshot)
         for rows, cols, results, keys in _slabs(ops, snapshot, previous, table):
+            walked += len(rows)
+            if walked > MAX_CLOSURE_PAIRS:
+                raise ValueError(f"the closure would walk over MAX_CLOSURE_PAIRS = "
+                                 f"{MAX_CLOSURE_PAIRS} pairs, at {count} elements")
             missing = (table.lookup(keys) < 0).nonzero()[0]
             if not missing.size:
                 continue

@@ -97,6 +97,17 @@ def test_build_cap_exceeded(capsys):
     assert "cap 1000" in err
 
 
+def test_closure_pair_bound_exits_3(capsys, monkeypatch):
+    from nmlogic import free_algebra
+
+    monkeypatch.setattr(free_algebra, "MAX_CLOSURE_PAIRS", 10_000)
+    for command in (["build"], ["chi", "x1"], ["export"], ["filters"]):
+        code, out, err = run(capsys, *command, "--vars", "2", "--variant", "nm-",
+                             "--cap", "1700000")
+        assert (code, out) == (3, "")
+        assert "MAX_CLOSURE_PAIRS = 10000" in err and "Traceback" not in err
+
+
 def test_tautology_exit_codes(capsys):
     code, out, _ = run(capsys, "tautology", "(x1 -> x2) | (x2 -> x1)", "--vars", "2")
     assert (code, out) == (0, "yes\n")

@@ -106,6 +106,41 @@ def test_forest_rejects_an_order_that_is_not_a_forest():
         forest(algebra)
 
 
+def test_forest_on_random_orders():
+    # Seeded imports of bottom, top and 2-8 distinct vectors; about half of them
+    # idempotent (entries in {0, 3, 4} on the 5-chain), so generators abound.
+    rng = np.random.default_rng(26)
+    outcomes = set()
+    for _ in range(300):
+        count = rng.integers(2, 9)
+        vectors = set()
+        while len(vectors) < count:
+            values = (0, 3, 4) if rng.random() < 0.5 else range(5)
+            vector = tuple(int(v) for v in rng.choice(values, 5))
+            if len(set(vector)) > 1 or vector[0] not in (0, 4):
+                vectors.add(vector)
+        algebra = _nm1_import([list(v) for v in sorted(vectors)])
+        gens = sorted(f.generator for f in prime_filters(algebra))
+
+        def below(a, b):
+            return a != b and algebra.leq(a, b)
+
+        clash = any(below(a, c) and below(b, c) and not algebra.leq(a, b)
+                    and not algebra.leq(b, a) for a in gens for b in gens for c in gens)
+        outcomes.add(clash)
+        if clash:
+            with pytest.raises(RuntimeError, match="not a forest"):
+                forest(algebra)
+            continue
+        fst = forest(algebra)
+        assert [f.generator for f in fst.filters] == gens
+        for g, parent in zip(gens, fst.parent):
+            lower = [h for h in gens if below(h, g)]
+            largest = [h for h in lower if all(algebra.leq(i, h) for i in lower)]
+            assert parent == (gens.index(largest[0]) if lower else None)
+    assert outcomes == {True, False}
+
+
 def test_forest_without_prime_filters_is_empty():
     # The join-irreducibles 2 and 3 are not idempotent; top joins 4 and 5.
     algebra = _nm1_import([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [4, 4, 4, 4, 3],

@@ -369,16 +369,12 @@ def test_code_map_matches_a_dict(monkeypatch):
     # more jumps once, straight to the slots of its capacity; one sized for a
     # single code doubles as it fills.  Codes whose home is the last slot force
     # probe runs that wrap to slot 0: three of them held, three or more missing.
-    # A scalar tail of 0 takes every probe step in numpy and one of 10**9 every
-    # step after the home slot in Python; the shipped one switches between them.
     monkeypatch.setattr(free_algebra, "_HASH_SLOTS", 2)
     rng = np.random.default_rng(18)
     drawn = np.unique(np.concatenate((rng.integers(0, 2**63 - 1, 3000, dtype=np.int64),
                                       [0, 1, 2**63 - 1])))
     spare = rng.integers(0, 2**63 - 1, 1_000_000, dtype=np.int64)
-    tails = (0, free_algebra._SCALAR_TAIL, 10**9)
-    for capacity, tail in itertools.product((1, 2003, 5000), tails):
-        monkeypatch.setattr(free_algebra, "_SCALAR_TAIL", tail)
+    for capacity in (1, 2003, 5000):
         size = 1 << (4 * max(capacity, 2003) - 1).bit_length()
 
         def homed_last(c):
@@ -853,6 +849,30 @@ def test_element_cap(monkeypatch):
         with pytest.raises(ElementCapExceeded) as err:
             build(1, Variant.NM, element_cap=47)
         assert err.value.attained == 48
+
+
+def test_closure_pairs_are_bounded(monkeypatch):
+    # The benchmark's capped two-generator builds stop at their caps after
+    # about 4.5e5 (nm) and 5.0e5 (nm-) pairs, far below the bound.
+    for variant, cap in ((Variant.NM, 120_000), (Variant.NM_MINUS, 60_000)):
+        with pytest.raises(ElementCapExceeded, match=f"cap {cap}"):
+            build(2, variant, element_cap=cap)
+    # A complete closure walks every ordered pair once, across all its rounds:
+    # 48**2 for nm1 and 16**2 for nm-1.  The count runs over the rounds, so a
+    # bound one pair short refuses the last slab.
+    for form in TABLE_FORMS:
+        use_table_form(monkeypatch, form)
+        for variant, size in ((Variant.NM, 48), (Variant.NM_MINUS, 16)):
+            monkeypatch.setattr(free_algebra, "MAX_CLOSURE_PAIRS", size**2)
+            assert build(1, variant).size == size
+            monkeypatch.setattr(free_algebra, "MAX_CLOSURE_PAIRS", size**2 - 1)
+            with pytest.raises(ValueError, match=f"MAX_CLOSURE_PAIRS = {size**2 - 1} pairs"):
+                build(1, variant)
+    # On factor ids too, the bound comes before the cap.
+    monkeypatch.setattr(free_algebra, "MAX_CLOSURE_PAIRS", 10_000)
+    for variant in Variant:
+        with pytest.raises(ValueError, match="MAX_CLOSURE_PAIRS = 10000 pairs"):
+            build(2, variant, element_cap=60_000)
 
 
 def test_large_imports_refuse_quadratic_tables():
