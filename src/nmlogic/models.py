@@ -47,7 +47,7 @@ def enumerate_models(
             f"{points} points times {nodes} formula nodes exceeds the scalar "
             f"budget of {MAX_SCALAR_WORK}"
         )
-    return [env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) == chain.top]
+    return [env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) is chain.top]
 
 
 def count_models(f: Formula, n: int, space: AssignmentSpace) -> int:

@@ -13,6 +13,13 @@ from test_free_algebra import TABLE_FORMS, use_table_form
 
 from nmlogic import (
     TOP,
+    And,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Square,
+    Strong,
     ChainValue,
     NMChain,
     Variant,
@@ -196,6 +203,10 @@ def test_eval_chain_foreign_value_rejected():
         eval_chain(parse("x1"), NMChain(3), {1: ChainValue(1, 4)})
     with pytest.raises(ValueError):
         eval_chain(parse("x1"), shared_chain(3), {1: shared_chain(4).value(1)})
+    # A foreign value after an own one is named as the chain's connectives name it.
+    three = shared_chain(3)
+    with pytest.raises(ValueError, match="value from chain of size 4 used in chain of size 3"):
+        eval_chain(parse("x1 & x2"), three, {1: three.top, 2: ChainValue(1, 4)})
     with pytest.raises(ValueError):
         NMChain(4).tnorm(ChainValue(1, 4), ChainValue(1, 5))
 
@@ -471,3 +482,77 @@ def test_grid_evaluation_past_256_elements(f):
         assert grid.dtype == dtype
         assert grid.tolist() == [eval_chain(f, chain, env).index
                                  for env in grid_assignments(chain, 1)]
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_grid_connectives_on_constant_operands_match_scalar(n):
+    # Every connective with 0, 1, a variable or a negated variable on either
+    # side, where the grid connectives return an operand or a constant as is.
+    operands = [f for f in map(parse, ("0", "1", "x1", "~x1", "x2"))
+                if max(variables(f), default=0) <= n]
+    forms = [cls(a, b) for cls in (And, Or, Strong, Implies, Iff) for a in operands for b in operands]
+    forms += [cls(a) for cls in (Not, Square) for a in operands]
+    for k in CHAIN_SIZES:
+        chain = NMChain(k)
+        grid = grid_coordinates(k, n)
+        expected = [[eval_chain(f, chain, env).index for env in grid_assignments(chain, n)]
+                    for f in forms]
+        for chunk in (1, 7, chain_module._CHUNK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(chain_module, "_CHUNK", chunk)
+                for f, scalar in zip(forms, expected):
+                    values = eval_grid(f, chain, n)
+                    assert values.tolist() == scalar, (k, chunk, f)
+                    assert values.shape == (grid.shape[1],) and values.dtype == grid.dtype
+                    values[:] = k - 1 - values  # a fresh writable array, not the grid's rows
+        assert np.array_equal(grid, np.indices((k,) * n, grid.dtype).reshape(n, k**n))
+
+
+def test_grid_connectives_skip_the_kernels_on_constant_operands():
+    calls = {"tnorm_block": 0, "residuum_block": 0}
+
+    def counted(name):
+        kernel = getattr(chain_module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return count
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(chain_module, name, counted(name))
+        for text in ("x1 -> 1", "(x1 * 0) | ~1"):
+            # A new chain builds its grid connectives over the counted kernels.
+            assert eval_grid(parse(text), NMChain(9), 2).size == 81
+        assert calls == {"tnorm_block": 0, "residuum_block": 0}
+        eval_grid(parse("(x1 * x2) -> x2"), NMChain(9), 2)
+        assert calls == {"tnorm_block": 1, "residuum_block": 1}
+
+
+def test_shared_chain_weight_bounds_a_chain():
+    import gc
+    import tracemalloc
+
+    def weigh(k):
+        gc.collect()  # also empties the free lists, so the chain's objects are allocated anew
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chain = NMChain(k)
+            chain.values()
+            chain._grid_ops  # noqa: B018 - built on first use
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    weigh(5)  # the first chain also pays for lazily made module state
+    for k in [*range(2, 14), 64]:
+        # The lesser of two readings: a reading only gains from unrelated allocations.
+        weight = min(weigh(k), weigh(k))
+        assert weight <= chain_module._CHAIN_BYTES + chain_module._VALUE_BYTES * k, (k, weight)
+    # Every generic chain up to five generators is kept at once.
+    sizes = {generic_chain_size(n, variant) for n in range(6) for variant in Variant}
+    assert len(sizes) == 12
+    estimate = sum(chain_module._CHAIN_BYTES + chain_module._VALUE_BYTES * k for k in sizes)
+    assert estimate <= chain_module._CHAINS.nbytes
