@@ -1,4 +1,4 @@
-"""The one policy for the package's memo tables: bounded in entries and bytes.
+"""Memo tables bounded in entries and bytes, for the grids and programs, whose weights differ.
 
 A :class:`Recent` table keeps the values most recently added to it, at most
 ``entries`` of them weighing at most ``nbytes`` by the weights given when

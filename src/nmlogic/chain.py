@@ -43,10 +43,11 @@ the plain bodies the grid route is checked against.  All of them go through
 to 256 elements), and :func:`grid_points` refuses grids above
 ``MAX_GRID_POINTS`` before anything is allocated.
 
-What no call changes is kept, not rebuilt per call: the read-only grids
-and the chains of :func:`shared_chain` used most recently, each table
-bounded in entries and bytes by :class:`nmlogic._recent.Recent`, so no
-chain size or grid outlives a few newer ones.
+What no call changes is kept, not rebuilt per call: the read-only grids used
+most recently, bounded in entries and bytes by :class:`nmlogic._recent.Recent`,
+and the chains of :func:`shared_chain`'s 16 most recent sizes, bounded by count
+alone: up to five generators, formulas are evaluated on sizes 2 to 13 only,
+and a chain made for a grid that is then refused holds only its two end values.
 """
 
 from __future__ import annotations
@@ -67,15 +68,9 @@ MAX_GRID_POINTS = 1 << 20
 
 _CHUNK = 4096
 
-# The read-only grids and chains used most recently, by (size, n) and size.
-# The generic grids of up to four generators fit, and the twelve generic
-# chains of up to five.  A grid weighs its bytes; a chain, with its array
-# algebra and every value made, is bounded by 5 KiB plus 192 bytes a value
-# (tracemalloc, Python 3.11: 4.3-4.5 KiB at size 2, 4.7 KiB at 9, 11.3 KiB
-# at 64; a value alone takes about 126 bytes under 3.11 and 190 under 3.10).
+# The read-only grids used most recently, by (size, n), each weighing its
+# bytes; the generic grids of up to four generators fit.
 _GRIDS = Recent(entries=16, nbytes=1 << 18)
-_CHAINS = Recent(entries=16, nbytes=1 << 17)
-_CHAIN_BYTES, _VALUE_BYTES = 5120, 192
 
 
 @dataclass(frozen=True)
@@ -157,7 +152,7 @@ class NMChain:
     def fixpoint(self) -> ChainValue | None:
         """The unique self-negating element, present iff the size is odd."""
         if self.size % 2 == 1:
-            return ChainValue((self.size - 1) // 2, self.size)
+            return self.value((self.size - 1) // 2)
         return None
 
     def value(self, index: int) -> ChainValue:
@@ -200,13 +195,11 @@ class NMChain:
         return self._lift(self._ops.residuum, x, y)
 
 
+@functools.lru_cache(maxsize=16)
 def shared_chain(size: int) -> NMChain:
     """An :class:`NMChain` of this size, shared with other callers asking for it
     recently; ``ValueError`` for a size below 2."""
-    chain = _CHAINS.get(size)
-    if chain is None:
-        chain = _CHAINS.add(size, NMChain(size), _CHAIN_BYTES + _VALUE_BYTES * size)
-    return chain
+    return NMChain(size)
 
 
 def _index_algebra(top: int) -> SimpleNamespace:

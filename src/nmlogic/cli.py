@@ -83,7 +83,7 @@ def _cmd_eval(args) -> tuple[str, int]:
     env = _bindings(args.assign)
     if args.chain is None:
         return f"{eval_standard(f, env)}\n", 0
-    chain = NMChain(args.chain)
+    chain = NMChain(args.chain)  # not shared, which would keep the values of an arbitrary size
     top = chain.size - 1
     values = {}
     for var, frac in env.items():

@@ -71,8 +71,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import formula as fm
-from .chain import (NMChain, eval_grid, grid_coordinates, grid_points, residuum_block,
-                    shared_chain, sign_blocks, tnorm_block)
+from .chain import (eval_grid, grid_coordinates, grid_points, residuum_block, shared_chain,
+                    sign_blocks, tnorm_block)
 
 DEFAULT_ELEMENT_CAP = 100_000
 
@@ -404,7 +404,7 @@ class FreeAlgebra:
         self.n = n
         self.variant = Variant(variant)
         k = generic_chain_size(n, variant)
-        self.chain = NMChain(k)
+        self.chain = shared_chain(k)
         width = grid_points(k, n)
         vectors = np.asarray(vectors)
         if vectors.ndim != 2 or len(vectors) < 2 or vectors.shape[1] != width:
@@ -627,20 +627,23 @@ class FreeAlgebra:
         """
         try:
             variant = Variant(data["variant"])
+            # Counts and ids are ints proper: JSON's true and 1.0 equal 1, but are not.
             n = int(data["n"])
-            if n != data["n"]:
+            if type(data["n"]) is not int:
                 raise ValueError(f"generator count must be an integer, got {data['n']!r}")
             k = generic_chain_size(n, variant)
-            if data["chain_size"] != k:
+            if data["chain_size"] != k or type(data["chain_size"]) is not int:
                 raise ValueError("chain size does not match generator count and variant")
             elements = sorted(data["elements"], key=lambda e: e["id"])
-            if [e["id"] for e in elements] != list(range(len(elements))):
+            ids = [e["id"] for e in elements]
+            if ids != list(range(len(ids))) or not set(map(type, ids)) <= {int}:
                 raise ValueError("element ids must be 0..N-1")
             algebra = cls(n, variant, [e["vector"] for e in elements], provenance=None)
             if (algebra.vectors[0] != 0).any() or (algebra.vectors[1] != k - 1).any():
                 raise ValueError("elements 0 and 1 must be bottom and top")
             if validate:
-                if (data["bottom"], data["top"]) != (0, 1):
+                bounds = data["bottom"], data["top"]
+                if bounds != (0, 1) or not set(map(type, bounds)) <= {int}:
                     raise ValueError("bottom and top ids must be 0 and 1")
                 try:
                     algebra.check_closed()

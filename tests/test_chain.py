@@ -23,6 +23,7 @@ from nmlogic import (
     ChainValue,
     NMChain,
     Variant,
+    build,
     eval_chain,
     eval_standard,
     generic_chain_size,
@@ -137,6 +138,9 @@ def test_fixpoint_exists_iff_odd():
         if k % 2 == 1:
             f = chain.fixpoint
             assert f is not None and chain.neg(f) == f
+            # The chain's own value, which negation and evaluation return.
+            assert f is chain.value((k - 1) // 2) is chain.neg(f)
+            assert eval_chain(parse("~x1"), chain, {1: f}) is f
         else:
             assert chain.fixpoint is None
             assert all(chain.neg(x) != x for x in chain.values())
@@ -530,29 +534,15 @@ def test_grid_connectives_skip_the_kernels_on_constant_operands():
         assert calls == {"tnorm_block": 1, "residuum_block": 1}
 
 
-def test_shared_chain_weight_bounds_a_chain():
-    import gc
-    import tracemalloc
-
-    def weigh(k):
-        gc.collect()  # also empties the free lists, so the chain's objects are allocated anew
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            chain = NMChain(k)
-            chain.values()
-            chain._grid_ops  # noqa: B018 - built on first use
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-
-    weigh(5)  # the first chain also pays for lazily made module state
-    for k in [*range(2, 14), 64]:
-        # The lesser of two readings: a reading only gains from unrelated allocations.
-        weight = min(weigh(k), weigh(k))
-        assert weight <= chain_module._CHAIN_BYTES + chain_module._VALUE_BYTES * k, (k, weight)
-    # Every generic chain up to five generators is kept at once.
-    sizes = {generic_chain_size(n, variant) for n in range(6) for variant in Variant}
-    assert len(sizes) == 12
-    estimate = sum(chain_module._CHAIN_BYTES + chain_module._VALUE_BYTES * k for k in sizes)
-    assert estimate <= chain_module._CHAINS.nbytes
+def test_shared_chain_keeps_one_chain_per_size_for_the_sixteen_most_recent():
+    assert shared_chain(9) is shared_chain(9)
+    for variant in Variant:
+        assert build(1, variant).chain is shared_chain(generic_chain_size(1, variant))
+    # Sixteen sizes no other caller asks for are held at once; asking again
+    # in the same order keeps 1000 the least recently used.
+    sizes = range(1000, 1016)
+    held = [shared_chain(k) for k in sizes]
+    assert all(shared_chain(k) is chain for k, chain in zip(sizes, held))
+    shared_chain(1016)  # the seventeenth distinct size
+    assert shared_chain(1000) is not held[0]
+    assert shared_chain(1000) == held[0]

@@ -988,6 +988,18 @@ _MALFORMED_DOCUMENTS = {
                         "stored covers disagree with the order"),
     "an idempotent dropped": (lambda d: {**d, "idempotent": d["idempotent"][:-1]},
                               "stored idempotency flags disagree"),
+    # JSON's true and 1.0 equal 1, but are not integers.
+    "n true": (lambda d: {**d, "n": True}, "generator count must be an integer"),
+    "chain size 4.0": (lambda d: {**d, "chain_size": 4.0},
+                       "chain size does not match generator count and variant"),
+    "bottom false": (lambda d: {**d, "bottom": False}, "bottom and top ids must be 0 and 1"),
+    "top 1.0": (lambda d: {**d, "top": 1.0}, "bottom and top ids must be 0 and 1"),
+    "id false": (lambda d: {**d, "elements": [{**e, "id": False} if e["id"] == 0 else e
+                                              for e in d["elements"]]},
+                 "element ids must be 0..N-1"),
+    "id 1.0": (lambda d: {**d, "elements": [{**e, "id": 1.0} if e["id"] == 1 else e
+                                            for e in d["elements"]]},
+               "element ids must be 0..N-1"),
 }
 
 
