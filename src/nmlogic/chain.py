@@ -29,16 +29,14 @@ result.
 A further algebra holds index arrays, one entry per grid point, under
 ``np.minimum``, ``np.maximum``, :func:`tnorm_block`, :func:`residuum_block`
 and ``top - a``, which each chain makes on first use and :func:`eval_grid`
-evaluates in.  Its connectives short-circuit: given the algebra's own
-bottom or top scalar as an operand, they return the other operand or a
-constant with no array work.  The formulas of
-:func:`nmlogic.formula.random_formula` have such an operand at about half
-their steps, each of which would otherwise cost one to fourteen ufunc
-calls.  The scalar algebra and ``STANDARD`` do not short-circuit: there a
-connective is one Python expression, no dearer than the test, and they stay
-the plain bodies the grid route is checked against.  All of them go through
-:func:`nmlogic.formula.evaluate`, which runs each formula's compiled
-:func:`nmlogic.formula.program`.
+evaluates in.  None of the algebras tests for constant operands: all of
+them go through :func:`nmlogic.formula.evaluate`, which runs each
+formula's compiled :func:`nmlogic.formula.program`, and the compile has
+already folded away every step with a constant or repeated operand (about
+half the steps of :func:`nmlogic.formula.random_formula`'s formulas), for
+the scalar, exact and grid routes at once.  So a grid connective always
+gets arrays, and a negation is one ``top - a``.  The scalar algebra and
+``STANDARD`` stay the plain bodies the grid route is checked against.
 :func:`grid_coordinates` owns the grid order and the index dtype (uint8 up
 to 256 elements), and :func:`grid_points` refuses grids above
 ``MAX_GRID_POINTS`` before anything is allocated.
@@ -106,37 +104,18 @@ class NMChain:
 
     @functools.cached_property
     def _grid_ops(self) -> SimpleNamespace:
-        """The chain acting entrywise on index arrays in the grid's dtype, made on first use.
+        """The chain acting entrywise on index arrays in the grid's dtype, made
+        on first use; its ``bottom`` and ``top`` are two scalars of that dtype.
 
-        Its ``bottom`` and ``top`` are two scalars of that dtype, and a
-        connective given one of them *as* an operand returns an operand or a
-        constant without array work, by the units and absorbing elements:
-        ``1`` is the unit of meet and fusion and ``0`` absorbs them, ``0`` is
-        the unit of join and ``1`` absorbs it, ``0 -> x = x -> 1 = 1``,
-        ``1 -> x = x``, ``x -> 0 = ~x``, ``~0 = 1`` and ``~1 = 0``.  So a
-        constant subformula stays one of the two scalars, and a result may be
-        a scalar or an operand itself, such as a read-only grid row.
+        A compiled program has no step with a constant operand, so every
+        connective here gets arrays and runs its kernel.
         """
         top = self.size - 1
         bottom, top_value = np.array((0, top), dtype=np.min_scalar_type(top))
-        subtract = functools.partial(np.subtract, top_value)
-        residuum = functools.partial(residuum_block, top)
-
-        def neg(a):
-            return top_value if a is bottom else bottom if a is top_value else subtract(a)
-
-        def implies(a, b):
-            if a is bottom or b is top_value:
-                return top_value
-            if a is top_value:
-                return b
-            return subtract(a) if b is bottom else residuum(a, b)
-
         return SimpleNamespace(
-            bottom=bottom, top=top_value, neg=neg, residuum=implies,
-            meet=_short_circuit(np.minimum, top_value, bottom),
-            join=_short_circuit(np.maximum, bottom, top_value),
-            tnorm=_short_circuit(functools.partial(tnorm_block, top), top_value, bottom),
+            bottom=bottom, top=top_value, neg=functools.partial(np.subtract, top_value),
+            meet=np.minimum, join=np.maximum, tnorm=functools.partial(tnorm_block, top),
+            residuum=functools.partial(residuum_block, top),
         )
 
     def __repr__(self) -> str:
@@ -267,20 +246,6 @@ def grid_assignments(chain: NMChain, n: int) -> Iterator[dict[int, ChainValue]]:
     return (dict(enumerate(map(values.__getitem__, p), 1)) for p in points)
 
 
-def _short_circuit(kernel, unit, zero):
-    """``kernel`` on two operands, returning the other operand where one is
-    ``unit`` and ``zero`` where one is ``zero``, both tested by identity."""
-    def op(a, b):
-        if a is unit:
-            return b
-        if b is unit:
-            return a
-        if a is zero or b is zero:
-            return zero
-        return kernel(a, b)
-    return op
-
-
 def tnorm_block(top: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise fusion ``min(a, b) * (a > top - b)`` over the chain with top
     index ``top``, a Python int; ``top - b`` cannot wrap, as ``b <= top``."""
@@ -308,8 +273,8 @@ def eval_grid(f: Formula, chain: NMChain, n: int) -> np.ndarray:
     at a time, so memory stays at distinct nodes times chunk bytes.
 
     The result is always a fresh writable array: a chunk's value may be a
-    constant scalar or a read-only grid row, which the slice assignment
-    broadcasts or copies.
+    constant scalar or a read-only grid row, where the formula folds to a
+    constant or a variable, which the slice assignment broadcasts or copies.
     """
     points = grid_coordinates(chain.size, n)
     algebra = chain._grid_ops
@@ -327,9 +292,9 @@ def eval_chain(
 
     Sugar connectives are interpreted directly (disjunction as join,
     negation as index reflection, and so on), which agrees with evaluating
-    the desugared formula.  The assignment is checked and unwrapped in one
-    pass; evaluation runs on its bare indices and only the result becomes a
-    :class:`ChainValue`.
+    the desugared formula; only the steps left after folding run.  The
+    assignment is checked and unwrapped in one pass; evaluation runs on its
+    bare indices and only the result becomes a :class:`ChainValue`.
     """
     size = chain.size
     env = {var: value.index for var, value in assignment.items() if value.size == size}

@@ -33,15 +33,19 @@ iterative, so nesting depth is limited by memory alone.
 
 The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``) are kept as
 explicit tree nodes.  :func:`program` compiles a formula in one walk into a
-flat tuple of steps, one per distinct node, and keeps the programs of the
-last few formulas it compiled, matched by identity and bounded in count and
-bytes by :class:`nmlogic._recent.Recent`; :func:`evaluate`, the one
-interpreter, runs that program in any algebra.  So evaluating one formula at
-many points walks its tree once, even when a formula built on it (as
-:func:`nmlogic.free_algebra.proves` builds ``phi^2 -> psi``) is compiled
-in between.  :func:`desugar`, the rewrite into the core fragment
+flat tuple of steps, each made once, and is the one owner of the laws of
+the constants and of repeated operands (``x & 1 = x``, ``x -> 0 = ~x``,
+``x & x = x``, ...): every step they settle is folded away there, once for
+every algebra, so no step is left with a constant operand.  It keeps the
+programs of the last few formulas it compiled, matched by identity and
+bounded in count and bytes by :class:`nmlogic._recent.Recent`;
+:func:`evaluate`, the one interpreter, binds the variables and runs the
+remaining steps in any algebra, one connective call each.  So evaluating
+one formula at many points walks its tree once, even when a formula built
+on it (as :func:`nmlogic.free_algebra.proves` builds ``phi^2 -> psi``) is
+compiled in between.  :func:`desugar`, the rewrite into the core fragment
 {Var, Bot, And, Strong, Implies}, is evaluation in the algebra of core
-formulas.
+formulas, so it writes out the folded program.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import re
 from dataclasses import dataclass
 from random import Random
 from types import SimpleNamespace
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from ._recent import Recent
 
@@ -284,78 +288,143 @@ class EvaluationError(ValueError):
 
 # The formulas compiled most recently and their programs, by ``id``: an entry
 # holds its formula, so while it is kept no other object has that id.  They
-# are matched by identity alone, as dataclass equality recurses.  A step
-# weighs 256 bytes with its node (measured: 110 and 85), so a 10001-step
-# program fits.
+# are matched by identity alone, as dataclass equality recurses.  An entry
+# weighs 128 bytes per distinct node of its formula and per step of its
+# program (measured: up to 88 and 115), so 32768 nodes and steps fit.
 _PROGRAMS = Recent(entries=8, nbytes=1 << 22)
-_STEP_BYTES = 256
+_STEP_BYTES = 128
+
+# A step's opcode is the position of its connective in the tuple that
+# evaluate reads off an algebra.
+_MEET, _JOIN, _TNORM, _RESIDUUM, _NEG = range(5)
+_OPCODES = {And: _MEET, Or: _JOIN, Strong: _TNORM, Implies: _RESIDUUM}
+# Slot 0 holds bottom and slot 1 top: the unit and the absorbing slot of
+# each lattice or monoid connective.
+_UNITS = {_MEET: (1, 0), _JOIN: (0, 1), _TNORM: (1, 0)}
 
 
-def program(f: Formula) -> tuple:
-    """``f`` compiled: one ``(node class, operand slot, operand slot)`` step
-    per distinct node, children before parents, ``f`` last.
+class Program(NamedTuple):
+    """A formula compiled by :func:`program`.
 
-    A step's slots index earlier steps; ``Not`` and ``Square`` repeat their
-    one slot, a ``Var`` step carries the variable index instead and the
-    constants carry nothing.  The programs of the last eight formulas
-    compiled are kept, within 4 MiB, so evaluating one formula many times
-    walks it once, also when others are compiled in between.  Raises
-    ``TypeError`` on a node that is not a formula.
+    Slots 0 and 1 hold bottom and top, the next ones the ``variables`` in
+    order, and each of the ``steps``, an ``(opcode, slot, slot)``, fills the
+    slot after them; the formula's value is in slot ``result``.
+    """
+
+    variables: tuple[int, ...]
+    steps: tuple[tuple[int, int, int], ...]
+    result: int
+    nodes: int  # distinct nodes of the formula as written
+
+
+def _fold(steps: dict, op: int, a: int, b: int) -> int:
+    """The slot of ``op`` on slots ``a`` and ``b``: an operand or a constant
+    where the laws of the constants or of a repeated operand give one, else
+    the step's own, made once in ``steps``, where step ``k`` has slot
+    ``-1 - k`` until :func:`program` fixes it.
+
+    The laws: ``x & 1 = x * 1 = x | 0 = x``, ``x & 0 = x * 0 = 0``,
+    ``x | 1 = 1``, ``x & x = x | x = x``, ``0 -> x = x -> 1 = x -> x = 1``,
+    ``1 -> x = x``, ``x -> 0 = ~x``, ``~0 = 1`` and ``~1 = 0``.  A negation
+    repeats its one slot.
+    """
+    if op == _RESIDUUM:
+        if a == 0 or b == 1 or a == b:
+            return 1
+        if a == 1:
+            return b
+        if b == 0:
+            op, b = _NEG, a
+    elif op == _NEG:
+        if a == 0 or a == 1:
+            return 1 - a
+    else:
+        unit, zero = _UNITS[op]
+        if a == unit:
+            return b
+        if b == unit or (a == b and op != _TNORM):
+            return a
+        if a == zero or b == zero:
+            return zero
+    return steps.setdefault((op, a, b), -1 - len(steps))
+
+
+def program(f: Formula) -> Program:
+    """``f`` compiled in one walk, with every step that has a constant or a
+    repeated operand folded away (see :func:`_fold`).
+
+    Each variable takes one slot however often it occurs, and each step is
+    made once, children before parents, also where equal subtrees are
+    distinct objects, so ``x1 * x2 & x1 * x2`` folds too.  ``Square`` is a
+    fusion of its child with itself and ``a <-> b`` is
+    ``(a -> b) * (b -> a)``, each part folded.  ``variables`` lists every
+    variable of ``f``, also one whose steps fold away.  The programs of the
+    last eight formulas compiled are kept, within 4 MiB, so evaluating one
+    formula many times walks it once, also when others are compiled in
+    between.  Raises ``TypeError`` on a node that is not a formula.
     """
     held = _PROGRAMS.get(id(f))
     if held is not None:
         return held[1]
     slots: dict[int, int] = {}
-    steps = []
+    bound: dict[int, int] = {}  # variable index -> slot
+    steps: dict[tuple, int] = {}  # step -> its slot, made at most once
     for node in subformulas(f):
         kind = type(node)
-        if kind in _BINARY:
-            step = (kind, slots[id(node.left)], slots[id(node.right)])
-        elif kind is Not or kind is Square:
-            step = (kind, slots[id(node.child)], slots[id(node.child)])
+        if kind in _OPCODES:
+            slot = _fold(steps, _OPCODES[kind], slots[id(node.left)], slots[id(node.right)])
         elif kind is Var:
-            step = (Var, node.index, None)
-        elif kind is Bot or kind is Top:
-            step = (kind, None, None)
+            slot = bound.setdefault(node.index, len(bound) + 2)
+        elif kind is Not:
+            a = slots[id(node.child)]
+            slot = _fold(steps, _NEG, a, a)
+        elif kind is Square:
+            a = slots[id(node.child)]
+            slot = _fold(steps, _TNORM, a, a)
+        elif kind is Iff:
+            a, b = slots[id(node.left)], slots[id(node.right)]
+            ab, ba = _fold(steps, _RESIDUUM, a, b), _fold(steps, _RESIDUUM, b, a)
+            slot = _fold(steps, _TNORM, ab, ba)
+        elif kind is Bot:
+            slot = 0
+        elif kind is Top:
+            slot = 1
         else:
             raise TypeError(f"not a formula node: {node!r}")
-        slots[id(node)] = len(steps)
-        steps.append(step)
-    code = tuple(steps)
-    _PROGRAMS.add(id(f), (f, code), _STEP_BYTES * len(code))
+        slots[id(node)] = slot
+    # Step k, so far slot -1 - k, fills the slot after the variables'.
+    shift = len(bound) + 1
+    code = Program(
+        tuple(bound),
+        tuple((op, a if a >= 0 else shift - a, b if b >= 0 else shift - b) for op, a, b in steps),
+        slot if slot >= 0 else shift - slot,
+        len(slots),
+    )
+    _PROGRAMS.add(id(f), (f, code), _STEP_BYTES * (code.nodes + len(code.steps)))
     return code
 
 
 def evaluate(f: Formula, algebra, env: Mapping[int, object]):
     """The value of ``f`` in ``algebra`` (bottom, top, neg, meet, join, tnorm,
-    residuum) with ``x{i}`` bound to ``env[i]``: one loop over
-    :func:`program`, one value per distinct node."""
-    values: list = []
+    residuum) with ``x{i}`` bound to ``env[i]``: every variable of ``f`` is
+    bound, then each step of :func:`program` runs, one connective call each.
+
+    An unbound variable raises :class:`EvaluationError`, also where the
+    steps that read it fold away.
+    """
+    code = program(f)
+    values = [algebra.bottom, algebra.top]
     push = values.append
-    for kind, a, b in program(f):
-        if kind is Var:
-            try:
-                push(env[a])
-            except KeyError:
-                raise EvaluationError(f"no binding for variable x{a}") from None
-        elif kind is And:
-            push(algebra.meet(values[a], values[b]))
-        elif kind is Or:
-            push(algebra.join(values[a], values[b]))
-        elif kind is Strong or kind is Square:
-            push(algebra.tnorm(values[a], values[b]))
-        elif kind is Implies:
-            push(algebra.residuum(values[a], values[b]))
-        elif kind is Not:
-            push(algebra.neg(values[a]))
-        elif kind is Iff:
-            left, right = values[a], values[b]
-            push(algebra.tnorm(algebra.residuum(left, right), algebra.residuum(right, left)))
-        elif kind is Bot:
-            push(algebra.bottom)
-        else:
-            push(algebra.top)
-    return values[-1]
+    try:
+        for index in code.variables:
+            push(env[index])
+    except KeyError:
+        raise EvaluationError(f"no binding for variable x{index}") from None
+    neg = algebra.neg  # a negation step repeats its one operand
+    ops = (algebra.meet, algebra.join, algebra.tnorm, algebra.residuum, lambda a, _: neg(a))
+    for op, a, b in code.steps:
+        push(ops[op](values[a], values[b]))
+    return values[code.result]
 
 
 # Evaluating in this algebra builds the defining term of each connective.
@@ -369,8 +438,11 @@ _CORE = SimpleNamespace(
 def desugar(f: Formula) -> Formula:
     """Rewrite ``f`` into the core fragment {Var, Bot, And, Strong, Implies}.
 
-    The rewrites are the standard definitions: ``~a = a -> 0``,
-    ``1 = 0 -> 0``, ``a | b = ((a -> b) -> b) & ((b -> a) -> a)``,
+    The result is the folded program of :func:`program` written out as a
+    formula: the steps with a constant or repeated operand are gone, so
+    ``x1 & 0`` becomes ``0``, and the rest use the standard definitions:
+    ``~a = a -> 0``, ``1 = 0 -> 0``,
+    ``a | b = ((a -> b) -> b) & ((b -> a) -> a)``,
     ``a <-> b = (a -> b) * (b -> a)`` and ``a^2 = a * a``.  Evaluation is
     preserved under every assignment.
     """
@@ -408,7 +480,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 def variables(f: Formula) -> set[int]:
     """The exact set of variable indices occurring in ``f``; ``TypeError``
     on a node that is not a formula, as :func:`program` raises."""
-    return {index for kind, index, _ in program(f) if kind is Var}
+    return set(program(f).variables)
 
 
 _CONNECTIVES = (And, Or, Strong, Implies, Iff, Not, Square)

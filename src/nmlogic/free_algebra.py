@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
@@ -361,6 +362,11 @@ def _cover_matrix(leq: np.ndarray) -> np.ndarray:
     return lt & ~((strict @ strict) > 0)
 
 
+def _ints(values) -> bool:
+    """Whether every value is an int proper: JSON's true and 1.0 equal 1, but are not."""
+    return set(map(type, values)) <= {int}
+
+
 def _cached(compute):
     """A read-only property keeping ``compute``'s value, never None, in ``self._cache``."""
     name = compute.__name__
@@ -627,33 +633,41 @@ class FreeAlgebra:
         """
         try:
             variant = Variant(data["variant"])
-            # Counts and ids are ints proper: JSON's true and 1.0 equal 1, but are not.
-            n = int(data["n"])
-            if type(data["n"]) is not int:
-                raise ValueError(f"generator count must be an integer, got {data['n']!r}")
+            n = data["n"]
+            if type(n) is not int:
+                if type(n) is float:
+                    int(n)  # OverflowError on an infinite n
+                raise ValueError(f"generator count must be an integer, got {n!r:.40}")
             k = generic_chain_size(n, variant)
             if data["chain_size"] != k or type(data["chain_size"]) is not int:
                 raise ValueError("chain size does not match generator count and variant")
             elements = sorted(data["elements"], key=lambda e: e["id"])
             ids = [e["id"] for e in elements]
-            if ids != list(range(len(ids))) or not set(map(type, ids)) <= {int}:
+            if ids != list(range(len(ids))) or not _ints(ids):
                 raise ValueError("element ids must be 0..N-1")
-            algebra = cls(n, variant, [e["vector"] for e in elements], provenance=None)
+            vectors = [e["vector"] for e in elements]
+            algebra = cls(n, variant, vectors, provenance=None)
+            if not _ints(itertools.chain.from_iterable(vectors)):
+                raise ValueError(f"vector entries must be integers in 0..{k - 1}")
             if (algebra.vectors[0] != 0).any() or (algebra.vectors[1] != k - 1).any():
                 raise ValueError("elements 0 and 1 must be bottom and top")
             if validate:
                 bounds = data["bottom"], data["top"]
-                if bounds != (0, 1) or not set(map(type, bounds)) <= {int}:
+                if bounds != (0, 1) or not _ints(bounds):
                     raise ValueError("bottom and top ids must be 0 and 1")
                 try:
                     algebra.check_closed()
                 except KeyError as err:
                     raise ValueError(err.args[0]) from None
-                if [list(p) for p in algebra.covers()] != [list(p) for p in data["covers"]]:
+                covers = [list(p) for p in data["covers"]]
+                if (covers != [list(p) for p in algebra.covers()]
+                        or not _ints(itertools.chain.from_iterable(covers))):
                     raise ValueError("stored covers disagree with the order")
-                if sorted(algebra.join_irreducible_ids) != list(data["join_irreducible"]):
+                stored = list(data["join_irreducible"])
+                if sorted(algebra.join_irreducible_ids) != stored or not _ints(stored):
                     raise ValueError("stored join-irreducible flags disagree")
-                if sorted(algebra.idempotent_ids) != list(data["idempotent"]):
+                stored = list(data["idempotent"])
+                if sorted(algebra.idempotent_ids) != stored or not _ints(stored):
                     raise ValueError("stored idempotency flags disagree")
         except KeyError as err:
             raise ValueError(f"export document lacks the field {err}") from None

@@ -41,7 +41,7 @@ def enumerate_models(
 ) -> list[dict[int, ChainValue]]:
     """Satisfying assignments over ``x1..xn``, in lexicographic order."""
     chain = space.chain
-    points, nodes = grid_points(chain.size, n), len(program(f))
+    points, nodes = grid_points(chain.size, n), program(f).nodes
     if points * nodes > MAX_SCALAR_WORK:
         raise ValueError(
             f"{points} points times {nodes} formula nodes exceeds the scalar "

@@ -31,7 +31,7 @@ from nmlogic import (
     random_formula,
     variables,
 )
-from nmlogic.formula import evaluate, program, subformulas
+from nmlogic.formula import _NEG, _RESIDUUM, _TNORM, Program, evaluate, program, subformulas
 
 
 def formulas(max_vars=3, max_leaves=25):
@@ -155,6 +155,9 @@ def test_desugar_examples():
     )
     assert desugar(Iff(a, b)) == Strong(Implies(a, b), Implies(b, a))
     assert desugar(Square(a)) == Strong(a, a)
+    # The output is the folded program: x1 & 0 = 0 and x1 <-> 0 = ~x1.
+    assert desugar(And(a, BOT)) == BOT
+    assert desugar(Iff(a, BOT)) == Implies(a, BOT)
 
 
 @given(formulas())
@@ -238,14 +241,26 @@ def test_evaluate_rejects_a_node_that_is_not_a_formula():
 
 
 def test_program_is_flat_and_shares_repeated_subtrees():
-    x1 = Var(1)
-    shared = Strong(x1, BOT)
+    x1, x2 = Var(1), Var(2)
+    shared = Strong(x1, x2)
     code = program(Iff(Square(shared), Not(shared)))
-    assert code == (
-        (Var, 1, None), (Bot, None, None), (Strong, 0, 1),
-        (Square, 2, 2), (Not, 2, 2), (Iff, 3, 4),
+    # x1 and x2 fill slots 2 and 3, and each step the next slot: the shared
+    # fusion compiles once, into slot 4, and both its parents read it.
+    assert code == Program(
+        variables=(1, 2),
+        steps=((_TNORM, 2, 3), (_TNORM, 4, 4), (_NEG, 4, 4),
+               (_RESIDUUM, 5, 6), (_RESIDUUM, 6, 5), (_TNORM, 7, 8)),
+        result=9, nodes=6,
     )
-    assert program(TOP) == ((Top, None, None),)
+    assert program(TOP) == Program(variables=(), steps=(), result=1, nodes=1)
+
+
+def test_a_shared_subtree_with_a_constant_operand_folds_once():
+    shared = Strong(Var(1), BOT)
+    # x1 * 0 = 0, so 0^2 = 0, ~0 = 1 and 0 <-> 1 = 0: no step is left, but
+    # x1 is still bound and every node as written is counted.
+    code = program(Iff(Square(shared), Not(shared)))
+    assert code == Program(variables=(1,), steps=(), result=0, nodes=6)
 
 
 def test_alternating_formulas_each_get_their_own_value():
@@ -297,7 +312,8 @@ def test_a_reused_id_never_gets_a_stale_program():
         for _ in range(i % 5):
             f = Not(f)
         ids.append(id(f))
-        expected = ((Var, i % 3 + 1, None), *((Not, j, j) for j in range(i % 5)))
+        negations = tuple((_NEG, slot, slot) for slot in range(2, 2 + i % 5))
+        expected = Program((i % 3 + 1,), negations, 2 + i % 5, 1 + i % 5)
         assert program(f) == expected
         del f
     assert len(set(ids)) < len(ids)

@@ -1000,6 +1000,20 @@ _MALFORMED_DOCUMENTS = {
     "id 1.0": (lambda d: {**d, "elements": [{**e, "id": 1.0} if e["id"] == 1 else e
                                             for e in d["elements"]]},
                "element ids must be 0..N-1"),
+    "vector entry true": (lambda d: {**d, "elements": [
+                              {**e, "vector": [True if v == 1 else v for v in e["vector"]]}
+                              for e in d["elements"]]},
+                          "vector entries must be integers in 0..3"),
+    "cover id 1.0": (lambda d: {**d, "covers": [[a, float(b)] for a, b in d["covers"]]},
+                     "stored covers disagree with the order"),
+    "join-irreducible id 10.0": (lambda d: {**d, "join_irreducible": [
+                                     float(x) if x == 10 else x for x in d["join_irreducible"]]},
+                                 "stored join-irreducible flags disagree"),
+    "idempotent id 1.0": (lambda d: {**d, "idempotent": [
+                              1.0 if x == 1 else x for x in d["idempotent"]]},
+                          "stored idempotency flags disagree"),
+    # A long digit string is refused before int() reads it.
+    "5000-digit n": (lambda d: {**d, "n": "1" * 5000}, "generator count must be an integer"),
 }
 
 
