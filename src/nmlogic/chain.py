@@ -41,11 +41,12 @@ gets arrays, and a negation is one ``top - a``.  The scalar algebra and
 to 256 elements), and :func:`grid_points` refuses grids above
 ``MAX_GRID_POINTS`` before anything is allocated.
 
-What no call changes is kept, not rebuilt per call: the read-only grids used
-most recently, bounded in entries and bytes by :class:`nmlogic._recent.Recent`,
-and the chains of :func:`shared_chain`'s 16 most recent sizes, bounded by count
-alone: up to five generators, formulas are evaluated on sizes 2 to 13 only,
-and a chain made for a grid that is then refused holds only its two end values.
+What no call changes is kept, not rebuilt per call, in two ``functools.lru_cache``
+tables of 16 entries: the chains of :func:`shared_chain`'s most recent sizes (up
+to five generators, formulas are evaluated on sizes 2 to 13 only) and the
+read-only grids of at most ``_SHARED_GRID_BYTES`` (64 KiB) used most recently,
+which hold every generic grid up to four generators.  A larger grid is made
+afresh per call.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ._recent import Recent
 from .formula import EvaluationError, Formula, evaluate
 
 # Reaches nm and nm- to five generators, {0, 1/2, 1} to twelve variables, {0, 1} to twenty.
@@ -66,9 +66,9 @@ MAX_GRID_POINTS = 1 << 20
 
 _CHUNK = 4096
 
-# The read-only grids used most recently, by (size, n), each weighing its
-# bytes; the generic grids of up to four generators fit.
-_GRIDS = Recent(entries=16, nbytes=1 << 18)
+# The largest grid that grid_coordinates shares; the generic grids of up to
+# four generators (58,564 and 40,000 bytes) fit.
+_SHARED_GRID_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -213,14 +213,19 @@ def grid_coordinates(size: int, n: int) -> np.ndarray:
     This is the one place the grid order is fixed: position ``j`` of a truth
     vector, of an exported vector and of a model enumeration is column
     ``j``, in lexicographic order with ``x1`` the most significant.  The
-    array is read-only and may be shared with other callers.
+    array is read-only, and one of at most ``_SHARED_GRID_BYTES`` is shared
+    with other callers.
     """
     points = grid_points(size, n)
-    grid = _GRIDS.get((size, n))
-    if grid is None:
-        grid = np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, points)
-        grid.flags.writeable = False
-        _GRIDS.add((size, n), grid, grid.nbytes)
+    if points * n * np.min_scalar_type(size - 1).itemsize <= _SHARED_GRID_BYTES:
+        return _grid(size, n)
+    return _grid.__wrapped__(size, n)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(size: int, n: int) -> np.ndarray:
+    grid = np.indices((size,) * n, dtype=np.min_scalar_type(size - 1)).reshape(n, size**n)
+    grid.flags.writeable = False
     return grid
 
 

@@ -36,14 +36,14 @@ explicit tree nodes.  :func:`program` compiles a formula in one walk into a
 flat tuple of steps, each made once, and is the one owner of the laws of
 the constants and of repeated operands (``x & 1 = x``, ``x -> 0 = ~x``,
 ``x & x = x``, ...): every step they settle is folded away there, once for
-every algebra, so no step is left with a constant operand.  It keeps the
-programs of the last few formulas it compiled, matched by identity and
-bounded in count and bytes by :class:`nmlogic._recent.Recent`;
+every algebra, so no step is left with a constant operand.  A formula's
+program is stored on the formula itself, written once into its instance
+``__dict__`` as :func:`functools.cached_property` does: formulas are
+immutable, so it cannot go stale, and it lives as long as its formula.
 :func:`evaluate`, the one interpreter, binds the variables and runs the
 remaining steps in any algebra, one connective call each.  So evaluating
-one formula at many points walks its tree once, even when a formula built
-on it (as :func:`nmlogic.free_algebra.proves` builds ``phi^2 -> psi``) is
-compiled in between.  :func:`desugar`, the rewrite into the core fragment
+one formula at many points walks its tree once, whatever is compiled in
+between.  :func:`desugar`, the rewrite into the core fragment
 {Var, Bot, And, Strong, Implies}, is evaluation in the algebra of core
 formulas, so it writes out the folded program.
 """
@@ -55,8 +55,6 @@ from dataclasses import dataclass
 from random import Random
 from types import SimpleNamespace
 from typing import Iterator, Mapping, NamedTuple, Union
-
-from ._recent import Recent
 
 
 @dataclass(frozen=True)
@@ -286,14 +284,6 @@ class EvaluationError(ValueError):
     """An assignment is missing a binding or holds an out-of-range value."""
 
 
-# The formulas compiled most recently and their programs, by ``id``: an entry
-# holds its formula, so while it is kept no other object has that id.  They
-# are matched by identity alone, as dataclass equality recurses.  An entry
-# weighs 128 bytes per distinct node of its formula and per step of its
-# program (measured: up to 88 and 115), so 32768 nodes and steps fit.
-_PROGRAMS = Recent(entries=8, nbytes=1 << 22)
-_STEP_BYTES = 128
-
 # A step's opcode is the position of its connective in the tuple that
 # evaluate reads off an algebra.
 _MEET, _JOIN, _TNORM, _RESIDUUM, _NEG = range(5)
@@ -358,14 +348,14 @@ def program(f: Formula) -> Program:
     distinct objects, so ``x1 * x2 & x1 * x2`` folds too.  ``Square`` is a
     fusion of its child with itself and ``a <-> b`` is
     ``(a -> b) * (b -> a)``, each part folded.  ``variables`` lists every
-    variable of ``f``, also one whose steps fold away.  The programs of the
-    last eight formulas compiled are kept, within 4 MiB, so evaluating one
-    formula many times walks it once, also when others are compiled in
-    between.  Raises ``TypeError`` on a node that is not a formula.
+    variable of ``f``, also one whose steps fold away.  The program is
+    stored on ``f``, so evaluating a formula many times walks it once.
+    Raises ``TypeError`` on a node that is not a formula.
     """
-    held = _PROGRAMS.get(id(f))
-    if held is not None:
-        return held[1]
+    try:
+        return f.__dict__["_program"]
+    except (AttributeError, KeyError):  # not compiled yet, or not a formula
+        pass
     slots: dict[int, int] = {}
     bound: dict[int, int] = {}  # variable index -> slot
     steps: dict[tuple, int] = {}  # step -> its slot, made at most once
@@ -400,7 +390,8 @@ def program(f: Formula) -> Program:
         slot if slot >= 0 else shift - slot,
         len(slots),
     )
-    _PROGRAMS.add(id(f), (f, code), _STEP_BYTES * (code.nodes + len(code.steps)))
+    # Frozen dataclasses refuse setattr; equality, hash and repr read fields only.
+    f.__dict__["_program"] = code
     return code
 
 

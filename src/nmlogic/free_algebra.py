@@ -160,8 +160,15 @@ def is_tautology(n: int, variant: Variant, f: fm.Formula) -> bool:
 
 
 def proves(n: int, variant: Variant, phi: fm.Formula, psi: fm.Formula) -> bool:
-    """Local deduction: phi proves psi iff phi^2 -> psi is a tautology."""
-    return is_tautology(n, variant, fm.Implies(fm.Square(phi), psi))
+    """Local deduction: phi proves psi iff phi^2 -> psi is a tautology, that
+    is iff phi * phi <= psi at every generic grid point.
+
+    Each formula runs its own program; ``phi``'s unbound variable is named
+    before ``psi``'s, as in the walk of ``phi^2 -> psi``.
+    """
+    chain = shared_chain(generic_chain_size(n, variant))
+    a = eval_grid(phi, chain, n)
+    return bool((tnorm_block(chain.size - 1, a, a) <= eval_grid(psi, chain, n)).all())
 
 
 class _CodeMap:

@@ -7,9 +7,9 @@ is independent of the array evaluation, free-algebra and valuation
 machinery it is used to cross-check.  The formula is compiled once by
 :func:`nmlogic.formula.program`, and each point runs that program.  A
 carrier is the :func:`nmlogic.chain.shared_chain` of its size, so its
-values and its grid are made once, not per request.  The cost is grid
-points times formula nodes, so a request above ``MAX_SCALAR_WORK`` is
-refused before the grid is built.
+values, and its grid up to 64 KiB, are made once, not per request.  The
+cost is grid points times formula nodes, so a request above
+``MAX_SCALAR_WORK`` is refused before the grid is built.
 """
 
 from __future__ import annotations

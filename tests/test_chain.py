@@ -419,14 +419,18 @@ def test_grid_coordinates_follow_product_order_and_bound():
 
 
 def test_grids_are_shared_read_only_and_in_grid_order():
-    for size, n in ((9, 3), (8, 3), (3, 3), (2, 3), (3, 0), (300, 2), (2, 16)):
+    # (32768, 1) is a uint16 grid of exactly the bound's 65,536 bytes, (32769, 1) two more.
+    for size, n in ((9, 3), (8, 3), (3, 3), (2, 3), (3, 0), (300, 2), (2, 16), (32768, 1),
+                    (32769, 1)):
         grid = grid_coordinates(size, n)
         assert grid.dtype == np.min_scalar_type(size - 1)
         assert np.array_equal(grid, np.indices((size,) * n, grid.dtype).reshape(n, size**n))
-        # A grid over the shared table's byte bound is made afresh, and read-only too.
-        assert (grid_coordinates(size, n) is grid) == (grid.nbytes <= chain_module._GRIDS.nbytes)
+        # A grid over the shared bytes bound is made afresh, and read-only too.
+        assert (grid_coordinates(size, n) is grid) == (
+            grid.nbytes <= chain_module._SHARED_GRID_BYTES)
         with pytest.raises(ValueError, match="read-only"):
             grid[..., 0] = 1
+    assert grid_coordinates(32768, 1).nbytes == chain_module._SHARED_GRID_BYTES == 65536
     assert shared_chain(9) is shared_chain(9) == NMChain(9)
     assert shared_chain(9).value(4) is shared_chain(9).value(4)
 

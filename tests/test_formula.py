@@ -294,8 +294,8 @@ def test_memo_matches_equal_deep_formulas_by_identity():
 
 
 def test_program_survives_compiling_a_formula_built_on_it():
-    # proves compiles phi^2 -> psi between the truth vector of phi and its
-    # model count; phi's program must still be the one compiled first.
+    # A formula built on phi, such as phi^2 -> psi, may be compiled between
+    # two evaluations of phi; phi's program must still be the one compiled first.
     g, h = parse("(x1 -> x2) & ~x3"), parse("x2 | x3^2")
     code = program(g)
     program(Implies(Square(g), h))
@@ -303,9 +303,9 @@ def test_program_survives_compiling_a_formula_built_on_it():
 
 
 def test_a_reused_id_never_gets_a_stale_program():
-    # Each formula is dropped once compiled, so its id can come back as soon
-    # as the program table lets go of it; shapes vary with i, so a program
-    # matched by a stale id would have the wrong length or variable.
+    # Each formula is dropped once compiled, so its id can come back at once;
+    # shapes vary with i, so a program matched by a stale id would have the
+    # wrong length or variable.
     ids = []
     for i in range(400):
         f = Var(i % 3 + 1)
@@ -317,6 +317,44 @@ def test_a_reused_id_never_gets_a_stale_program():
         assert program(f) == expected
         del f
     assert len(set(ids)) < len(ids)
+
+
+def test_a_held_formula_keeps_its_program_while_others_compile():
+    f = parse("(x1 -> x2) & ~x3")
+    code = program(f)
+    for i in range(100):
+        program(Strong(Var(i + 1), Not(Var(i + 2))))
+    assert program(f) is code
+
+
+def test_programs_of_dropped_formulas_are_released():
+    import gc
+    import tracemalloc
+
+    program(Implies(Var(1), Not(Var(2))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            program(Implies(Var(i + 1), Not(And(Var(i + 2), Var(i + 3)))))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
+
+
+def test_compiling_leaves_equality_hash_repr_printing_and_copies_unchanged():
+    import copy
+
+    text = "(x1 -> x2) & ~x3 | x1^2 <-> 1"
+    f, g = parse(text), parse(text)
+    before = (hash(f), repr(f), format_formula(f), copy.copy(f))
+    code = program(f)
+    assert f == g and g == f
+    assert (hash(f), repr(f), format_formula(f)) == before[:3] == (hash(g), repr(g), text)
+    assert copy.copy(f) == before[3] == f
+    assert program(copy.copy(f)) == program(g) == code
 
 
 def test_memoised_program_still_names_an_unbound_variable():

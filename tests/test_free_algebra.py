@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import time
 import warnings
 
@@ -20,7 +21,8 @@ from nmlogic import (
 )
 from nmlogic import free_algebra
 from nmlogic.chain import grid_coordinates, residuum_block, tnorm_block
-from nmlogic.formula import BOT, TOP, And, Implies, Not, Or, Strong, Var
+from nmlogic.formula import (BOT, TOP, And, EvaluationError, Implies, Not, Or, Square, Strong,
+                             Var, random_formula)
 
 # The element table's code bounds (_DENSE_CODES, _HASHED_CODES) per form: as
 # shipped, then 0 for the dense bound, which sends every int64-coded row to the
@@ -795,6 +797,23 @@ def test_tautology_without_building():
     assert not is_tautology(1, Variant.NM, parse("x1 | ~x1"))
     assert is_tautology(1, Variant.NM_MINUS, parse("~(~x1^2)^2 <-> (~(~x1)^2)^2"))
     assert not is_tautology(1, Variant.NM, parse("~(~x1^2)^2 <-> (~(~x1)^2)^2"))
+
+
+def test_proves_is_the_tautology_of_the_square_implying_the_conclusion():
+    # The pointwise order phi * phi <= psi against the walk of phi^2 -> psi;
+    # variables up to x{n + 2} check that both name the same unbound one first.
+    rng = random.Random(30)
+    for n, variant, _ in itertools.product(range(4), Variant, range(40)):
+        phi, psi = (random_formula(rng, n + rng.choice((0, 0, 0, 1, 2)), rng.randrange(4))
+                    for _ in range(2))
+        try:
+            expected = is_tautology(n, variant, Implies(Square(phi), psi))
+        except EvaluationError as error:
+            with pytest.raises(EvaluationError) as raised:
+                proves(n, variant, phi, psi)
+            assert str(raised.value) == str(error)
+        else:
+            assert proves(n, variant, phi, psi) == expected
 
 
 def test_proves_examples():
