@@ -36,16 +36,17 @@ explicit tree nodes.  :func:`program` compiles a formula in one walk into a
 flat tuple of steps, each made once, and is the one owner of the laws of
 the constants and of repeated operands (``x & 1 = x``, ``x -> 0 = ~x``,
 ``x & x = x``, ...): every step they settle is folded away there, once for
-every algebra, so no step is left with a constant operand.  A formula's
-program is stored on the formula itself, written once into its instance
-``__dict__`` as :func:`functools.cached_property` does: formulas are
-immutable, so it cannot go stale, and it lives as long as its formula.
-:func:`evaluate`, the one interpreter, binds the variables and runs the
-remaining steps in any algebra, one connective call each.  So evaluating
-one formula at many points walks its tree once, whatever is compiled in
-between.  :func:`desugar`, the rewrite into the core fragment
-{Var, Bot, And, Strong, Implies}, is evaluation in the algebra of core
-formulas, so it writes out the folded program.
+every algebra, so no step is left with a constant operand, and a step that
+a later fold left unread, such as the fusion of ``(x1 * x2) & 0``, is
+dropped, so every step that remains is read.  A formula's program is stored
+on the formula itself, written once into its instance ``__dict__`` as
+:func:`functools.cached_property` does: formulas are immutable, so it cannot
+go stale, and it lives as long as its formula.  :func:`evaluate`, the one
+interpreter, binds the variables and runs the kept steps in any algebra, one
+connective call each.  So evaluating one formula at many points walks its
+tree once, whatever is compiled in between.  :func:`desugar`, the rewrite
+into the core fragment {Var, Bot, And, Strong, Implies}, is evaluation in
+the algebra of core formulas, so it writes out the folded program.
 """
 
 from __future__ import annotations
@@ -284,8 +285,8 @@ class EvaluationError(ValueError):
     """An assignment is missing a binding or holds an out-of-range value."""
 
 
-# A step's opcode is the position of its connective in the tuple that
-# evaluate reads off an algebra.
+# A step's opcode is the position of its connective in an algebra's
+# ``connectives``, the tuple that evaluate reads (see with_connectives).
 _MEET, _JOIN, _TNORM, _RESIDUUM, _NEG = range(5)
 _OPCODES = {And: _MEET, Or: _JOIN, Strong: _TNORM, Implies: _RESIDUUM}
 # Slot 0 holds bottom and slot 1 top: the unit and the absorbing slot of
@@ -341,14 +342,17 @@ def _fold(steps: dict, op: int, a: int, b: int) -> int:
 
 def program(f: Formula) -> Program:
     """``f`` compiled in one walk, with every step that has a constant or a
-    repeated operand folded away (see :func:`_fold`).
+    repeated operand folded away (see :func:`_fold`), and then every step
+    that the result does not read dropped, in one pass back from it.
 
     Each variable takes one slot however often it occurs, and each step is
     made once, children before parents, also where equal subtrees are
     distinct objects, so ``x1 * x2 & x1 * x2`` folds too.  ``Square`` is a
     fusion of its child with itself and ``a <-> b`` is
-    ``(a -> b) * (b -> a)``, each part folded.  ``variables`` lists every
-    variable of ``f``, also one whose steps fold away.  The program is
+    ``(a -> b) * (b -> a)``, each part folded.  The kept steps fill the
+    slots after the variables', in order.  ``variables`` lists every
+    variable of ``f``, also one read only by steps that fold away or are
+    dropped, and ``nodes`` counts the nodes as written.  The program is
     stored on ``f``, so evaluating a formula many times walks it once.
     Raises ``TypeError`` on a node that is not a formula.
     """
@@ -382,26 +386,45 @@ def program(f: Formula) -> Program:
         else:
             raise TypeError(f"not a formula node: {node!r}")
         slots[id(node)] = slot
-    # Step k, so far slot -1 - k, fills the slot after the variables'.
-    shift = len(bound) + 1
-    code = Program(
-        tuple(bound),
-        tuple((op, a if a >= 0 else shift - a, b if b >= 0 else shift - b) for op, a, b in steps),
-        slot if slot >= 0 else shift - slot,
-        len(slots),
-    )
+    # Walk back from the result to the steps it reads; a step only reads
+    # earlier ones, so one reverse pass finds them all.
+    read = {slot}
+    for (_, a, b), own in reversed(steps.items()):
+        if own in read:
+            read.update((a, b))
+    # The kept steps fill the slots after the variables', in order.
+    kept: list[tuple[int, int, int]] = []
+    moved: dict[int, int] = {}  # a kept step's slot -1 - k -> its final slot
+    for (op, a, b), own in steps.items():
+        if own in read:
+            moved[own] = len(bound) + 2 + len(kept)
+            kept.append((op, moved.get(a, a), moved.get(b, b)))
+    code = Program(tuple(bound), tuple(kept), moved.get(slot, slot), len(slots))
     # Frozen dataclasses refuse setattr; equality, hash and repr read fields only.
     f.__dict__["_program"] = code
     return code
 
 
+def with_connectives(algebra):
+    """``algebra`` (bottom, top, neg, meet, join, tnorm, residuum) given
+    ``connectives``, the tuple :func:`evaluate` reads: its meet, join,
+    tnorm, residuum and negation in opcode order, made once where the
+    algebra is made.  The negation ignores a second operand, as a negation
+    step repeats its one slot.
+    """
+    neg = algebra.neg
+    algebra.connectives = (
+        algebra.meet, algebra.join, algebra.tnorm, algebra.residuum, lambda a, _: neg(a))
+    return algebra
+
+
 def evaluate(f: Formula, algebra, env: Mapping[int, object]):
-    """The value of ``f`` in ``algebra`` (bottom, top, neg, meet, join, tnorm,
-    residuum) with ``x{i}`` bound to ``env[i]``: every variable of ``f`` is
-    bound, then each step of :func:`program` runs, one connective call each.
+    """The value of ``f`` in ``algebra``, one made by :func:`with_connectives`,
+    with ``x{i}`` bound to ``env[i]``: every variable of ``f`` is bound, then
+    each step of :func:`program` runs, one connective call each.
 
     An unbound variable raises :class:`EvaluationError`, also where the
-    steps that read it fold away.
+    steps that read it fold away or are dropped.
     """
     code = program(f)
     values = [algebra.bottom, algebra.top]
@@ -411,19 +434,18 @@ def evaluate(f: Formula, algebra, env: Mapping[int, object]):
             push(env[index])
     except KeyError:
         raise EvaluationError(f"no binding for variable x{index}") from None
-    neg = algebra.neg  # a negation step repeats its one operand
-    ops = (algebra.meet, algebra.join, algebra.tnorm, algebra.residuum, lambda a, _: neg(a))
+    ops = algebra.connectives
     for op, a, b in code.steps:
         push(ops[op](values[a], values[b]))
     return values[code.result]
 
 
 # Evaluating in this algebra builds the defining term of each connective.
-_CORE = SimpleNamespace(
+_CORE = with_connectives(SimpleNamespace(
     bottom=BOT, top=Implies(BOT, BOT), meet=And, tnorm=Strong, residuum=Implies,
     neg=lambda a: Implies(a, BOT),
     join=lambda a, b: And(Implies(Implies(a, b), b), Implies(Implies(b, a), a)),
-)
+))
 
 
 def desugar(f: Formula) -> Formula:

@@ -126,6 +126,8 @@ def test_every_route_agrees_with_the_plain_walk():
     "x1 & 0", "0 & x1", "x1 & 1", "x1 | 0", "x1 | 1", "x1 * 1", "x1 * 0", "0 -> x1",
     "x1 -> 1", "1 -> x1", "x1 <-> 1", "1 <-> x1", "x1 & x1", "x1 | x1", "x1 -> x1",
     "x1 <-> x1", "~0", "~1", "1^2", "0^2",
+    # Each makes a step that a later fold leaves unread.
+    "(x1 * x2) & 0", "(x1 * x2) -> 1", "(x1 -> x2) <-> (x1 -> x2)",
 ])
 def test_each_law_compiles_to_no_step(text):
     code = program(parse(text))
@@ -144,6 +146,27 @@ def test_equal_subtrees_compile_once_even_as_distinct_objects():
     assert f.left is not f.right
     assert program(f).steps == ((_TNORM, 2, 3),)
     assert program(parse("~x1 | (x1 -> 0)")).steps == ((_NEG, 2, 2),)
+    # The fusion folded away on the left is the one kept on the right.
+    assert program(parse("(x1 * x2 & 0) | x1 * x2")).steps == ((_TNORM, 2, 3),)
+
+
+def test_every_kept_step_is_read_and_fills_the_next_slot():
+    rng = Random(31)
+    with_constants = 0
+    for _ in range(1500):
+        n = rng.randint(0, 3)
+        f = random_formula(rng, n, rng.randint(1, 7))
+        code = program(f)
+        first = len(code.variables) + 2
+        read = {code.result}
+        for slot, (op, a, b) in enumerate(code.steps, first):
+            # A step reads only slots filled before its own.
+            assert 0 <= a < slot and 0 <= b < slot, (f, code)
+            read.update((a, b))
+        assert code.result < first + len(code.steps)
+        assert read >= set(range(first, first + len(code.steps))), (f, code)
+        with_constants += has_constant_leaf(f)
+    assert with_constants >= 1000
 
 
 def test_square_and_fusion_of_a_variable_with_itself_are_kept():
@@ -156,23 +179,25 @@ def test_square_and_fusion_of_a_variable_with_itself_are_kept():
 
 
 def test_unbound_variables_still_fail_after_folding():
-    f = parse("x3 & 0")
-    assert variables(f) == {3}
-    assert program(f).steps == ()
-    chain = NMChain(3)
-    with pytest.raises(EvaluationError, match="x3"):
-        eval_chain(f, chain, {1: chain.top})
-    with pytest.raises(EvaluationError, match="x3"):
-        eval_grid(f, chain, 2)
-    with pytest.raises(EvaluationError, match="x3"):
-        truth_vector(2, Variant.NM, f)
-    with pytest.raises(EvaluationError, match="x3"):
-        eval_standard(f, {1: Fraction(1)})
-    for space in AssignmentSpace:
+    # In the second, x3 is read only by the fusion, a step made and then left unread.
+    for text, names in (("x3 & 0", {3}), ("(x3 * x1) & 0", {1, 3})):
+        f = parse(text)
+        assert variables(f) == names
+        assert program(f).steps == ()
+        chain = NMChain(3)
         with pytest.raises(EvaluationError, match="x3"):
-            count_models(f, 2, space)
-    # Bound, it is the constant it folds to.
-    assert count_models(f, 3, AssignmentSpace.THREE) == 0
+            eval_chain(f, chain, {1: chain.top})
+        with pytest.raises(EvaluationError, match="x3"):
+            eval_grid(f, chain, 2)
+        with pytest.raises(EvaluationError, match="x3"):
+            truth_vector(2, Variant.NM, f)
+        with pytest.raises(EvaluationError, match="x3"):
+            eval_standard(f, {1: Fraction(1)})
+        for space in AssignmentSpace:
+            with pytest.raises(EvaluationError, match="x3"):
+                count_models(f, 2, space)
+        # Bound, it is the constant it folds to.
+        assert count_models(f, 3, AssignmentSpace.THREE) == 0
     k = generic_chain_size(3, Variant.NM_MINUS)
     assert truth_vector(3, Variant.NM_MINUS, parse("x3 | 1")) == (k - 1,) * k**3
 
