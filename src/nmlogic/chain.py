@@ -10,7 +10,8 @@ when ``k`` is odd.  The fusion and the implication are
     x -> y   =  top          if x <= y,  else max(~x, y)
 
 The same two formulas, read over exact rationals in [0, 1], give the
-standard algebra on the unit interval; :func:`eval_standard` evaluates
+standard algebra on the unit interval, of which the chain of size ``k`` is
+the subalgebra ``{0, 1/(k-1), ..., 1}``; :func:`eval_standard` evaluates
 formulas there using :class:`fractions.Fraction`, never floats.
 
 On index arrays both are branch-free masks, ``min(x, y) * (x > top - y)``
@@ -33,14 +34,13 @@ evaluates in.  None of the algebras tests for constant operands: all of
 them go through :func:`nmlogic.formula.evaluate`, which runs each
 formula's compiled :func:`nmlogic.formula.program`, and the compile has
 already folded away every step with a constant or repeated operand and
-dropped every step the result does not read (on the 2,000 ``grid_eval``
-benchmark formulas of seed 61, 13,698 of the 44,740 steps as written are
-kept), for the scalar, exact and grid routes at once.  So a grid connective
-always gets arrays, and a negation is one ``top - a``.  The scalar algebra
-and ``STANDARD`` stay the plain bodies the grid route is checked against.
-Each algebra, and each :class:`NMChain`, holds the tuple of connectives
-that :func:`nmlogic.formula.evaluate` reads, made once with it by
-:func:`nmlogic.formula.with_connectives`.
+dropped every step the result does not read, for the scalar, exact and grid
+routes at once.  So a grid connective always gets arrays, and a negation is
+one ``top - a``.  The scalar algebra and ``STANDARD`` stay the plain bodies
+the grid route is checked against.  Each algebra holds the tuple of
+connectives that :func:`nmlogic.formula.evaluate` reads, made once with it
+by :func:`nmlogic.formula.with_connectives`; a chain is not one of them, and
+its scalar route is :func:`eval_chain`.
 :func:`grid_coordinates` owns the grid order and the index dtype (uint8 up
 to 256 elements), and :func:`grid_points` refuses grids above
 ``MAX_GRID_POINTS`` before anything is allocated.
@@ -105,7 +105,6 @@ class NMChain:
         self.bottom = self.value(0)  # raises ValueError for size < 2
         self.top = self.value(size - 1)
         self._ops = _index_algebra(size - 1)
-        with_connectives(self)  # evaluate also runs in the chain itself
 
     @functools.cached_property
     def _grid_ops(self) -> SimpleNamespace:

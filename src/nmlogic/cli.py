@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import filters as flt
 from . import formula as fm
 from . import models, valuations
-from .chain import EvaluationError, NMChain, eval_chain, eval_standard
+from .chain import EvaluationError, eval_standard
 from .free_algebra import (
     DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, build, is_tautology, proves,
 )
@@ -81,17 +81,13 @@ def _answer(yes: bool) -> tuple[str, int]:
 def _cmd_eval(args) -> tuple[str, int]:
     f = fm.parse(args.formula)
     env = _bindings(args.assign)
-    if args.chain is None:
-        return f"{eval_standard(f, env)}\n", 0
-    chain = NMChain(args.chain)  # not shared, which would keep the values of an arbitrary size
-    top = chain.size - 1
-    values = {}
-    for var, frac in env.items():
-        scaled = frac * top
-        if scaled.denominator != 1 or not 0 <= scaled <= top:
-            raise ValueError(f"x{var} = {frac} is not an element of the {chain.size}-chain")
-        values[var] = chain.value(int(scaled))
-    return f"{eval_chain(f, chain, values).as_fraction}\n", 0
+    if args.chain is not None:  # the K-chain is {0, 1/(K-1), ..., 1} inside [0, 1]
+        if args.chain < 2:
+            raise ValueError(f"chain size must be >= 2, got {args.chain}")
+        for var, frac in env.items():
+            if (frac * (args.chain - 1)).denominator != 1 or not 0 <= frac <= 1:
+                raise ValueError(f"x{var} = {frac} is not an element of the {args.chain}-chain")
+    return f"{eval_standard(f, env)}\n", 0
 
 
 def _cmd_chi(args) -> tuple[str, int]:

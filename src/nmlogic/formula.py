@@ -248,7 +248,8 @@ def parse(text: str) -> Formula:
 
 def format_formula(f: Formula) -> str:
     """Render ``f`` with the fewest parentheses that still reparse to ``f``;
-    ``TypeError`` on a node that is not a formula."""
+    ``TypeError`` on a node that is not a formula, dispatching on the exact
+    node type as :func:`program` does, so a subclass of a node is refused."""
     out: list[str] = []
     # Text still to emit, or a (node, minimum level) still to render; last first.
     stack: list = [(f, 0)]
@@ -258,18 +259,19 @@ def format_formula(f: Formula) -> str:
             out.append(item)
             continue
         node, minimum = item
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is Var:
             level, parts = _LEVEL_ATOM, [f"x{node.index}"]
-        elif isinstance(node, Bot):
+        elif kind is Bot:
             level, parts = _LEVEL_ATOM, ["0"]
-        elif isinstance(node, Top):
+        elif kind is Top:
             level, parts = _LEVEL_ATOM, ["1"]
-        elif isinstance(node, Not):
+        elif kind is Not:
             level, parts = _LEVEL_NOT, ["~", (node.child, _LEVEL_NOT)]
-        elif isinstance(node, Square):
+        elif kind is Square:
             level, parts = _LEVEL_SQUARE, [(node.child, _LEVEL_SQUARE), "^2"]
-        elif type(node) in _BINARY:
-            symbol, level, right_assoc = _BINARY[type(node)]
+        elif kind in _BINARY:
+            symbol, level, right_assoc = _BINARY[kind]
             # The side a connective associates to may hold its own level.
             left, right = (level + 1, level) if right_assoc else (level, level + 1)
             parts = [(node.left, left), f" {symbol} ", (node.right, right)]

@@ -240,11 +240,19 @@ def test_eval_standard_examples():
     # and the final conjunct cannot raise it: exact value 0 (in particular < 1).
     assert eval_standard(ALPHA, {1: Fraction(3, 4)}) == 0
     assert eval_standard(parse("1"), {}) == 1
+    # Values that are not Fractions yet are read exactly.
+    for value, negation in ((1, 0), ("2/3", Fraction(1, 3)), (0.75, Fraction(1, 4))):
+        for text, want in (("x1", 1 - negation), ("~x1", negation)):
+            got = eval_standard(parse(text), {1: value})
+            assert (type(got), got) == (Fraction, want)
 
 
 def test_eval_standard_rejects_out_of_range():
     with pytest.raises(EvaluationError):
         eval_standard(parse("x1"), {1: Fraction(5, 4)})
+    for value in (1.5, "-1/2"):
+        with pytest.raises(EvaluationError, match="outside"):
+            eval_standard(parse("x1"), {1: value})
 
 
 def test_alpha_never_true_on_standard_samples():

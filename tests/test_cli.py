@@ -1,18 +1,21 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
 import subprocess
 import sys
 import time
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_formula import formulas
 
-from nmlogic import FreeAlgebra, format_formula
+from nmlogic import FreeAlgebra, NMChain, eval_chain, format_formula, random_formula
 from nmlogic.cli import _make_parser, main
+from nmlogic.formula import program
 
 LONG_INDEX = "x" + "9" * 5000
 
@@ -49,6 +52,30 @@ def test_eval_value_not_on_chain(capsys):
     code, _, err = run(capsys, "eval", "x1", "--chain", "3", "--assign", "x1=1/3")
     assert code == 3
     assert "3-chain" in err
+    for k in ("1", "0", "-1"):
+        code, out, err = run(capsys, "eval", "x1", "--chain", k, "--assign", "x1=0")
+        assert (code, out) == (3, "")
+        assert f"chain size must be >= 2, got {k}" in err
+
+
+def test_eval_chain_agrees_with_scalar_chain_evaluation(capsys):
+    # eval --chain K answers on [0, 1]; eval_chain, on the chain's own
+    # indices, is the independent route it is checked against.
+    rng = Random(32)
+    drawn = (random_formula(rng, 2, 4) for _ in range(100))
+    # Formulas that fold to a constant or a variable would test little.
+    kept = [f for f in drawn if len(program(f).steps) >= 3][:4]
+    assert len(kept) == 4
+    for f in kept:
+        text = format_formula(f)
+        for k in range(2, 10):
+            chain = NMChain(k)
+            for x1 in chain.values():
+                for x2 in chain.values():
+                    want = eval_chain(f, chain, {1: x1, 2: x2}).as_fraction
+                    got = run(capsys, "eval", text, "--chain", str(k), "--assign",
+                              f"x1={x1.as_fraction},x2={x2.as_fraction}")
+                    assert got == (0, f"{want}\n", ""), (text, k, x1, x2)
 
 
 def test_eval_parse_error(capsys):
@@ -228,6 +255,9 @@ def test_malformed_binding(capsys):
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "") and "exponent notation" in err
     assert run(capsys, "eval", "x1", "--assign", "x1=0.25")[:2] == (0, "1/4\n")
+    assert run(capsys, "eval", "x1", "--assign", "x1=1/2,,") == (0, "1/2\n", "")
+    code, out, err = run(capsys, "eval", "x1", "--assign", "x0=1")
+    assert (code, out) == (3, "") and "variable index must be >= 1" in err
     # More digits than int() converts, a digit that is not decimal and a zero
     # denominator, which names the binding rather than Fraction's error text.
     for binding, reason in ((f"{LONG_INDEX}=1", "too long"), ("x\u00b2=1", "expected xN"),
@@ -394,3 +424,69 @@ def test_cli_fuzz_ends_in_an_exit_code(argv, tmp_path):
     assert code in range(5)
     assert time.perf_counter() - start < 5.0
     assert len(err.getvalue().encode()) < 400
+
+
+# The sha256 of each one-generator output, as the CI workflow pins them.
+PINNED_SHA256 = {
+    "export --vars 1":
+        "50e375bb1cd4db4acb6eabd2948024c222b43f60ab154ad649cf1a44860a68fa",
+    "export --vars 1 --variant nm-":
+        "1ff35733a772c8f73f2e6bfa36cb194207e1550d843aa0307ea3506c65704bc6",
+    "export --vars 1 --format dot":
+        "7489b57a1522f956721817eabebb400aaaf43cfac1ab5356955eaa43e31d0431",
+    "export --vars 1 --variant nm- --format dot":
+        "793c9b3eef57fb6c7aaab085a17606916b9d6edb7a9825f4e220a8a374a0cd7a",
+    "filters --vars 1":
+        "2786c99eec102a41a07fc0a610da693cb112d7ecb075492968a493f9587b792f",
+    "filters --vars 1 --variant nm-":
+        "e6969d271fba634fd9fb37bab80b15d94d2a8878270967dcb6ab72690a407521",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_SHA256)
+def test_one_generator_outputs_keep_their_pinned_hashes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[command]
+
+
+def test_three_variable_requests_keep_their_pinned_outputs(capsys):
+    got = []
+    for f in ("x1 | x2 | x3", "(x1 -> x2) & (x2 -> x3)", "x1 <-> ~x2", "~(x1 * x2) | x3^2"):
+        counts = [run(capsys, "count-models", f, "--vars", "3", "--values", v)
+                  for v in ("3", "2")]
+        assert [code for code, _, _ in counts] == [0, 0]
+        got.append(f"{f}: {counts[0][1].strip()} {counts[1][1].strip()}")
+    for variant in ("nm", "nm-"):
+        for f in ("x1 * x2 -> x1 & x2", "x1 | ~x1", "~(x3 * ~x3)", "(x1 -> x2) | (x2 -> x3)"):
+            code, out, _ = run(capsys, "tautology", f, "--vars", "3", "--variant", variant)
+            got.append(f"{variant} {f}: {out.strip()} {code}")
+    for premise, conclusion in (("x1 & x2", "x1"), ("x1", "x1 & x2"), ("x1 * x2", "x1 | x3"),
+                                ("x1 -> x2", "x1")):
+        code, out, _ = run(capsys, "proves", premise, conclusion, "--vars", "3")
+        got.append(f"{premise}|{conclusion}: {out.strip()} {code}")
+    for f, values in (("x1 -> x2 & ~x3", ("3/8", "1/2", "5/8")),
+                      ("(x1 <-> x2) | x3^2", ("1/3", "2/3", "3/4"))):
+        bindings = [arg for i, v in enumerate(values, 1) for arg in ("--assign", f"x{i}={v}")]
+        code, out, _ = run(capsys, "eval", f, "--standard", *bindings)
+        assert code == 0
+        got.append(out.strip())
+    assert got == """\
+x1 | x2 | x3: 19 7
+(x1 -> x2) & (x2 -> x3): 10 4
+x1 <-> ~x2: 9 4
+~(x1 * x2) | x3^2: 21 7
+nm x1 * x2 -> x1 & x2: yes 0
+nm x1 | ~x1: no 1
+nm ~(x3 * ~x3): yes 0
+nm (x1 -> x2) | (x2 -> x3): no 1
+nm- x1 * x2 -> x1 & x2: yes 0
+nm- x1 | ~x1: no 1
+nm- ~(x3 * ~x3): yes 0
+nm- (x1 -> x2) | (x2 -> x3): no 1
+x1 & x2|x1: yes 0
+x1|x1 & x2: no 1
+x1 * x2|x1 | x3: yes 0
+x1 -> x2|x1: no 1
+1
+3/4""".splitlines()

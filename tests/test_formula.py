@@ -31,7 +31,7 @@ from nmlogic import (
     random_formula,
     variables,
 )
-from nmlogic.formula import _NEG, _RESIDUUM, _TNORM, Program, evaluate, program, subformulas
+from nmlogic.formula import _NEG, _RESIDUUM, _TNORM, Program, program, subformulas
 
 
 def formulas(max_vars=3, max_leaves=25):
@@ -222,22 +222,29 @@ def test_top_is_sugar_for_implication_from_bot():
 
 
 def test_evaluate_rejects_a_node_that_is_not_a_formula():
+    class V(Var):
+        pass
+
+    class A(And):
+        pass
+
     chain = NMChain(3)
     good = Not(Var(1))
-    for f in (And(Var(1), "x1"), Not(None), 1, None):
+    # Every walk dispatches on the exact node type, so subclasses are refused too.
+    for f in (And(Var(1), "x1"), Not(None), 1, None, V(1), A(Var(1), Var(2)), Not(V(1))):
         # A compiled formula in the memo does not let a bad one through.
-        assert evaluate(good, chain, {1: chain.top}) == chain.bottom
+        assert eval_chain(good, chain, {1: chain.top}) == chain.bottom
         with pytest.raises(TypeError):
             program(f)
         with pytest.raises(TypeError):
-            evaluate(f, chain, {1: chain.top})
+            eval_chain(f, chain, {1: chain.top})
         with pytest.raises(TypeError):
             desugar(f)
         with pytest.raises(TypeError):
             format_formula(f)
         with pytest.raises(TypeError):
             variables(f)
-        assert evaluate(good, chain, {1: chain.bottom}) == chain.top
+        assert eval_chain(good, chain, {1: chain.bottom}) == chain.top
 
 
 def test_program_is_flat_and_shares_repeated_subtrees():
@@ -375,7 +382,7 @@ def test_walks_handle_formulas_nested_5000_deep():
         conjunction, negation = And(conjunction, Var(1)), Not(negation)
     chain = NMChain(5)
     for x in chain.values():
-        assert evaluate(conjunction, chain, {1: x}) == x
+        assert eval_chain(conjunction, chain, {1: x}) == x
         assert eval_chain(negation, chain, {1: x}) == x
         assert eval_chain(desugar(negation), chain, {1: x}) == x
     core = desugar(negation)
