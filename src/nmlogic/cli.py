@@ -5,6 +5,12 @@ deterministic: identical arguments produce byte-identical output.
 Handlers return their text and exit code; :func:`main` alone writes the
 text, to stdout or to the ``--out`` path of ``export`` and ``filters``.
 
+Arguments are parsed once: when ``argv[0]`` names a command, :func:`main`
+hands the rest of ``argv`` straight to that command's own parser. The
+top-level parser answers only a top-level ``-h`` and a missing or unknown
+command, so a usage error prints the command's usage line
+(``nmlogic chi: error: ...``).
+
 Exit codes: 0 success or affirmative answer, 1 negative answer,
 2 parse error, 3 semantic error or unwritable output, 4 element cap exceeded.
 """
@@ -176,7 +182,7 @@ def _make_parser() -> argparse.ArgumentParser:
          "formula", "conclusion"),
     ):
         sub[name] = subs.add_parser(name, help=summary)
-        sub[name].set_defaults(func=func)
+        sub[name].set_defaults(func=func, command=name)
         for positional in positionals:
             sub[name].add_argument(positional)
 
@@ -188,26 +194,30 @@ def _make_parser() -> argparse.ArgumentParser:
     sub["eval"].add_argument("--assign", action="append", default=[], metavar="xN=Q",
                              help="variable binding: an integer, p/q or a plain decimal, "
                                   "e.g. x1=1/2; repeatable")
-    sub["count-models"].add_argument("--vars", type=int, required=True)
-    sub["count-models"].add_argument("--values", type=int, choices=[3, 2], default=3,
-                                     help="assignment values: 3 for {0,1/2,1}, 2 for {0,1}")
     algebra_commands = ("chi", "chi-plus", "build", "export", "filters")
-    for name in algebra_commands + ("tautology", "proves"):
+    for name in algebra_commands + ("count-models", "tautology", "proves"):
         sub[name].add_argument("--vars", type=int, required=True,
                                help="number of generators")
-        sub[name].add_argument("--variant", choices=["nm", "nm-"], default="nm")
+        if name != "count-models":
+            sub[name].add_argument("--variant", choices=["nm", "nm-"], default="nm")
+    sub["count-models"].add_argument("--values", type=int, choices=[3, 2], default=3,
+                                     help="assignment values: 3 for {0,1/2,1}, 2 for {0,1}")
     for name in algebra_commands:
         sub[name].add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
                                help="abort if the closure exceeds this many elements")
     sub["export"].add_argument("--format", choices=["json", "dot"], default="json")
     for name in ("export", "filters"):
         sub[name].add_argument("--out", help="output path (default: stdout)")
+    parser.commands = subs.choices  # name -> that command's parser, for main's dispatch
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _make_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _make_parser().parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_formula import formulas
 
-from nmlogic import FreeAlgebra, NMChain, eval_chain, format_formula, random_formula
-from nmlogic.cli import _make_parser, main
+from nmlogic import FreeAlgebra, NMChain, cli, eval_chain, format_formula, random_formula
+from nmlogic.cli import MAX_MESSAGE, _make_parser, main
 from nmlogic.formula import program
 
 LONG_INDEX = "x" + "9" * 5000
@@ -317,6 +318,119 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert run(capsys, "eval", "x1", "--assign", "x1=1")[:2] == (0, "1\n")
 
 
+def _spy_on_parsing(monkeypatch):
+    """Record (prog, namespace) per parse_known_args call; None if it exits."""
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        calls.append((self.prog, None))
+        index = len(calls) - 1
+        result = real(self, args, namespace)
+        calls[index] = (self.prog, result[0])
+        return result
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return calls
+
+
+# Valid requests in every form argparse accepts: --opt=value, unique-prefix
+# abbreviations, options before the positionals, repeated --assign and "--".
+_VALID_ARGV = [
+    ["eval", "x1", "--assign", "x1=1/2"],
+    ["eval", "--chain=4", "x1 & x2", "--assign", "x1=1/3", "--assign=x2=1"],
+    ["eval", "x1 -> x2", "--ass", "x1=1/2", "--assign", "x2=1/4,x1=1", "--stan"],
+    ["eval", "--assign", "x1=0", "--", "x1"],
+    ["chi", "x1", "--vars", "1"],
+    ["chi", "--vars=1", "--variant=nm-", "x1 | ~x1"],
+    ["chi-plus", "--ca", "500", "--vari", "nm-", "1", "--vars", "1"],
+    ["count-models", "x1 | ~x1", "--vars", "1", "--val", "2"],
+    ["count-models", "--vars=2", "x1 -> x2"],
+    ["build", "--vars=1", "--vari", "nm-"],
+    ["build", "--cap=60", "--vars", "1"],
+    ["export", "--vars", "1", "--form", "dot"],
+    ["export", "--format=json", "--vars", "0", "--variant", "nm-"],
+    ["filters", "--vari", "nm-", "--vars", "1"],
+    ["tautology", "--vars", "1", "x1 | ~x1"],
+    ["proves", "--vars", "1", "x1 & ~x1", "0"],
+    ["proves", "x1", "--vari=nm", "x1 | x2", "--vars", "2"],
+]
+
+
+def test_each_request_is_parsed_once(capsys, monkeypatch):
+    calls = _spy_on_parsing(monkeypatch)
+    assert {argv[0] for argv in _VALID_ARGV} == set(_FORMULA_ARGS)
+    for argv in _VALID_ARGV:
+        calls.clear()
+        assert main(argv) in (0, 1), argv
+        assert [prog for prog, _ in calls] == [f"nmlogic {argv[0]}"], argv
+    capsys.readouterr()
+
+
+def test_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch):
+    want = {tuple(argv): vars(_make_parser().parse_args(argv)) for argv in _VALID_ARGV}
+    calls = _spy_on_parsing(monkeypatch)
+    for argv in _VALID_ARGV:
+        calls.clear()
+        main(argv)
+        assert vars(calls[-1][1]) == want[tuple(argv)], argv
+        assert want[tuple(argv)]["command"] == argv[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, prog, fault", [
+    (["chi", "x1", "--vars", "1", "--bogus"], "nmlogic chi",
+     "unrecognized arguments: --bogus"),
+    (["build", "--vari", "nm-"], "nmlogic build", "the following arguments are required: --vars"),
+    (["export", "--vars", "1", "--format", "svg"], "nmlogic export",
+     "argument --format: invalid choice: 'svg'"),
+    (["count-models", "x1", "--vars", "one"], "nmlogic count-models",
+     "argument --vars: invalid int value: 'one'"),
+    (["tautology", "x1", "--var", "1"], "nmlogic tautology",
+     "ambiguous option: --var could match --vars, --variant"),
+    (["proves", "x1", "--vars", "1"], "nmlogic proves",
+     "the following arguments are required: conclusion"),
+    (["bogus", "--vars", "1"], "nmlogic", "argument command: invalid choice: 'bogus'"),
+    ([], "nmlogic", "the following arguments are required: command"),
+])
+def test_usage_errors_name_the_fault_under_the_commands_usage(capsys, argv, prog, fault):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} ")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"{prog}: error: {fault}")
+    assert len(last.split(": error: ", 1)[1].encode()) <= MAX_MESSAGE
+    # The top-level parser, which parses the whole argv, names the same fault.
+    with contextlib.redirect_stderr(io.StringIO()) as top, pytest.raises(SystemExit) as exit_:
+        _make_parser().parse_args(argv)
+    assert exit_.value.code == 2
+    assert top.getvalue().splitlines()[-1].split(": error: ", 1)[1] == last.split(": error: ", 1)[1]
+
+
+def test_top_level_help_lists_every_command(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "") and out.startswith("usage: nmlogic [-h]")
+        for name in _FORMULA_ARGS:
+            assert re.search(rf"^    {re.escape(name)}\s", out, re.M), name
+
+
+def test_main_and_run_read_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["nmlogic", "chi-plus", "1", "--vars", "1"])
+    assert main() == 0
+    assert capsys.readouterr().out == "3\n"
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 0 and capsys.readouterr().out == "3\n"
+    monkeypatch.setattr(sys, "argv", ["nmlogic", "tautology", "x1 | ~x1", "--vars", "1"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 1 and capsys.readouterr().out == "no\n"
+    monkeypatch.setattr(sys, "argv", ["nmlogic"])
+    assert main() == 2
+    assert "required: command" in capsys.readouterr().err
+
+
 _ALGEBRA_OPTIONS = {"--vars", "--variant", "--cap"}
 _OPTIONS = {
     "eval": {"--chain", "--standard", "--assign"},
@@ -337,8 +451,8 @@ def test_help_lists_each_subcommands_options(capsys):
         code, out, _ = run(capsys, command, "-h")
         assert code == 0
         assert set(re.findall(r"(?<![\w-])--\w[\w-]*", out)) == options | {"--help"}
-        # The seven grid and algebra commands share one --vars declaration.
-        if "--variant" in options:
+        # The eight grid and algebra commands share one --vars declaration.
+        if "--vars" in options:
             assert re.search(r"--vars VARS\s+number of generators", out), command
 
 
