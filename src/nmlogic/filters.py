@@ -131,15 +131,16 @@ def quotient_by_maximal(algebra: FreeAlgebra, filt: Filter) -> QuotientChain:
     grid projection and is the positive set of that point's chain; the
     quotient is that chain's own, by the sign of each value there (below,
     at or above the negation fixpoint), so it has two or three classes.
-    ``ValueError`` for a non-maximal filter, ``KeyError`` for an unclosed
-    algebra (closure is checked unless :func:`nmlogic.free_algebra.build`
-    made the algebra), ``RuntimeError`` if the filter is no point's
-    positive set.
+    ``ValueError`` for a non-maximal filter, a generator out of range
+    included, or one that is not its generator's upper set, ``KeyError``
+    for an unclosed algebra (closure is checked unless
+    :func:`nmlogic.free_algebra.build` made the algebra), ``RuntimeError``
+    if the filter is no point's positive set.
     """
-    if principal_upset(algebra, filt.generator) != filt.elements:
-        raise ValueError("filter elements do not match the generator's upper set")
     if filt.generator not in algebra.minimal_idempotent_ji_ids:
         raise ValueError("filter is not maximal")
+    if principal_upset(algebra, filt.generator) != filt.elements:
+        raise ValueError("filter elements do not match the generator's upper set")
     if not algebra._built:
         algebra.check_closed()
 

@@ -54,8 +54,8 @@ int32 array indexed by code, -1 where no element has that code; below
 ``_HASHED_CODES``, where codes fit int64 (nm's factor rows), a key is the
 code and the ids a vectorised open-addressing hash table, :class:`_CodeMap`,
 whose lookups and inserts share one probe that settles most codes at their
-home slot in one pass, and which grows at most once, straight to the slots
-of the closure's cap, within ``MAX_TABLE_BYTES``; above that (vectors from
+home slot in one pass, and which is sized once for the closure's cap,
+within ``MAX_TABLE_BYTES``, before the first pair; above that (vectors from
 two generators on) a key is the row's bytes and the ids a dict.  Each way a
 slab is looked up, deduplicated and added in a few array calls.
 """
@@ -92,6 +92,9 @@ MAX_CLOSURE_PAIRS = 1 << 26
 
 _SLAB = 2048
 
+# The element cap of a sign-block factor closure (at most 36 elements): 4096 hash slots.
+_FACTOR_CAP = 1 << 10
+
 # Bytes of one block of leq_matrix's column comparisons, when N**2 is below it.
 _ORDER_BLOCK_BYTES = 1 << 20
 
@@ -101,8 +104,7 @@ _ORDER_BLOCK_BYTES = 1 << 20
 _DENSE_CODES = 1 << 21
 _HASHED_CODES = 1 << 63
 
-# A hash table's first slot count and the odd multiplier of its Fibonacci hash.
-_HASH_SLOTS = 1 << 12
+# The odd multiplier of a hash table's Fibonacci hash.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _OP_TAGS = ("meet", "join", "tnorm", "imp")
@@ -176,13 +178,13 @@ class _CodeMap:
 
     A vectorised open-addressing table with linear probing: a code's probe
     sequence starts at its Fibonacci hash, the top bits of the uint64 product
-    ``code * _GOLDEN``, which wraps by design.  The slots, ``_HASH_SLOTS`` at
-    first, grow once they would be over a quarter full, straight to the least
-    power of two that is at least four times ``capacity`` (or the codes held,
-    if more), which keeps probe runs short; a closure's map, sized by its
-    element cap, so rehashes at most once, and one that stays small never
-    leaves its first slots.  Slots take 12 bytes each; a growth past
-    ``MAX_TABLE_BYTES`` raises ``ValueError`` before it allocates anything.
+    ``code * _GOLDEN``, which wraps by design.  The slots are allocated once,
+    at construction: the least power of two that is at least four times
+    ``capacity``, the most codes the map will hold, so it is never over a
+    quarter full and probe runs stay short.  Slots take 12 bytes each; slots
+    past ``MAX_TABLE_BYTES`` raise ``ValueError`` before anything is
+    allocated, so a closure's map fails before its first pair.  A closure
+    sizes its map by its element cap, a sign-block factor's by ``_FACTOR_CAP``.
     ``m[codes]`` is -1 where a code is missing; ``m[codes] = ids`` writes
     distinct missing codes each at its slot and probes again for those that
     lost a slot to another.  Both share one probe, :meth:`_slots`, which reads
@@ -191,23 +193,23 @@ class _CodeMap:
     """
 
     def __init__(self, capacity: int):
-        self._codes = np.full(_HASH_SLOTS, -1, dtype=np.int64)
-        self._ids = np.empty(_HASH_SLOTS, dtype=np.int32)
-        self._count = 0
-        self._capacity = capacity
+        size = 1 << (4 * capacity - 1).bit_length()
+        _check_bytes(12 * size, f"hash table of {size} slots")
+        self._codes = np.full(size, -1, dtype=np.int64)
+        self._ids = np.empty(size, dtype=np.int32)
+        self._shift, self._mask = np.uint64(65 - size.bit_length()), size - 1
 
     def _home(self, codes: np.ndarray) -> np.ndarray:
-        shift = 65 - len(self._codes).bit_length()
-        return ((codes.view(np.uint64) * _GOLDEN) >> np.uint64(shift)).astype(np.intp)
+        return ((codes.view(np.uint64) * _GOLDEN) >> self._shift).astype(np.intp)
 
     def _slots(self, codes: np.ndarray) -> np.ndarray:
         """Each code's slot: the one holding it, else the empty slot ending its probe run."""
-        slot, mask = self._home(codes), len(self._codes) - 1
+        slot = self._home(codes)
         held = self._codes[slot]
         todo = np.flatnonzero((held != codes) & (held >= 0))
         codes, at = codes[todo], slot[todo]
         while todo.size:
-            slot[todo] = at = (at + 1) & mask
+            slot[todo] = at = (at + 1) & self._mask
             held = self._codes[at]
             go = (held != codes) & (held >= 0)
             codes, todo, at = codes[go], todo[go], at[go]
@@ -218,16 +220,6 @@ class _CodeMap:
         return np.where(self._codes[slot] == codes, self._ids[slot], -1)
 
     def __setitem__(self, codes: np.ndarray, ids: np.ndarray) -> None:
-        count = self._count + len(codes)
-        if 4 * count > len(self._codes):
-            size = 1 << (4 * max(count, self._capacity) - 1).bit_length()
-            _check_bytes(12 * size, f"hash table of {size} slots")
-            held = self._codes >= 0
-            codes = np.concatenate((self._codes[held], codes))
-            ids = np.concatenate((self._ids[held], ids))
-            self._codes = np.full(size, -1, dtype=np.int64)
-            self._ids = np.empty(size, dtype=np.int32)
-        self._count = count
         while codes.size:
             slot = self._slots(codes)
             self._codes[slot] = codes
@@ -694,7 +686,7 @@ def build(
 
     A grid over ``MAX_GRID_POINTS``, or ``element_cap`` vectors over
     ``MAX_TABLE_BYTES``, raises ``ValueError`` first, before anything is
-    allocated, as does a hashed table's growth to slots past it.  Then the
+    allocated, as does a hashed table whose slots would pass it.  Then the
     grid rows of bottom, top and ``x1..xn`` seed :func:`_close`, or at ``n =
     2`` :func:`_close_blocks` over their sign-block factors, and their records
     and the closure's triples become provenance.  The result is identical
@@ -766,7 +758,7 @@ def _close_rows(seeds: np.ndarray, ops, radices: Sequence[int], element_cap: int
     rounds past ``MAX_CLOSURE_PAIRS`` raises ``ValueError`` before any lookup.
     """
     if len(seeds) > element_cap:
-        raise ElementCapExceeded(element_cap + 1, element_cap)
+        raise ElementCapExceeded(len(seeds), element_cap)
     table = _Table(radices, element_cap)
     table.add(table.keys(seeds), 0)
     snapshot, previous, walked, made = seeds, 0, 0, [np.empty((3, 0), dtype=np.int32)]
@@ -808,15 +800,16 @@ class _Factors(NamedTuple):
 def _factors(seeds: np.ndarray, k: int, n: int) -> _Factors:
     """The sign-block factors of the closure of the ``n``-variable grid rows ``seeds``.
 
-    Factor ``b`` is the :func:`_close` of the seeds projected onto block
-    ``b``'s columns, and its op table the :func:`_pair_ids` walk of its closure's table.
+    Factor ``b`` is the :func:`_close`, capped at ``_FACTOR_CAP``, of the seeds
+    projected onto block ``b``'s columns, and its op table the :func:`_pair_ids`
+    walk of its closure's table.
     """
     blocks = sign_blocks(k, n)
     ops = functools.partial(_connectives, k - 1)
     vectors, tables, seed_ids = [], [], []
     for cols in blocks:
         projected, inverse = np.unique(seeds[:, cols], axis=0, return_inverse=True)
-        factor, table, _ = _close(projected, k, DEFAULT_ELEMENT_CAP)
+        factor, table, _ = _close(projected, k, _FACTOR_CAP)
         vectors.append(factor)
         tables.append(_pair_ids(ops, factor, table))
         seed_ids.append(inverse)

@@ -279,3 +279,11 @@ def test_quotient_rejects_inconsistent_filter(nmm1):
     bogus = Filter(frozenset({nmm1.top_id}), g)
     with pytest.raises(ValueError):
         quotient_by_maximal(nmm1, bogus)
+
+
+@pytest.mark.parametrize("generator", [-1, "size", 10**6])
+def test_quotient_rejects_an_out_of_range_generator(nm1, generator):
+    generator = nm1.size if generator == "size" else generator
+    for elements in (frozenset(), frozenset({nm1.top_id})):
+        with pytest.raises(ValueError, match="not maximal"):
+            quotient_by_maximal(nm1, Filter(elements, generator))

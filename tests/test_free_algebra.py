@@ -20,7 +20,7 @@ from nmlogic import (
     truth_vector,
 )
 from nmlogic import free_algebra
-from nmlogic.chain import grid_coordinates, residuum_block, tnorm_block
+from nmlogic.chain import grid_coordinates, residuum_block, sign_blocks, tnorm_block
 from nmlogic.formula import (BOT, TOP, And, EvaluationError, Implies, Not, Or, Square, Strong,
                              Var, random_formula)
 
@@ -355,29 +355,30 @@ def test_two_generator_cap_errors_match_the_direct_route(variant):
             with pytest.raises(ElementCapExceeded) as err:
                 close()
             errors.append((err.value.attained, err.value.cap, str(err.value)))
-        assert errors[0] == errors[1] == (cap + 1, cap, str(ElementCapExceeded(cap + 1, cap)))
+        # Four seeds past the cap are reported as such; a slab past it as cap + 1.
+        attained = max(cap + 1, 4)
+        assert errors[0] == errors[1] == (attained, cap, str(ElementCapExceeded(attained, cap)))
 
 
-def test_code_map_matches_a_dict(monkeypatch):
-    # A 36-element factor closure, made with the default cap, stays in its first slots.
+def test_code_map_matches_a_dict():
+    # A 36-element factor closure, capped at _FACTOR_CAP, takes 4096 slots.
     k = generic_chain_size(2, Variant.NM)
     cols = free_algebra._grid_factors(k, 2).blocks[0]
     seeds = np.ascontiguousarray(np.unique(free_algebra._grid_seeds(k, 2)[:, cols], axis=0))
-    factor, table, _ = free_algebra._close(seeds, k, free_algebra.DEFAULT_ELEMENT_CAP)
+    factor, table, _ = free_algebra._close(seeds, k, free_algebra._FACTOR_CAP)
     assert len(factor) == 36 and isinstance(table._ids, free_algebra._CodeMap)
-    assert len(table._ids._codes) == free_algebra._HASH_SLOTS
+    assert len(table._ids._codes) == 4096
 
-    # Two first slots force collisions.  A map sized for the 2003 codes held or
-    # more jumps once, straight to the slots of its capacity; one sized for a
-    # single code doubles as it fills.  Codes whose home is the last slot force
-    # probe runs that wrap to slot 0: three of them held, three or more missing.
-    monkeypatch.setattr(free_algebra, "_HASH_SLOTS", 2)
+    # A map sized for the 2003 codes held, or more, takes the slots of its
+    # capacity at construction and keeps them.  Codes whose home is the last
+    # slot force probe runs that wrap to slot 0: three of them held, three or
+    # more missing.
     rng = np.random.default_rng(18)
     drawn = np.unique(np.concatenate((rng.integers(0, 2**63 - 1, 3000, dtype=np.int64),
                                       [0, 1, 2**63 - 1])))
     spare = rng.integers(0, 2**63 - 1, 1_000_000, dtype=np.int64)
-    for capacity in (1, 2003, 5000):
-        size = 1 << (4 * max(capacity, 2003) - 1).bit_length()
+    for capacity in (2003, 5000):
+        size = 1 << (4 * capacity - 1).bit_length()
 
         def homed_last(c):
             shift = np.uint64(65 - size.bit_length())
@@ -413,17 +414,14 @@ def test_code_map_matches_a_dict(monkeypatch):
             assert (table._codes[table._slots(absent)] == -1).all()
             assert (table._codes[table._slots(wrapping)]
                     == np.concatenate((wrapping[:3], [-1] * 3))).all()
-        if capacity > 1:
-            assert slots == [2] + [size] * 7
-            # Alone in a map, three codes homed at the last slot wrap to slots 0 and 1.
-            wrapped = free_algebra._CodeMap(capacity)
-            wrapped[wrapping[:3]] = np.arange(3, dtype=np.int32)
-            assert np.flatnonzero(wrapped._codes >= 0).tolist() == [0, 1, size - 1]
-            assert wrapped[wrapping].tolist() == [0, 1, 2, -1, -1, -1]
-            assert sorted(wrapped._slots(wrapping[:3]).tolist()) == [0, 1, size - 1]
-            assert wrapped._slots(wrapping[3:]).tolist() == [2, 2, 2]
-        else:
-            assert len(set(slots)) >= 4 and slots[-1] == size
+        assert slots == [size] * 8
+        # Alone in a map, three codes homed at the last slot wrap to slots 0 and 1.
+        wrapped = free_algebra._CodeMap(capacity)
+        wrapped[wrapping[:3]] = np.arange(3, dtype=np.int32)
+        assert np.flatnonzero(wrapped._codes >= 0).tolist() == [0, 1, size - 1]
+        assert wrapped[wrapping].tolist() == [0, 1, 2, -1, -1, -1]
+        assert sorted(wrapped._slots(wrapping[:3]).tolist()) == [0, 1, size - 1]
+        assert wrapped._slots(wrapping[3:]).tolist() == [2, 2, 2]
         assert table._home(wrapping).tolist() == [size - 1] * 6
         assert table[wrapping].tolist() == [reference[c] for c in wrapping[:3].tolist()] + [-1] * 3
         assert table[absent].tolist() == [-1] * len(absent)
@@ -432,29 +430,63 @@ def test_code_map_matches_a_dict(monkeypatch):
 def test_hash_table_slots_count_against_the_byte_bound():
     import tracemalloc
 
-    # 1025 codes pass a quarter of the first 4096 slots.  Sized for the benchmark's
-    # nm cap the map grows to 2**19 slots (6 MiB); sized for 5,000,000 codes it
-    # would take 2**25 slots at 12 bytes each, 384 MiB, and is refused first.
+    # Sized for the benchmark's nm cap, a map takes 2**19 slots (6 MiB) at
+    # construction; sized for 5,000,000 codes it would take 2**25 slots at 12
+    # bytes each, 384 MiB, and is refused before anything is allocated.
     codes = np.arange(1025, dtype=np.int64) * 7919
     ids = np.arange(1025, dtype=np.int32)
-    grown = free_algebra._CodeMap(120_000)
-    grown[codes] = ids
-    assert len(grown._codes) == 2**19 and grown[codes].tolist() == ids.tolist()
-    refused = free_algebra._CodeMap(5_000_000)
-    refused[codes[:1000]] = ids[:1000]
+    sized = free_algebra._CodeMap(120_000)
+    assert len(sized._codes) == 2**19
+    sized[codes] = ids
+    assert len(sized._codes) == 2**19 and sized[codes].tolist() == ids.tolist()
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
-            refused[codes[1000:]] = ids[1000:]
+            free_algebra._CodeMap(5_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
         with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
             build(2, Variant.NM, 5_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**23
-    # A refused insert leaves the map as it was.
-    assert len(refused._codes) == free_algebra._HASH_SLOTS
-    assert refused[codes].tolist() == ids[:1000].tolist() + [-1] * 25
+    assert peak < 2**20 and build_peak < 2**23
+
+
+def test_hash_table_is_refused_before_the_first_slab(monkeypatch):
+    # nm's two-generator closure checks its hash table's bytes when it builds
+    # the table, before it walks a single slab of pairs.
+    k = generic_chain_size(2, Variant.NM)
+    free_algebra._grid_factors(k, 2)
+    walks = []
+    real = free_algebra._slabs
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(free_algebra, "_slabs", counted)
+    with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+        build(2, Variant.NM, 5_000_000)
+    assert walks == []
+
+
+def test_factor_closures_take_4096_slots(monkeypatch):
+    # Every 9-point sign-block factor of both two-generator grids closes in a
+    # hash table of exactly 4096 slots; the 3- and 1-point factors are dense.
+    slots = []
+    real = free_algebra._CodeMap.__init__
+
+    def sized(self, capacity):
+        real(self, capacity)
+        slots.append(len(self._codes))
+
+    monkeypatch.setattr(free_algebra._CodeMap, "__init__", sized)
+    for variant in Variant:
+        k = generic_chain_size(2, variant)
+        nine = sum(len(cols) == 9 for cols in sign_blocks(k, 2))
+        before = len(slots)
+        free_algebra._factors(free_algebra._grid_seeds(k, 2), k, 2)
+        assert nine > 0 and slots[before:] == [4096] * nine
 
 
 @pytest.mark.parametrize("form", TABLE_FORMS[1:], ids=["hashed", "bytes"])
@@ -463,9 +495,9 @@ def test_closure_through_a_growing_table(form, monkeypatch):
     # the product of the blocks' 36-element factors: 1296 rows from 1296**2 pairs,
     # about 6.7 million candidates, past the hash table's first slot count.  The
     # direct route on vectors and the factor route must commit the same rows.  A
-    # hashed table grows once: with a cap of the closure's size to the slots its
-    # rows need, with a larger cap straight past them to the slots of the cap;
-    # both caps must commit the same rows and triples.
+    # hashed table takes the slots of its cap at construction: with a cap of the
+    # closure's size the slots its rows need, with a larger cap more; both caps
+    # must commit the same rows and triples.
     k = generic_chain_size(2, Variant.NM_MINUS)
     factors = free_algebra._grid_factors(k, 2)
     two = [0, 1]
