@@ -28,7 +28,7 @@ from . import formula as fm
 from . import models, valuations
 from .chain import EvaluationError, eval_standard
 from .free_algebra import (
-    DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, build, is_tautology, proves,
+    DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, build, is_tautology, proves, truth_vector,
 )
 
 
@@ -98,11 +98,11 @@ def _cmd_eval(args) -> tuple[str, int]:
 
 def _cmd_chi(args) -> tuple[str, int]:
     """``chi`` prints the classical characteristic, ``chi-plus`` the idempotent one."""
-    f = fm.parse(args.formula)
+    # The formula's grid row names an unbound variable before the closure is built.
+    vector = truth_vector(args.vars, args.variant, fm.parse(args.formula))
     algebra = _algebra(args)
-    chi_plus = args.command == "chi-plus"
-    char = valuations.idempotent_euler_char if chi_plus else valuations.euler_char
-    return f"{char(algebra, algebra.element_of(f))}\n", 0
+    char = valuations.idempotent_euler_char if args.command == "chi-plus" else valuations.euler_char
+    return f"{char(algebra, algebra.id_of_vector(vector))}\n", 0
 
 
 def _cmd_count_models(args) -> tuple[str, int]:

@@ -100,9 +100,11 @@ def is_prime_filter(algebra: FreeAlgebra, elements: frozenset[int]) -> bool:
 
 
 def prime_filters(algebra: FreeAlgebra) -> list[Filter]:
-    """All prime filters, each as the upper set of an idempotent join-irreducible."""
+    """All prime filters, each as the upper set of an idempotent join-irreducible,
+    by ascending generator."""
+    idempotent = set(algebra.idempotent_ids)
     return [Filter(principal_upset(algebra, g), g)
-            for g in algebra.join_irreducible_ids if algebra.is_idempotent(g)]
+            for g in algebra.join_irreducible_ids if g in idempotent]
 
 
 def forest(algebra: FreeAlgebra) -> PrimeFilterForest:
@@ -113,7 +115,7 @@ def forest(algebra: FreeAlgebra) -> PrimeFilterForest:
     each one form a chain exactly when none has two lower covers, as two such
     covers are incomparable; a node's parent is its one lower cover.
     """
-    filters = tuple(sorted(prime_filters(algebra), key=lambda f: f.generator))
+    filters = tuple(prime_filters(algebra))
     gens = [f.generator for f in filters]
     # lower[a, b]: gens[a] is a lower cover of gens[b].
     lower = _cover_matrix(algebra.leq_matrix[np.ix_(gens, gens)])

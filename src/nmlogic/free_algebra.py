@@ -386,7 +386,7 @@ class FreeAlgebra:
     Elements are referred to by their integer id (position in discovery
     order).  The bottom element always has id 0 and the top id 1; the
     projections follow, then everything the closure discovered.  All
-    structure (order, covers, irreducibility and idempotency flags, and the
+    structure (order, covers, the join-irreducible and idempotent ids, and the
     operation table filled by :func:`build`'s pair walk) is derived from the
     vectors and cached lazily; instances are immutable and safe to share.
 
@@ -547,21 +547,15 @@ class FreeAlgebra:
 
     @_cached
     def join_irreducible_ids(self) -> tuple[int, ...]:
-        """Elements with exactly one lower cover; bottom has none."""
+        """Elements with exactly one lower cover, ascending; bottom has none."""
         return tuple(np.flatnonzero(self.cover_matrix.sum(axis=0) == 1).tolist())
-
-    def is_idempotent(self, x: int) -> bool:
-        return self.idempotent_flags[x]
 
     @_cached
     def idempotent_ids(self) -> tuple[int, ...]:
-        """Elements fixed by fusion with themselves."""
-        return tuple(np.flatnonzero(self.idempotent_flags).tolist())
-
-    @_cached
-    def idempotent_flags(self) -> tuple[bool, ...]:
+        """Elements fixed by fusion with themselves, ascending."""
         v = self.vectors
-        return tuple((tnorm_block(self._top_index, v, v) == v).all(axis=1).tolist())
+        fixed = (tnorm_block(self._top_index, v, v) == v).all(axis=1)
+        return tuple(np.flatnonzero(fixed).tolist())
 
     @_cached
     def minimal_idempotent_ji_ids(self) -> tuple[int, ...]:
@@ -614,8 +608,8 @@ class FreeAlgebra:
             "bottom": self.bottom_id,
             "top": self.top_id,
             "covers": [list(pair) for pair in self.covers()],
-            "join_irreducible": sorted(self.join_irreducible_ids),
-            "idempotent": sorted(self.idempotent_ids),
+            "join_irreducible": list(self.join_irreducible_ids),
+            "idempotent": list(self.idempotent_ids),
         }
 
     @classmethod
@@ -663,10 +657,10 @@ class FreeAlgebra:
                         or not _ints(itertools.chain.from_iterable(covers))):
                     raise ValueError("stored covers disagree with the order")
                 stored = list(data["join_irreducible"])
-                if sorted(algebra.join_irreducible_ids) != stored or not _ints(stored):
+                if list(algebra.join_irreducible_ids) != stored or not _ints(stored):
                     raise ValueError("stored join-irreducible flags disagree")
                 stored = list(data["idempotent"])
-                if sorted(algebra.idempotent_ids) != stored or not _ints(stored):
+                if list(algebra.idempotent_ids) != stored or not _ints(stored):
                     raise ValueError("stored idempotency flags disagree")
         except KeyError as err:
             raise ValueError(f"export document lacks the field {err}") from None

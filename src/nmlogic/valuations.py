@@ -21,8 +21,8 @@ assignments of a formula; see :mod:`nmlogic.models` for the independent
 counting route.
 
 Any object with a boolean ``leq_matrix`` (``[x, y]`` iff x <= y) and
-``join_irreducible_ids`` can be valued; the idempotent variant also needs
-``is_idempotent``.  Every order question is a row or submatrix of
+``join_irreducible_ids`` can be valued; the idempotent variant also reads
+``idempotent_ids``.  Every order question is a row or submatrix of
 ``leq_matrix``.  :class:`nmlogic.free_algebra.FreeAlgebra` provides all of
 them.
 """
@@ -100,10 +100,8 @@ def euler_spec(lattice) -> ValuationSpec:
 
 def idempotent_euler_spec(lattice) -> ValuationSpec:
     """Value 1 on idempotent join-irreducibles only, 0 elsewhere and at bottom."""
-    return ValuationSpec.of(
-        0,
-        {g: int(lattice.is_idempotent(g)) for g in lattice.join_irreducible_ids},
-    )
+    idempotent = set(lattice.idempotent_ids)
+    return ValuationSpec.of(0, {g: int(g in idempotent) for g in lattice.join_irreducible_ids})
 
 
 def euler_char(lattice, x: int, table: Mapping | None = None) -> int:

@@ -394,6 +394,13 @@ def test_chain_value_fraction_view():
         NMChain(1)
 
 
+def test_chains_and_values_print_and_hash_by_size():
+    assert repr(ChainValue(1, 3)) == "ChainValue(1/2)"
+    assert repr(NMChain(5)) == "NMChain(5)"
+    assert hash(NMChain(5)) == hash(shared_chain(5))
+    assert {NMChain(5): "five"}[shared_chain(5)] == "five"
+
+
 def test_grid_assignments_order_and_edges():
     chain = NMChain(3)
     points = [(env[1].index, env[2].index) for env in grid_assignments(chain, 2)]

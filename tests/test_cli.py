@@ -3,10 +3,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -99,6 +101,21 @@ def test_chi_commands(capsys):
     assert (code, out) == (0, "0\n")
     code, out, _ = run(capsys, "chi-plus", "1", "--vars", "1", "--variant", "nm-")
     assert (code, out) == (0, "2\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("chi", "x5", "--vars", "2"), "x5"),
+    (("chi-plus", "x1 & x9", "--vars", "2", "--variant", "nm-", "--cap", "1700000"), "x9"),
+    (("chi", "x5 -> 1", "--vars", "3"), "x5"),
+])
+def test_chi_names_an_unbound_variable_before_building(capsys, monkeypatch, argv, name):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called before the formula was checked")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"no binding for variable {name}" in err
 
 
 def test_count_models_command(capsys):
@@ -464,6 +481,15 @@ def test_subprocess_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "3\n"
+
+
+def test_module_entry_point_builds_the_two_element_algebra():
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "nmlogic.cli", "build", "--vars", "0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert (result.returncode, result.stdout) == (0, "2 elements\n")
 
 
 def test_json_is_byte_stable_across_processes():

@@ -47,14 +47,14 @@ def test_prime_filters_are_principal_fusion_closed_upper_sets(fixture, request):
         assert min(filt.elements, key=lambda x: algebra.heights[x]) == filt.generator
         assert principal_upset(algebra, filt.generator) == filt.elements
         assert filt.generator in algebra.join_irreducible_ids
-        assert algebra.is_idempotent(filt.generator)
+        assert filt.generator in algebra.idempotent_ids
 
 
 def test_prime_filter_counts(nm1, nmm1, nm0):
     assert len(prime_filters(nm0)) == 1
     assert prime_filters(nm0)[0].elements == frozenset({nm0.top_id})
     assert len(prime_filters(nmm1)) == 4
-    idem_ji = [g for g in nm1.join_irreducible_ids if nm1.is_idempotent(g)]
+    idem_ji = [g for g in nm1.join_irreducible_ids if g in nm1.idempotent_ids]
     assert sorted(f.generator for f in prime_filters(nm1)) == sorted(idem_ji)
 
 

@@ -734,11 +734,11 @@ def test_bottom_and_top_are_idempotent(nm1):
     assert nm1.top_id in nm1.idempotent_ids
 
 
-def test_idempotent_flags_cover_every_element(nm1):
-    flags = nm1.idempotent_flags
-    assert len(flags) == nm1.size
+def test_idempotent_ids_cover_every_element(nm1):
+    ids = nm1.idempotent_ids
+    assert list(ids) == sorted(set(ids)) and set(ids) <= set(nm1.element_ids())
     for x in nm1.element_ids():
-        assert flags[x] == nm1.is_idempotent(x) == (nm1.tnorm(x, x) == x)
+        assert (x in ids) == (nm1.tnorm(x, x) == x)
 
 
 def test_negation_and_biimplication_on_elements(nm1):
@@ -754,7 +754,7 @@ def test_negation_and_biimplication_on_elements(nm1):
 def test_non_idempotent_join_irreducibles_square_to_bottom(fixture, request):
     algebra = request.getfixturevalue(fixture)
     for g in algebra.join_irreducible_ids:
-        if not algebra.is_idempotent(g):
+        if g not in algebra.idempotent_ids:
             assert algebra.tnorm(g, g) == algebra.bottom_id
 
 
@@ -765,7 +765,7 @@ def test_element_of_examples(nm1):
     assert nm1.element_of(TOP) == nm1.top_id
     a = nm1.element_of(ALPHA)
     assert a in nm1.join_irreducible_ids
-    assert not nm1.is_idempotent(a)
+    assert a not in nm1.idempotent_ids
     lhs = nm1.element_of(Or(Var(1), Not(Var(1))))
     rhs = nm1.element_of(Not(And(Var(1), Not(Var(1)))))
     assert lhs == rhs
