@@ -32,25 +32,29 @@ pattern and the printer read too.  Parsing, evaluation and printing are all
 iterative, so nesting depth is limited by memory alone.
 
 The sugar connectives (``|``, ``~``, ``1``, ``<->``, ``^2``) are kept as
-explicit tree nodes.  :func:`program` compiles a formula in one walk into a
-flat tuple of steps, each made once, and is the one owner of the laws of
-the constants and of repeated operands (``x & 1 = x``, ``x -> 0 = ~x``,
-``x & x = x``, ...): every step they settle is folded away there, once for
-every algebra, so no step is left with a constant operand, and a step that
-a later fold left unread, such as the fusion of ``(x1 * x2) & 0``, is
-dropped, so every step that remains is read.  A formula's program is stored
-on the formula itself, written once into its instance ``__dict__`` as
-:func:`functools.cached_property` does: formulas are immutable, so it cannot
-go stale, and it lives as long as its formula.  :func:`evaluate`, the one
-interpreter, binds the variables and runs the kept steps in any algebra, one
-connective call each.  So evaluating one formula at many points walks its
-tree once, whatever is compiled in between.  :func:`desugar`, the rewrite
+explicit tree nodes.  A formula compiles into a :class:`Program`, a flat
+tuple of steps, each made once, by one rule per node and one fold that owns
+the laws of the constants and of repeated operands (``x & 1 = x``,
+``x -> 0 = ~x``, ``x & x = x``, ...): every step they settle is folded away
+there, once for every algebra, so no step is left with a constant operand,
+and a step that a later fold left unread, such as the fusion of
+``(x1 * x2) & 0``, is dropped, so every step that remains is read.  Parsed
+text gets its program during the parse, which applies the rule at each
+reduction; a tree built in code gets it from :func:`program`'s one walk, on
+first use.  A formula's program is stored on the formula itself, written
+once into its instance ``__dict__`` as :func:`functools.cached_property`
+does: formulas are immutable, so it cannot go stale, and it lives as long as
+its formula.  :func:`evaluate`, the one interpreter, binds the variables
+and runs the kept steps in any algebra, one connective call each.  So
+evaluating one formula at many points walks its tree at most once, whatever
+is compiled in between.  :func:`desugar`, the rewrite
 into the core fragment {Var, Bot, And, Strong, Implies}, is evaluation in
 the algebra of core formulas, so it writes out the folded program.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from random import Random
@@ -165,7 +169,7 @@ _INFIX = {symbol: (level, right, node) for node, (symbol, level, right) in _BINA
 # ")" and the end of input close every connective pending above the last "(".
 _CLOSE = (1, False, None)
 
-_CONSTANTS = {"0": BOT, "1": TOP}
+_CONSTANTS = {"0": (BOT, 0), "1": (TOP, 1)}  # symbol -> (node, slot)
 # Each match is optional whitespace and then one token: a variable, a
 # constant, a connective or parenthesis, any other character (an error) or
 # the end of the text.
@@ -179,46 +183,63 @@ _ATOM_EXPECTED = ("'~'", "'0'", "'1'", "a variable 'xN'", "'('")
 
 
 def parse(text: str) -> Formula:
-    """Parse ``text`` into a formula tree.
+    """Parse ``text`` into a formula tree, compiled as it is read.
 
     Raises :class:`ParseError` on malformed input, reporting the character
     position and the expected token classes of the leftmost error.  One loop
-    over the token matches keeps an operand stack and a stack of pending
-    connectives, so any nesting depth parses.
+    over the tokens keeps an operand stack, the slot of each operand in the
+    formula's program beside it, and a stack of pending connectives, so any
+    nesting depth parses.  Each reduction folds its node's steps as
+    :func:`program`'s walk would, so the tree comes back with the program
+    that walk would give it, and no second walk is needed.
     """
     operands: list[Formula] = []
+    slots: list[int] = []  # each operand's slot in the program
+    bound: dict[int, int] = {}  # variable index -> slot
+    steps: dict[tuple, int] = {}  # step -> its slot, made at most once
+    made = 0  # nodes made; the constants are shared and counted apart
+    constants: set[int] = set()  # the slots of the constants read
     # (level, node class) of each pending "~" and binary connective; every
     # "(" and the start of input sit at level 0, below all of them.
     pending: list[tuple[int, type | None]] = [(0, None)]
     want_operand = True
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        kind, pos = m[group], m.start(group)
+    # One findall makes no match object per token; a token's position is
+    # found again only for an error (see _position).
+    for i, (var, kind, bad, _) in enumerate(_TOKEN_RE.findall(text)):
         # Lexical errors are reported whether or not an operand is wanted.
-        if group == "var":
+        if var:
             try:
-                index = int(kind[1:])
+                index = int(var[1:])
             except ValueError:  # more digits than int() converts
-                raise ParseError("variable index is too long", pos) from None
+                raise ParseError("variable index is too long", _position(text, i)) from None
             if index < 1:
-                raise ParseError("variable index must be >= 1", pos)
-            atom = Var(index)
-        elif group == "bad":
-            raise ParseError(f"unexpected character {kind!r}", pos)
+                raise ParseError("variable index must be >= 1", _position(text, i))
+            atom, slot = Var(index), bound.setdefault(index, len(bound) + 2)
+            made += 1
+            kind = var  # only the end of the text is left without a kind
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", _position(text, i))
+        elif kind in _CONSTANTS:
+            atom, slot = _CONSTANTS[kind]
+            constants.add(slot)
         else:
-            atom = _CONSTANTS.get(kind)
+            atom = None
         if want_operand:
             if atom is not None:
                 operands.append(atom)
+                slots.append(slot)
                 want_operand = False
             elif kind == "~":
                 pending.append((_LEVEL_NOT, Not))
             elif kind == "(":
                 pending.append((0, None))
             else:
-                raise ParseError("expected a formula", pos, _ATOM_EXPECTED)
+                raise ParseError("expected a formula", _position(text, i), _ATOM_EXPECTED)
         elif kind == "^2":
             operands[-1] = Square(operands[-1])
+            a = slots[-1]
+            slots[-1] = _reduce(steps, Square, a, a)
+            made += 1
         else:
             level, right_assoc, node = _INFIX.get(kind, _CLOSE)
             # Reduce what binds at least as tightly; a right associative
@@ -227,23 +248,36 @@ def parse(text: str) -> Formula:
                 op = pending.pop()[1]
                 if op is Not:
                     operands[-1] = Not(operands[-1])
+                    b = slots[-1]
                 else:
                     arg = operands.pop()
                     operands[-1] = op(operands[-1], arg)
+                    b = slots.pop()
+                slots[-1] = _reduce(steps, op, slots[-1], b)
+                made += 1
             if node is not None:
                 pending.append((level, node))
                 want_operand = True
             elif len(pending) > 1:
                 if kind != ")":
-                    raise ParseError("unclosed parenthesis", pos, ("')'",))
+                    raise ParseError("unclosed parenthesis", _position(text, i), ("')'",))
                 pending.pop()
-            elif group == "end":
-                # After trailing whitespace a second, empty end match follows.
-                return operands[0]
+            elif not kind:
+                # The end of the text; after trailing whitespace a second,
+                # empty end match follows, which is never read.
+                f = operands[0]
+                _finish(f, steps, bound, slots[0], made + len(constants))
+                return f
             else:
                 raise ParseError(
-                    "trailing input", pos, ("a binary connective", "end of input")
+                    "trailing input", _position(text, i), ("a binary connective", "end of input")
                 )
+
+
+def _position(text: str, i: int) -> int:
+    """The offset of token ``i`` of ``text``, found again only for an error."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i, None))
+    return m.start(m.lastgroup)
 
 
 def format_formula(f: Formula) -> str:
@@ -290,7 +324,7 @@ class EvaluationError(ValueError):
 # A step's opcode is the position of its connective in an algebra's
 # ``connectives``, the tuple that evaluate reads (see with_connectives).
 _MEET, _JOIN, _TNORM, _RESIDUUM, _NEG = range(5)
-_OPCODES = {And: _MEET, Or: _JOIN, Strong: _TNORM, Implies: _RESIDUUM}
+_OPCODES = {And: _MEET, Or: _JOIN, Strong: _TNORM, Implies: _RESIDUUM, Not: _NEG, Square: _TNORM}
 # Slot 0 holds bottom and slot 1 top: the unit and the absorbing slot of
 # each lattice or monoid connective.
 _UNITS = {_MEET: (1, 0), _JOIN: (0, 1), _TNORM: (1, 0)}
@@ -314,7 +348,7 @@ def _fold(steps: dict, op: int, a: int, b: int) -> int:
     """The slot of ``op`` on slots ``a`` and ``b``: an operand or a constant
     where the laws of the constants or of a repeated operand give one, else
     the step's own, made once in ``steps``, where step ``k`` has slot
-    ``-1 - k`` until :func:`program` fixes it.
+    ``-1 - k`` until :func:`_finish` fixes it.
 
     The laws: ``x & 1 = x * 1 = x | 0 = x``, ``x & 0 = x * 0 = 0``,
     ``x | 1 = 1``, ``x & x = x | x = x``, ``0 -> x = x -> 1 = x -> x = 1``,
@@ -342,6 +376,40 @@ def _fold(steps: dict, op: int, a: int, b: int) -> int:
     return steps.setdefault((op, a, b), -1 - len(steps))
 
 
+def _reduce(steps: dict, kind: type, a: int, b: int) -> int:
+    """The slot of a ``kind`` node whose children fill slots ``a`` and ``b``
+    (a unary node's one child fills both), each of its steps folded by
+    :func:`_fold`: ``~a`` is a negation, ``a^2`` is ``a * a`` and ``a <-> b``
+    is ``a -> b``, then ``b -> a``, then their fusion."""
+    if kind is Iff:
+        ab = _fold(steps, _RESIDUUM, a, b)
+        ba = _fold(steps, _RESIDUUM, b, a)
+        return _fold(steps, _TNORM, ab, ba)
+    return _fold(steps, _OPCODES[kind], a, b)
+
+
+def _finish(f: Formula, steps: dict, bound: dict, slot: int, nodes: int) -> Program:
+    """The program of ``f``, whose value is in ``slot`` once ``steps`` and the
+    ``bound`` variables are made, stored on ``f``.  Only the steps the result
+    reads are kept, in one pass back from it, and they fill the slots after
+    the variables', in order."""
+    # A step only reads earlier ones, so one reverse pass finds them all.
+    read = {slot}
+    for (_, a, b), own in reversed(steps.items()):
+        if own in read:
+            read.update((a, b))
+    kept: list[tuple[int, int, int]] = []
+    moved: dict[int, int] = {}  # a kept step's slot -1 - k -> its final slot
+    for (op, a, b), own in steps.items():
+        if own in read:
+            moved[own] = len(bound) + 2 + len(kept)
+            kept.append((op, moved.get(a, a), moved.get(b, b)))
+    code = Program(tuple(bound), tuple(kept), moved.get(slot, slot), nodes)
+    # Frozen dataclasses refuse setattr; equality, hash and repr read fields only.
+    f.__dict__["_program"] = code
+    return code
+
+
 def program(f: Formula) -> Program:
     """``f`` compiled in one walk, with every step that has a constant or a
     repeated operand folded away (see :func:`_fold`), and then every step
@@ -354,8 +422,10 @@ def program(f: Formula) -> Program:
     ``(a -> b) * (b -> a)``, each part folded.  The kept steps fill the
     slots after the variables', in order.  ``variables`` lists every
     variable of ``f``, also one read only by steps that fold away or are
-    dropped, and ``nodes`` counts the nodes as written.  The program is
-    stored on ``f``, so evaluating a formula many times walks it once.
+    dropped, and ``nodes`` counts the distinct nodes as written.  The
+    program is stored on ``f``, so evaluating a formula many times walks it
+    once.  A formula from :func:`parse` already holds its program, compiled
+    while it was read; a tree built in code is walked here on first use.
     Raises ``TypeError`` on a node that is not a formula.
     """
     try:
@@ -367,20 +437,13 @@ def program(f: Formula) -> Program:
     steps: dict[tuple, int] = {}  # step -> its slot, made at most once
     for node in subformulas(f):
         kind = type(node)
-        if kind in _OPCODES:
-            slot = _fold(steps, _OPCODES[kind], slots[id(node.left)], slots[id(node.right)])
+        if kind in _BINARY:
+            slot = _reduce(steps, kind, slots[id(node.left)], slots[id(node.right)])
+        elif kind is Not or kind is Square:
+            a = slots[id(node.child)]
+            slot = _reduce(steps, kind, a, a)
         elif kind is Var:
             slot = bound.setdefault(node.index, len(bound) + 2)
-        elif kind is Not:
-            a = slots[id(node.child)]
-            slot = _fold(steps, _NEG, a, a)
-        elif kind is Square:
-            a = slots[id(node.child)]
-            slot = _fold(steps, _TNORM, a, a)
-        elif kind is Iff:
-            a, b = slots[id(node.left)], slots[id(node.right)]
-            ab, ba = _fold(steps, _RESIDUUM, a, b), _fold(steps, _RESIDUUM, b, a)
-            slot = _fold(steps, _TNORM, ab, ba)
         elif kind is Bot:
             slot = 0
         elif kind is Top:
@@ -388,23 +451,7 @@ def program(f: Formula) -> Program:
         else:
             raise TypeError(f"not a formula node: {node!r}")
         slots[id(node)] = slot
-    # Walk back from the result to the steps it reads; a step only reads
-    # earlier ones, so one reverse pass finds them all.
-    read = {slot}
-    for (_, a, b), own in reversed(steps.items()):
-        if own in read:
-            read.update((a, b))
-    # The kept steps fill the slots after the variables', in order.
-    kept: list[tuple[int, int, int]] = []
-    moved: dict[int, int] = {}  # a kept step's slot -1 - k -> its final slot
-    for (op, a, b), own in steps.items():
-        if own in read:
-            moved[own] = len(bound) + 2 + len(kept)
-            kept.append((op, moved.get(a, a), moved.get(b, b)))
-    code = Program(tuple(bound), tuple(kept), moved.get(slot, slot), len(slots))
-    # Frozen dataclasses refuse setattr; equality, hash and repr read fields only.
-    f.__dict__["_program"] = code
-    return code
+    return _finish(f, steps, bound, slot, len(slots))
 
 
 def with_connectives(algebra):

@@ -658,10 +658,10 @@ class FreeAlgebra:
                     raise ValueError("stored covers disagree with the order")
                 stored = list(data["join_irreducible"])
                 if list(algebra.join_irreducible_ids) != stored or not _ints(stored):
-                    raise ValueError("stored join-irreducible flags disagree")
+                    raise ValueError("stored join-irreducible ids disagree")
                 stored = list(data["idempotent"])
                 if list(algebra.idempotent_ids) != stored or not _ints(stored):
-                    raise ValueError("stored idempotency flags disagree")
+                    raise ValueError("stored idempotent ids disagree")
         except KeyError as err:
             raise ValueError(f"export document lacks the field {err}") from None
         except (TypeError, OverflowError) as err:  # OverflowError: int() of an infinite n

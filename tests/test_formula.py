@@ -110,13 +110,55 @@ _PIECES = ["x1", "x2", "x0", "0", "1", "~", "(", ")", "^2", "*", "&", "|", "->",
            "^3", "@", " "]
 
 
+def rebuilt(f):
+    """``f`` made again from fresh node objects, which hold no program; each
+    constant becomes one fresh node, shared as ``parse`` shares ``BOT`` and ``TOP``."""
+    fresh = {}
+    for node in subformulas(f):
+        kind = type(node)
+        if kind is Var:
+            new = Var(node.index)
+        elif kind in (Bot, Top):
+            new = kind()
+        elif kind in (Not, Square):
+            new = kind(fresh[id(node.child)])
+        else:
+            new = kind(fresh[id(node.left)], fresh[id(node.right)])
+        fresh[id(node)] = new
+    return fresh[id(f)]
+
+
+def assert_parse_compiled_as_the_walk(f):
+    # A Program compares variables, steps, result and nodes.
+    held = f.__dict__["_program"]
+    assert held == program(rebuilt(f))
+    assert program(f) is held
+
+
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
 def test_parse_returns_a_formula_or_raises_parse_error(text):
     try:
         f = parse(text)
     except ParseError:
         return
+    assert_parse_compiled_as_the_walk(f)
     assert shape(parse(format_formula(f))) == shape(f)
+
+
+def _random_texts(n):
+    rng = Random(f"parse compiles/{n}")
+    return [format_formula(random_formula(rng, n, depth)) for depth in range(8) for _ in range(4)]
+
+
+@pytest.mark.parametrize("texts", [
+    *(pytest.param(_random_texts(n), id=f"random-over-{n}-variables") for n in range(1, 6)),
+    pytest.param(["0", "1", "0 & 0"], id="constants"),
+    pytest.param([" & ".join(["x1"] * 5000)], id="5000-long-conjunction"),
+    pytest.param(["(" * 5000 + "x1" + ")" * 5000], id="5000-deep-parentheses"),
+])
+def test_parse_leaves_the_program_the_walk_gives(texts):
+    for text in texts:
+        assert_parse_compiled_as_the_walk(parse(text))
 
 
 def test_associativity():

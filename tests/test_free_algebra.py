@@ -1038,7 +1038,7 @@ _MALFORMED_DOCUMENTS = {
     "a cover dropped": (lambda d: {**d, "covers": d["covers"][:-1]},
                         "stored covers disagree with the order"),
     "an idempotent dropped": (lambda d: {**d, "idempotent": d["idempotent"][:-1]},
-                              "stored idempotency flags disagree"),
+                              "stored idempotent ids disagree"),
     # JSON's true and 1.0 equal 1, but are not integers.
     "n true": (lambda d: {**d, "n": True}, "generator count must be an integer"),
     "chain size 4.0": (lambda d: {**d, "chain_size": 4.0},
@@ -1059,10 +1059,10 @@ _MALFORMED_DOCUMENTS = {
                      "stored covers disagree with the order"),
     "join-irreducible id 10.0": (lambda d: {**d, "join_irreducible": [
                                      float(x) if x == 10 else x for x in d["join_irreducible"]]},
-                                 "stored join-irreducible flags disagree"),
+                                 "stored join-irreducible ids disagree"),
     "idempotent id 1.0": (lambda d: {**d, "idempotent": [
                               1.0 if x == 1 else x for x in d["idempotent"]]},
-                          "stored idempotency flags disagree"),
+                          "stored idempotent ids disagree"),
     # A long digit string is refused before int() reads it.
     "5000-digit n": (lambda d: {**d, "n": "1" * 5000}, "generator count must be an integer"),
 }

@@ -23,7 +23,7 @@ from nmlogic import (
     random_formula,
     truth_vector,
 )
-from nmlogic import free_algebra, models
+from nmlogic import cli, free_algebra, models
 from nmlogic.models import MAX_SCALAR_WORK
 
 THREE = AssignmentSpace.THREE
@@ -79,6 +79,19 @@ def test_scalar_budget_counts_points_times_nodes():
     for call in (count_models, enumerate_models):
         with pytest.raises(ValueError, match="256 points times 257 formula nodes"):
             call(Not(f), 8, TWO)
+
+
+def test_scalar_budget_reads_the_node_count_of_parsed_text(capsys):
+    # n copies of x1 joined by "&" parse to n variable nodes and n - 1
+    # conjunctions: 3 points times 21845 nodes is within the budget, and one
+    # copy more (21847 nodes) is over it.
+    for copies, code, out, err in ((10_923, 0, "1\n", ""),
+                                   (10_924, 3, "", "3 points times 21847 formula nodes")):
+        text = " & ".join(["x1"] * copies)
+        assert cli.main(["count-models", text, "--vars", "1", "--values", "3"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert err in captured.err
 
 
 def test_scalar_budget_is_checked_before_the_grid_is_built(monkeypatch):
