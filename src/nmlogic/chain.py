@@ -279,7 +279,7 @@ STANDARD = with_connectives(SimpleNamespace(
 
 def eval_grid(f: Formula, chain: NMChain, n: int) -> np.ndarray:
     """The index of ``f`` on ``chain`` at every grid point, ``_CHUNK`` points
-    at a time, so memory stays at distinct nodes times chunk bytes.
+    at a time, so memory stays at the program's kept steps times chunk bytes.
 
     The result is always a fresh writable array: a chunk's value may be a
     constant scalar or a read-only grid row, where the formula folds to a

@@ -197,8 +197,6 @@ def parse(text: str) -> Formula:
     slots: list[int] = []  # each operand's slot in the program
     bound: dict[int, int] = {}  # variable index -> slot
     steps: dict[tuple, int] = {}  # step -> its slot, made at most once
-    made = 0  # nodes made; the constants are shared and counted apart
-    constants: set[int] = set()  # the slots of the constants read
     # (level, node class) of each pending "~" and binary connective; every
     # "(" and the start of input sit at level 0, below all of them.
     pending: list[tuple[int, type | None]] = [(0, None)]
@@ -215,13 +213,11 @@ def parse(text: str) -> Formula:
             if index < 1:
                 raise ParseError("variable index must be >= 1", _position(text, i))
             atom, slot = Var(index), bound.setdefault(index, len(bound) + 2)
-            made += 1
             kind = var  # only the end of the text is left without a kind
         elif bad:
             raise ParseError(f"unexpected character {bad!r}", _position(text, i))
         elif kind in _CONSTANTS:
             atom, slot = _CONSTANTS[kind]
-            constants.add(slot)
         else:
             atom = None
         if want_operand:
@@ -239,7 +235,6 @@ def parse(text: str) -> Formula:
             operands[-1] = Square(operands[-1])
             a = slots[-1]
             slots[-1] = _reduce(steps, Square, a, a)
-            made += 1
         else:
             level, right_assoc, node = _INFIX.get(kind, _CLOSE)
             # Reduce what binds at least as tightly; a right associative
@@ -254,7 +249,6 @@ def parse(text: str) -> Formula:
                     operands[-1] = op(operands[-1], arg)
                     b = slots.pop()
                 slots[-1] = _reduce(steps, op, slots[-1], b)
-                made += 1
             if node is not None:
                 pending.append((level, node))
                 want_operand = True
@@ -266,7 +260,7 @@ def parse(text: str) -> Formula:
                 # The end of the text; after trailing whitespace a second,
                 # empty end match follows, which is never read.
                 f = operands[0]
-                _finish(f, steps, bound, slots[0], made + len(constants))
+                _finish(f, steps, bound, slots[0])
                 return f
             else:
                 raise ParseError(
@@ -335,13 +329,14 @@ class Program(NamedTuple):
 
     Slots 0 and 1 hold bottom and top, the next ones the ``variables`` in
     order, and each of the ``steps``, an ``(opcode, slot, slot)``, fills the
-    slot after them; the formula's value is in slot ``result``.
+    slot after them; the formula's value is in slot ``result``.  Each step
+    is one connective call of :func:`evaluate`, so ``len(steps)`` is the
+    work of one evaluation, the size the scalar model count budgets.
     """
 
     variables: tuple[int, ...]
     steps: tuple[tuple[int, int, int], ...]
     result: int
-    nodes: int  # distinct nodes of the formula as written
 
 
 def _fold(steps: dict, op: int, a: int, b: int) -> int:
@@ -388,7 +383,7 @@ def _reduce(steps: dict, kind: type, a: int, b: int) -> int:
     return _fold(steps, _OPCODES[kind], a, b)
 
 
-def _finish(f: Formula, steps: dict, bound: dict, slot: int, nodes: int) -> Program:
+def _finish(f: Formula, steps: dict, bound: dict, slot: int) -> Program:
     """The program of ``f``, whose value is in ``slot`` once ``steps`` and the
     ``bound`` variables are made, stored on ``f``.  Only the steps the result
     reads are kept, in one pass back from it, and they fill the slots after
@@ -404,7 +399,7 @@ def _finish(f: Formula, steps: dict, bound: dict, slot: int, nodes: int) -> Prog
         if own in read:
             moved[own] = len(bound) + 2 + len(kept)
             kept.append((op, moved.get(a, a), moved.get(b, b)))
-    code = Program(tuple(bound), tuple(kept), moved.get(slot, slot), nodes)
+    code = Program(tuple(bound), tuple(kept), moved.get(slot, slot))
     # Frozen dataclasses refuse setattr; equality, hash and repr read fields only.
     f.__dict__["_program"] = code
     return code
@@ -420,12 +415,12 @@ def program(f: Formula) -> Program:
     distinct objects, so ``x1 * x2 & x1 * x2`` folds too.  ``Square`` is a
     fusion of its child with itself and ``a <-> b`` is
     ``(a -> b) * (b -> a)``, each part folded.  The kept steps fill the
-    slots after the variables', in order.  ``variables`` lists every
-    variable of ``f``, also one read only by steps that fold away or are
-    dropped, and ``nodes`` counts the distinct nodes as written.  The
-    program is stored on ``f``, so evaluating a formula many times walks it
-    once.  A formula from :func:`parse` already holds its program, compiled
-    while it was read; a tree built in code is walked here on first use.
+    slots after the variables', in order, and they are all the work of an
+    evaluation.  ``variables`` lists every variable of ``f``, also one read
+    only by steps that fold away or are dropped.  The program is stored on
+    ``f``, so evaluating a formula many times walks it once.  A formula from
+    :func:`parse` already holds its program, compiled while it was read; a
+    tree built in code is walked here on first use.
     Raises ``TypeError`` on a node that is not a formula.
     """
     try:
@@ -451,7 +446,7 @@ def program(f: Formula) -> Program:
         else:
             raise TypeError(f"not a formula node: {node!r}")
         slots[id(node)] = slot
-    return _finish(f, steps, bound, slot, len(slots))
+    return _finish(f, steps, bound, slot)
 
 
 def with_connectives(algebra):

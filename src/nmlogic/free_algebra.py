@@ -355,7 +355,8 @@ def _check_bytes(need: int, what: str) -> None:
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
     """cover[x, y] iff x < y with nothing strictly between, in the boolean order ``leq``."""
-    lt = leq & ~np.eye(len(leq), dtype=bool)
+    lt = leq.copy()
+    np.fill_diagonal(lt, False)
     # float32 goes to BLAS and counts exactly: N < 2**14 under MAX_TABLE_BYTES.
     strict = lt.astype(np.float32)
     return lt & ~((strict @ strict) > 0)

@@ -7,9 +7,10 @@ is independent of the array evaluation, free-algebra and valuation
 machinery it is used to cross-check.  The formula is compiled once by
 :func:`nmlogic.formula.program`, and each point runs that program.  A
 carrier is the :func:`nmlogic.chain.shared_chain` of its size, so its
-values, and its grid up to 64 KiB, are made once, not per request.  The
-cost is grid points times formula nodes, so a request above
-``MAX_SCALAR_WORK`` is refused before the grid is built.
+values, and its grid up to 64 KiB, are made once, not per request.  Each
+point binds the variables and runs the program's compiled steps, one
+connective call each, so the cost is grid points times (steps + 1), and a
+request above ``MAX_SCALAR_WORK`` is refused before the grid is built.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from enum import Enum
 from .chain import ChainValue, NMChain, eval_chain, grid_assignments, grid_points, shared_chain
 from .formula import Formula, program
 
-# Grid points times distinct formula nodes allowed on the scalar route.  The
-# worst accepted request, one node over 2**16 points of {0, 1}, takes well
-# under a second.
+# Grid points times (compiled steps + 1) allowed on the scalar route.  The
+# worst accepted request, a formula of no steps over 2**16 points of {0, 1},
+# takes well under a second.
 MAX_SCALAR_WORK = 1 << 16
 
 
@@ -41,11 +42,11 @@ def enumerate_models(
 ) -> list[dict[int, ChainValue]]:
     """Satisfying assignments over ``x1..xn``, in lexicographic order."""
     chain = space.chain
-    points, nodes = grid_points(chain.size, n), program(f).nodes
-    if points * nodes > MAX_SCALAR_WORK:
+    points, steps = grid_points(chain.size, n), len(program(f).steps)
+    if points * (steps + 1) > MAX_SCALAR_WORK:
         raise ValueError(
-            f"{points} points times {nodes} formula nodes exceeds the scalar "
-            f"budget of {MAX_SCALAR_WORK}"
+            f"{points} points times {steps} compiled steps, plus one per point, "
+            f"exceeds the scalar budget of {MAX_SCALAR_WORK}"
         )
     return [env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) is chain.top]
 

@@ -129,7 +129,7 @@ def rebuilt(f):
 
 
 def assert_parse_compiled_as_the_walk(f):
-    # A Program compares variables, steps, result and nodes.
+    # A Program compares variables, steps and result.
     held = f.__dict__["_program"]
     assert held == program(rebuilt(f))
     assert program(f) is held
@@ -299,17 +299,17 @@ def test_program_is_flat_and_shares_repeated_subtrees():
         variables=(1, 2),
         steps=((_TNORM, 2, 3), (_TNORM, 4, 4), (_NEG, 4, 4),
                (_RESIDUUM, 5, 6), (_RESIDUUM, 6, 5), (_TNORM, 7, 8)),
-        result=9, nodes=6,
+        result=9,
     )
-    assert program(TOP) == Program(variables=(), steps=(), result=1, nodes=1)
+    assert program(TOP) == Program(variables=(), steps=(), result=1)
 
 
 def test_a_shared_subtree_with_a_constant_operand_folds_once():
     shared = Strong(Var(1), BOT)
     # x1 * 0 = 0, so 0^2 = 0, ~0 = 1 and 0 <-> 1 = 0: no step is left, but
-    # x1 is still bound and every node as written is counted.
+    # x1 is still bound.
     code = program(Iff(Square(shared), Not(shared)))
-    assert code == Program(variables=(1,), steps=(), result=0, nodes=6)
+    assert code == Program(variables=(1,), steps=(), result=0)
 
 
 def test_alternating_formulas_each_get_their_own_value():
@@ -362,7 +362,7 @@ def test_a_reused_id_never_gets_a_stale_program():
             f = Not(f)
         ids.append(id(f))
         negations = tuple((_NEG, slot, slot) for slot in range(2, 2 + i % 5))
-        expected = Program((i % 3 + 1,), negations, 2 + i % 5, 1 + i % 5)
+        expected = Program((i % 3 + 1,), negations, 2 + i % 5)
         assert program(f) == expected
         del f
     assert len(set(ids)) < len(ids)

@@ -867,8 +867,8 @@ def test_truth_vector_memory_is_bounded_by_the_chunk():
     f = Var(1)
     for i in range(300):
         f = (And, Or, Strong, Implies)[i % 4](f, Var(i % 5 + 1))
-    # 601 distinct nodes on the 13**5-point grid: unchunked, the node
-    # values alone would take 601 * 371293 bytes, over 200 MiB.
+    # 299 kept steps on the 13**5-point grid: unchunked, the step values
+    # alone would take 299 * 371293 bytes, over 100 MiB.
     tracemalloc.start()
     try:
         vector = truth_vector(5, Variant.NM, f)

@@ -24,6 +24,7 @@ from nmlogic import (
     truth_vector,
 )
 from nmlogic import cli, free_algebra, models
+from nmlogic.formula import program
 from nmlogic.models import MAX_SCALAR_WORK
 
 THREE = AssignmentSpace.THREE
@@ -68,27 +69,45 @@ def test_variable_out_of_range():
         enumerate_models(parse("x1"), 0, TWO)
 
 
-def test_scalar_budget_counts_points_times_nodes():
-    assert MAX_SCALAR_WORK == 256 * 256
-    f = Var(1)
-    for _ in range(255):
+def _negations(k, f):
+    for _ in range(k):
         f = Not(f)
-    # 2**8 points times 256 nodes is exactly the budget; one node more is over.
-    assert count_models(f, 8, TWO) == 128
-    assert len(enumerate_models(f, 8, TWO)) == 128
-    for call in (count_models, enumerate_models):
-        with pytest.raises(ValueError, match="256 points times 257 formula nodes"):
-            call(Not(f), 8, TWO)
+    return f
 
 
-def test_scalar_budget_reads_the_node_count_of_parsed_text(capsys):
-    # n copies of x1 joined by "&" parse to n variable nodes and n - 1
-    # conjunctions: 3 points times 21845 nodes is within the budget, and one
-    # copy more (21847 nodes) is over it.
-    for copies, code, out, err in ((10_923, 0, "1\n", ""),
-                                   (10_924, 3, "", "3 points times 21847 formula nodes")):
-        text = " & ".join(["x1"] * copies)
-        assert cli.main(["count-models", text, "--vars", "1", "--values", "3"]) == code
+def test_scalar_budget_counts_points_times_steps_plus_one():
+    assert MAX_SCALAR_WORK == 256 * 256
+    # Each negation is one compiled step and x1 is none.  Each row is a
+    # request at the budget's edge, its model count, and the request one
+    # step or one variable over it.
+    edges = (
+        (Var(1), 16, TWO, 2**15, Var(1), 17, "131072 points times 0 compiled steps"),
+        (_negations(21_844, Var(1)), 1, THREE, 1, _negations(21_845, Var(1)), 1,
+         "3 points times 21845 compiled steps"),
+    )
+    for at, n, space, count, over, m, message in edges:
+        assert count_models(at, n, space) == count
+        assert len(enumerate_models(at, n, space)) == count
+        for call in (count_models, enumerate_models):
+            with pytest.raises(ValueError, match=message + ", plus one per point, exceeds"):
+                call(over, m, space)
+
+
+def test_scalar_budget_reads_the_step_count_of_parsed_text(capsys):
+    # 10924 copies of x1 joined by "&" are 21847 nodes but no step, as
+    # x1 & x1 folds to x1, so the one model is counted.  A chain of 100 "<->"
+    # over x1 and x2 is 201 nodes but 300 steps: 2**7 points of it are
+    # within the budget, and 2**8 points are over it.
+    conjunction = " & ".join(["x1"] * 10_924)
+    chain = " <-> ".join(["x1", "x2"] * 50 + ["x1"])
+    assert len(program(parse(chain)).steps) == 300
+    for argv, code, out, err in (
+        ([conjunction, "--vars", "1", "--values", "3"], 0, "1\n", ""),
+        ([chain, "--vars", "7", "--values", "2"], 0, "64\n", ""),
+        ([chain, "--vars", "8", "--values", "2"], 3, "",
+         "256 points times 300 compiled steps, plus one per point, exceeds"),
+    ):
+        assert cli.main(["count-models", *argv]) == code
         captured = capsys.readouterr()
         assert captured.out == out
         assert err in captured.err
@@ -99,13 +118,11 @@ def test_scalar_budget_is_checked_before_the_grid_is_built(monkeypatch):
         raise AssertionError("the grid was built before the budget check")
 
     monkeypatch.setattr(models, "grid_assignments", unbuilt)
-    f = Var(1)
-    for _ in range(58):
-        f = Not(f)
+    f = _negations(58, Var(1))
     for call in (count_models, enumerate_models):
-        with pytest.raises(ValueError, match="531441 points times 59 formula nodes"):
+        with pytest.raises(ValueError, match="531441 points times 58 compiled steps"):
             call(f, 12, THREE)
-        with pytest.raises(ValueError, match="1048576 points times 1 formula nodes"):
+        with pytest.raises(ValueError, match="1048576 points times 0 compiled steps"):
             call(Var(1), 20, TWO)
         with pytest.raises(ValueError, match="exceeds 1048576 points"):
             call(Var(1), 10**9, TWO)

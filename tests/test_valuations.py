@@ -20,11 +20,13 @@ from nmlogic.chain import grid_coordinates as chain_grid
 
 
 class StubLattice:
-    """The valuation engine's lattice surface, ``leq_matrix`` and
-    ``join_irreducible_ids``, from cover pairs; join and meet for the tests."""
+    """The valuation engine's lattice surface, ``leq_matrix``,
+    ``join_irreducible_ids`` and ``idempotent_ids``, from cover pairs and the
+    ids marked idempotent; join and meet for the tests."""
 
-    def __init__(self, size, covers):
+    def __init__(self, size, covers, idempotent=()):
         self._size = size
+        self.idempotent_ids = tuple(idempotent)
         leq = np.eye(size, dtype=bool)
         for child, parent in covers:
             leq[child, parent] = True
@@ -53,10 +55,10 @@ class StubLattice:
         return max(lowers, key=lambda z: int(self.leq_matrix[:, z].sum()))
 
 
-TWO_CHAIN = StubLattice(2, [(0, 1)])
+TWO_CHAIN = StubLattice(2, [(0, 1)], idempotent=[1])
 # bottom 0; join-irreducibles 1, 2 and 4; 3 = 1 v 2; 4 covers only 3.
-V_SHAPE = StubLattice(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
-JI_CHAIN = StubLattice(3, [(0, 1), (1, 2)])
+V_SHAPE = StubLattice(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], idempotent=[1, 4])
+JI_CHAIN = StubLattice(3, [(0, 1), (1, 2)], idempotent=[2])
 
 
 def test_weights_two_chain():
@@ -132,6 +134,20 @@ def test_idempotent_euler_char_examples(nm1):
     for g in nm1.join_irreducible_ids:
         expected = 1 if g in nm1.idempotent_ids else 0
         assert values[g] == expected
+
+
+def test_characteristics_of_one_element_equal_its_entry_of_evaluate(nm0, nm1, nmm1):
+    # euler_char and idempotent_euler_char sum the weights below one element;
+    # evaluate takes every element's sum at once.
+    for lattice in (nm0, nm1, nmm1, TWO_CHAIN, V_SHAPE, JI_CHAIN):
+        classical = evaluate(lattice, euler_spec(lattice))
+        idempotent = evaluate(lattice, idempotent_euler_spec(lattice))
+        table = weights(lattice, euler_spec(lattice))
+        for x in lattice.element_ids():
+            chi, chi_plus = euler_char(lattice, x), idempotent_euler_char(lattice, x)
+            assert chi == euler_char(lattice, x, table) == classical[x]
+            assert chi_plus == idempotent[x]
+            assert type(chi) is int and type(chi_plus) is int
 
 
 def test_alpha_separates_the_two_valuations(nm1):
