@@ -104,24 +104,18 @@ def idempotent_euler_spec(lattice) -> ValuationSpec:
     return ValuationSpec.of(0, {g: int(g in idempotent) for g in lattice.join_irreducible_ids})
 
 
-def _value_at(lattice, spec: ValuationSpec, x: int, table: Mapping | None = None) -> int:
-    """The integral value of element ``x`` alone under ``spec``: the base plus
-    the weights of the join-irreducibles below ``x``."""
-    if table is None:
-        table = weights(lattice, spec)
-    value = sum(compress(table.values(), lattice.leq_matrix[list(table), x].tolist()), spec.base)
-    assert value.denominator == 1
-    return int(value)
-
-
 def euler_char(lattice, x: int, table: Mapping | None = None) -> int:
     """The classical characteristic of ``x``; always an integer."""
-    return _value_at(lattice, euler_spec(lattice), x, table)
+    value = evaluate(lattice, euler_spec(lattice), table)[x]
+    assert isinstance(value, int)
+    return value
 
 
 def idempotent_euler_char(lattice, x: int) -> int:
     """The idempotent variant of the characteristic; always an integer."""
-    return _value_at(lattice, idempotent_euler_spec(lattice), x)
+    value = evaluate(lattice, idempotent_euler_spec(lattice))[x]
+    assert isinstance(value, int)
+    return value
 
 
 def chi_plus_by_counting(algebra, x: int) -> int:
