@@ -7,6 +7,8 @@ filter structure, and brute-force model counting over three- and
 two-valued assignments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .chain import (
     ChainValue,
     EvaluationError,
@@ -70,57 +72,10 @@ from .valuations import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentSpace",
-    "And",
-    "BOT",
-    "Bot",
-    "ChainValue",
-    "DEFAULT_ELEMENT_CAP",
-    "ElementCapExceeded",
-    "EvaluationError",
-    "Filter",
-    "Formula",
-    "FreeAlgebra",
-    "Iff",
-    "Implies",
-    "NMChain",
-    "Not",
-    "Or",
-    "ParseError",
-    "PrimeFilterForest",
-    "QuotientChain",
-    "Square",
-    "Strong",
-    "TOP",
-    "Top",
-    "ValuationSpec",
-    "Var",
-    "Variant",
-    "build",
-    "chi_plus_by_counting",
-    "count_models",
-    "desugar",
-    "enumerate_models",
-    "eval_chain",
-    "eval_standard",
-    "euler_char",
-    "euler_spec",
-    "evaluate",
-    "forest",
-    "format_formula",
-    "generic_chain_size",
-    "idempotent_euler_char",
-    "idempotent_euler_spec",
-    "is_filter",
-    "is_prime_filter",
-    "is_tautology",
-    "parse",
-    "prime_filters",
-    "proves",
-    "quotient_by_maximal",
-    "random_formula",
-    "truth_vector",
-    "variables",
-    "weights",
-]
+# pydoc documents only the names in __all__ when a package has one; without it,
+# help(nmlogic) would list the submodules and none of the classes and functions
+# imported above.  It is derived from the imports, so a new public name is one edit.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -96,15 +96,17 @@ class ChainValue:
         return f"ChainValue({self.index}/{self.size - 1})"
 
 
+@dataclass(repr=False, unsafe_hash=True)
 class NMChain:
     """The nilpotent-minimum chain with ``size`` elements (``size >= 2``)."""
 
-    def __init__(self, size: int):
-        self.size = size
+    size: int
+
+    def __post_init__(self) -> None:
         self._values: dict[int, ChainValue] = {}
         self.bottom = self.value(0)  # raises ValueError for size < 2
-        self.top = self.value(size - 1)
-        self._ops = _index_algebra(size - 1)
+        self.top = self.value(self.size - 1)
+        self._ops = _index_algebra(self.size - 1)
 
     @functools.cached_property
     def _grid_ops(self) -> SimpleNamespace:
@@ -124,12 +126,6 @@ class NMChain:
 
     def __repr__(self) -> str:
         return f"NMChain({self.size})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NMChain) and other.size == self.size
-
-    def __hash__(self) -> int:
-        return hash(("NMChain", self.size))
 
     @property
     def fixpoint(self) -> ChainValue | None:

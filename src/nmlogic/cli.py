@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import filters as flt
 from . import formula as fm
 from . import models, valuations
-from .chain import EvaluationError, eval_standard
+from .chain import eval_standard
 from .free_algebra import (
     DEFAULT_ELEMENT_CAP, ElementCapExceeded, FreeAlgebra, build, is_tautology, proves, truth_vector,
 )
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"parse error: {err}", 2
     except ElementCapExceeded as err:
         message, code = f"resource error: {err}", 4
-    except (EvaluationError, ValueError, ZeroDivisionError, OSError) as err:
+    except (ValueError, ZeroDivisionError, OSError) as err:
         message, code = f"error: {err}", 3
     print(_clip(message), file=sys.stderr)
     return code

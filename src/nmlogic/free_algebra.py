@@ -428,7 +428,6 @@ class FreeAlgebra:
         self._table.add(keys, 0)
         if (self._table.lookup(keys) != np.arange(len(vectors))).any():
             raise ValueError("duplicate truth vectors")
-        self._top_index = k - 1
         self._cache: dict[str, object] = {}
 
     # -- size and raw vectors ------------------------------------------------
@@ -450,7 +449,7 @@ class FreeAlgebra:
             v = np.asarray(vector)
             if v.shape == self.vectors.shape[1:] and v.dtype.kind in "iu":
                 values = v.tolist()
-                if 0 <= min(values) and max(values) <= self._top_index:
+                if 0 <= min(values) and max(values) <= self.chain.size - 1:
                     x = self._table.lookup(self._table.keys(v.astype(np.uint8))).item()
                     if x >= 0:
                         return x
@@ -469,7 +468,7 @@ class FreeAlgebra:
         closed; ``ValueError`` above ``MAX_TABLE_BYTES``.
         """
         _check_bytes(16 * self.size**2, f"operation table of {self.size} elements")
-        table = _pair_ids(functools.partial(_connectives, self._top_index), self.vectors,
+        table = _pair_ids(functools.partial(_connectives, self.chain.size - 1), self.vectors,
                           self._table)
         leaving = [tag for tag, out in zip(_OP_TAGS, (table < 0).any(axis=(0, 1))) if out]
         if leaving:
@@ -555,7 +554,7 @@ class FreeAlgebra:
     def idempotent_ids(self) -> tuple[int, ...]:
         """Elements fixed by fusion with themselves, ascending."""
         v = self.vectors
-        fixed = (tnorm_block(self._top_index, v, v) == v).all(axis=1)
+        fixed = (tnorm_block(self.chain.size - 1, v, v) == v).all(axis=1)
         return tuple(np.flatnonzero(fixed).tolist())
 
     @_cached
@@ -629,8 +628,6 @@ class FreeAlgebra:
             variant = Variant(data["variant"])
             n = data["n"]
             if type(n) is not int:
-                if type(n) is float:
-                    int(n)  # OverflowError on an infinite n
                 raise ValueError(f"generator count must be an integer, got {n!r:.40}")
             k = generic_chain_size(n, variant)
             if data["chain_size"] != k or type(data["chain_size"]) is not int:
@@ -665,7 +662,7 @@ class FreeAlgebra:
                     raise ValueError("stored idempotent ids disagree")
         except KeyError as err:
             raise ValueError(f"export document lacks the field {err}") from None
-        except (TypeError, OverflowError) as err:  # OverflowError: int() of an infinite n
+        except TypeError as err:
             raise ValueError(f"malformed export document: {err}") from None
         return algebra
 

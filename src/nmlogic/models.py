@@ -11,11 +11,13 @@ values, and its grid up to 64 KiB, are made once, not per request.  Each
 point binds the variables and runs the program's compiled steps, one
 connective call each, so the cost is grid points times (steps + 1), and a
 request above ``MAX_SCALAR_WORK`` is refused before the grid is built.
+Enumerating and counting share that one pass; a count keeps no list of models.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterator
 
 from .chain import ChainValue, NMChain, eval_chain, grid_assignments, grid_points, shared_chain
 from .formula import Formula, program
@@ -37,10 +39,9 @@ class AssignmentSpace(Enum):
         return shared_chain(self.value)
 
 
-def enumerate_models(
-    f: Formula, n: int, space: AssignmentSpace
-) -> list[dict[int, ChainValue]]:
-    """Satisfying assignments over ``x1..xn``, in lexicographic order."""
+def _models(f: Formula, n: int, space: AssignmentSpace) -> Iterator[dict[int, ChainValue]]:
+    """Satisfying assignments over ``x1..xn``, in lexicographic order, one at a
+    time; ``ValueError`` above the scalar budget, before the grid is made."""
     chain = space.chain
     points, steps = grid_points(chain.size, n), len(program(f).steps)
     if points * (steps + 1) > MAX_SCALAR_WORK:
@@ -48,9 +49,16 @@ def enumerate_models(
             f"{points} points times {steps} compiled steps, plus one per point, "
             f"exceeds the scalar budget of {MAX_SCALAR_WORK}"
         )
-    return [env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) is chain.top]
+    return (env for env in grid_assignments(chain, n) if eval_chain(f, chain, env) is chain.top)
+
+
+def enumerate_models(
+    f: Formula, n: int, space: AssignmentSpace
+) -> list[dict[int, ChainValue]]:
+    """Satisfying assignments over ``x1..xn``, in lexicographic order."""
+    return list(_models(f, n, space))
 
 
 def count_models(f: Formula, n: int, space: AssignmentSpace) -> int:
     """Number of assignments over ``x1..xn`` that evaluate ``f`` to 1."""
-    return len(enumerate_models(f, n, space))
+    return sum(1 for _ in _models(f, n, space))

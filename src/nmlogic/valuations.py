@@ -50,6 +50,12 @@ class ValuationSpec:
         return cls(Fraction(base), {g: Fraction(v) for g, v in ji_values.items()})
 
 
+def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of ``values``, and each value times it."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def weights(lattice, spec: ValuationSpec) -> dict[int, Fraction]:
     """Solve for the additive weights realising ``spec``, one per join-irreducible id.
 
@@ -65,9 +71,7 @@ def weights(lattice, spec: ValuationSpec) -> dict[int, Fraction]:
     below = lattice.leq_matrix[np.ix_(jis, jis)]
     np.fill_diagonal(below, False)
     lower = {g: list(compress(jis, column)) for g, column in zip(jis, below.T.tolist())}
-    values = [spec.base, *(spec.ji_values[g] for g in jis)]
-    scale = math.lcm(*(v.denominator for v in values))
-    base, *scaled = (v.numerator * (scale // v.denominator) for v in values)
+    scale, (base, *scaled) = _scaled([spec.base, *(spec.ji_values[g] for g in jis)])
     prescribed = dict(zip(jis, scaled))
     table: dict[int, int] = {}
     for g in sorted(jis, key=lambda g: len(lower[g])):
@@ -84,9 +88,7 @@ def evaluate(lattice, spec: ValuationSpec, table: Mapping | None = None) -> tupl
     """
     if table is None:
         table = weights(lattice, spec)
-    scale = math.lcm(spec.base.denominator, *(w.denominator for w in table.values()))
-    base = spec.base.numerator * (scale // spec.base.denominator)
-    row = [w.numerator * (scale // w.denominator) for w in table.values()]
+    scale, (base, *row) = _scaled([spec.base, *table.values()])
     # Python ints once a sum could pass int64; the values stay exact either way.
     wide = abs(base) + sum(map(abs, row)) >= 2**63
     sums = np.array(row, dtype=object if wide else np.int64) @ lattice.leq_matrix[list(table)]

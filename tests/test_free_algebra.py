@@ -1025,9 +1025,9 @@ _MALFORMED_DOCUMENTS = {
     "fractional n": (lambda d: {**d, "n": 1.5}, "generator count must be an integer"),
     "huge n": (lambda d: {**d, "n": 10**6, "chain_size": 2 * 10**6 + 2},
                "exceeds 1048576 points"),
-    # json.loads reads Infinity, and int() of it raises OverflowError.
-    "infinite n": (lambda d: {**d, "n": float("inf")},
-                   "malformed export document: cannot convert float infinity to integer"),
+    # json.loads reads Infinity and NaN; neither is an integer.
+    "infinite n": (lambda d: {**d, "n": float("inf")}, "generator count must be an integer"),
+    "nan n": (lambda d: {**d, "n": float("nan")}, "generator count must be an integer"),
     "chain size": (lambda d: {**d, "chain_size": 5},
                    "chain size does not match generator count and variant"),
     "ids from 1": (lambda d: {**d, "elements": [{**e, "id": e["id"] + 1}

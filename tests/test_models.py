@@ -93,6 +93,30 @@ def test_scalar_budget_counts_points_times_steps_plus_one():
                 call(over, m, space)
 
 
+def test_count_keeps_no_list_of_models(monkeypatch):
+    import tracemalloc
+
+    # x1 over the 2**16 points of {0, 1}, the largest grid the budget admits:
+    # a list of the 32768 models' assignment dicts would take over 20 MiB.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return eval_chain(*args)
+
+    monkeypatch.setattr(models, "eval_chain", counted)
+    tracemalloc.start()
+    try:
+        count = count_models(parse("x1"), 16, TWO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 32768
+    assert calls == 2**16
+    assert peak < 4 * 2**20
+
+
 def test_scalar_budget_reads_the_step_count_of_parsed_text(capsys):
     # 10924 copies of x1 joined by "&" are 21847 nodes but no step, as
     # x1 & x1 folds to x1, so the one model is counted.  A chain of 100 "<->"
